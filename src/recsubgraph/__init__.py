@@ -8,7 +8,6 @@ small instances, and a seeded sweep harness.
 """
 
 from .bounds import (
-    BoundInputs,
     concentration_bound,
     greedy_expected_bound,
     required_ck,
@@ -27,7 +26,13 @@ from .experiment import (
     mix_seed,
     run_experiment,
 )
-from .generate import ErdosRenyiSpec, FixedDegreeSpec, gen_erdos_renyi, gen_fixed_degree
+from .generate import (
+    ErdosRenyiSpec,
+    FixedDegreeSpec,
+    gen_erdos_renyi,
+    gen_fixed_degree,
+    generate_instance,
+)
 from .graph import (
     BipartiteGraph,
     CoverageReport,
@@ -66,9 +71,6 @@ from .solvers import (
     partition_with_stats,
     sampling_with_stats,
     solve,
-    solve_greedy,
-    solve_partition,
-    solve_sampling,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS",
     "BipartiteGraph",
-    "BoundInputs",
     "CSV_HEADER",
     "CellAggregate",
     "ConfigError",
@@ -108,6 +109,7 @@ __all__ = [
     "full_subgraph",
     "gen_erdos_renyi",
     "gen_fixed_degree",
+    "generate_instance",
     "greedy_expected_bound",
     "greedy_with_stats",
     "hopcroft_karp",
@@ -123,9 +125,6 @@ __all__ = [
     "sampling_with_stats",
     "simplify",
     "solve",
-    "solve_greedy",
-    "solve_partition",
-    "solve_sampling",
     "upper_bound_estimate",
     "validate",
     "write_edge_list",

@@ -9,14 +9,12 @@ evaluated in log space so the formulas stay finite at desk-to-web scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import BipartiteGraph, ProblemParams
 
 __all__ = [
-    "BoundInputs",
     "sampling_lower_bound",
     "sampling_approx_ratio",
     "required_ck",
@@ -26,48 +24,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter bundle for the formula evaluators.
+def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> None:
+    """Reject a parameter point the formulas are not defined at.
 
-    The evaluators also accept the same fields as plain keywords, so a bundle
-    is only worth building when one parameter point feeds several formulas.
-    ``d`` (fixed-degree draws) and ``p`` (Erdős–Rényi density) are optional;
-    each formula states what it needs.  ``k = l / r`` and ``ck`` are derived.
-    ``c`` may be fractional here — the formulas are continuous in it.
+    ``c`` may be fractional; the formulas are continuous in it.
     """
-
-    l: int
-    r: int
-    c: float
-    a: int
-    d: int | None = None
-    p: float | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.l < 0 or self.r < 1:
-            raise ValueError(f"need l >= 0 and r >= 1, got l={self.l}, r={self.r}")
-        if self.c < 1 or self.a < 1:
-            raise ValueError(f"c and a must be >= 1, got c={self.c}, a={self.a}")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-
-    @property
-    def k(self) -> float:
-        return self.l / self.r
-
-    @property
-    def ck(self) -> float:
-        return self.c * self.l / self.r
-
-    @property
-    def gamma(self) -> float:
-        if self.p is None:
-            raise ValueError("gamma needs p")
-        if self.l <= 1:
-            raise ValueError("gamma needs l > 1")
-        return self.p * self.l / math.log(self.l)
+    if l < 0 or r < 1:
+        raise ValueError(f"need l >= 0 and r >= 1, got l={l}, r={r}")
+    if c < 1 or a < 1:
+        raise ValueError(f"c and a must be >= 1, got c={c}, a={a}")
+    if p is not None and not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
 
 
 def _power_sum(x: float, a: int) -> float:
@@ -75,39 +42,18 @@ def _power_sum(x: float, a: int) -> float:
     return math.fsum(x**i for i in range(a))
 
 
-def _bundle(inputs: BoundInputs | None, **kw) -> BoundInputs:
-    """Resolve the dual calling convention: a bundle, or plain keywords."""
-    if inputs is not None:
-        if any(v is not None for v in kw.values()):
-            raise TypeError("pass either a BoundInputs or keywords, not both")
-        return inputs
-    missing = [k for k in ("l", "r", "c", "a") if kw.get(k) is None]
-    if missing:
-        raise TypeError(f"missing parameter(s): {', '.join(missing)}")
-    return BoundInputs(**{k: v for k, v in kw.items() if v is not None})
-
-
-def sampling_lower_bound(
-    inputs: BoundInputs | None = None,
-    *,
-    l: int | None = None,
-    r: int | None = None,
-    c: float | None = None,
-    a: int | None = None,
-) -> float:
+def sampling_lower_bound(*, l: int, r: int, c: float, a: int) -> float:
     """Expected-coverage lower bound for the sampling strategy.
 
     ``r * (1 - exp(-ck + (a-1)/r) * (1 + ck + ... + ck^(a-1)))``, clamped to
     ``[0, r]``.  At ``ck == 1`` the sum is the continuous extension ``a``.
     """
-    inputs = _bundle(inputs, l=l, r=r, c=c, a=a)
-    ck = inputs.ck
+    _check_point(l, r, c, a)
+    ck = c * l / r
     if ck <= 0.0:
         return 0.0
-    value = inputs.r * (
-        1.0 - math.exp(-ck + (inputs.a - 1) / inputs.r) * _power_sum(ck, inputs.a)
-    )
-    return min(float(inputs.r), max(0.0, value))
+    value = r * (1.0 - math.exp(-ck + (a - 1) / r) * _power_sum(ck, a))
+    return min(float(r), max(0.0, value))
 
 
 def sampling_approx_ratio(ck: float) -> float:
@@ -160,15 +106,7 @@ def _log_expm1(x: float) -> float:
     return math.log(math.expm1(x))
 
 
-def greedy_expected_bound(
-    inputs: BoundInputs | None = None,
-    *,
-    l: int | None = None,
-    r: int | None = None,
-    c: float | None = None,
-    a: int | None = None,
-    p: float | None = None,
-) -> float:
+def greedy_expected_bound(*, l: int, r: int, c: float, a: int, p: float) -> float:
     """Expected-coverage lower bound for greedy on Erdős–Rényi inputs.
 
     ``r - a * (l*p)^(a-1) * sum_{i=0}^{r-1} (1-p)^(l - i*a/c - a + 1)``,
@@ -176,11 +114,7 @@ def greedy_expected_bound(
     is evaluated in closed form in log space, so no r-term loop and no
     underflow for large ``l``.
     """
-    inputs = _bundle(inputs, l=l, r=r, c=c, a=a, p=p)
-    if inputs.p is None:
-        raise ValueError("greedy_expected_bound needs p")
-    p = inputs.p
-    l, r, c, a = inputs.l, inputs.r, inputs.c, inputs.a
+    _check_point(l, r, c, a, p)
     if l * p < 1.0:
         raise ValueError(f"needs l * p >= 1, got l*p = {l * p}")
     if p >= 1.0:
@@ -198,26 +132,14 @@ def greedy_expected_bound(
     return min(float(r), max(0.0, r - math.exp(ln_sub)))
 
 
-def concentration_bound(
-    inputs: BoundInputs | None = None,
-    *,
-    r: int | None = None,
-    ck: float | None = None,
-) -> tuple[float, float]:
+def concentration_bound(*, r: int, ck: float) -> tuple[float, float]:
     """Lower-tail threshold and its probability estimate for sampling.
 
-    Returns ``(r * (1 - 2*exp(-ck)), (e/4)^(r * (1 - exp(-ck))))``.  The only
-    parameters the formula sees are ``r`` and the density ``ck``, so those can
-    be given directly (``ck`` fractional) instead of a full bundle.  The
-    probability factor is computed as ``exp(x * (1 - ln 4))`` and underflows
-    to 0.0 for large ``r``, which is the honest answer.
+    Returns ``(r * (1 - 2*exp(-ck)), (e/4)^(r * (1 - exp(-ck))))``; the
+    density ``ck = c * l / r`` may be fractional.  The probability factor is
+    computed as ``exp(x * (1 - ln 4))`` and underflows to 0.0 for large
+    ``r``, which is the honest answer.
     """
-    if inputs is not None:
-        if r is not None or ck is not None:
-            raise TypeError("pass either a BoundInputs or keywords, not both")
-        r, ck = inputs.r, inputs.ck
-    if r is None or ck is None:
-        raise TypeError("needs r and ck (or a BoundInputs)")
     if ck <= 0.0:
         raise ValueError(f"needs ck > 0, got {ck}")
     threshold = r * (1.0 - 2.0 * math.exp(-ck))
@@ -226,26 +148,13 @@ def concentration_bound(
     return threshold, prob
 
 
-def upper_bound_estimate(
-    graph: BipartiteGraph,
-    params: ProblemParams | None = None,
-    *,
-    c: int | None = None,
-    a: int | None = None,
-) -> int:
+def upper_bound_estimate(graph: BipartiteGraph, params: ProblemParams) -> int:
     """Cheap true upper bound on coverage: budget-limited target count.
 
     ``min(floor(l*c/a), #targets with at least a distinct candidate sources)``.
     Distinct counting keeps it a true bound on multigraphs, where parallel
-    candidates cannot stack up on one target.  Pass a :class:`ProblemParams`
-    or ``c`` and ``a`` directly.
+    candidates cannot stack up on one target.
     """
-    if params is None:
-        if c is None or a is None:
-            raise TypeError("needs params or both c and a")
-        params = ProblemParams(c=c, a=a)
-    elif c is not None or a is not None:
-        raise TypeError("pass either params or c/a keywords, not both")
     budget = (graph.l * params.c) // params.a
     eligible = int(np.count_nonzero(graph.distinct_in_degrees() >= params.a))
     return int(min(budget, eligible))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bounds import (
-    BoundInputs,
+    _check_point,
     concentration_bound,
     greedy_expected_bound,
     required_ck,
@@ -24,12 +24,13 @@ from .bounds import (
     sampling_lower_bound,
 )
 from .experiment import (
+    MODELS,
     ExperimentSpec,
     emit_csv,
     emit_plotdata,
     run_experiment,
 )
-from .generate import ErdosRenyiSpec, FixedDegreeSpec, gen_erdos_renyi, gen_fixed_degree
+from .generate import MODEL_PARAMS, generate_instance
 from .graph import GraphError, ProblemParams, coverage, simplify
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
@@ -43,7 +44,7 @@ __all__ = ["main"]
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", type=Path, help="read the instance from a file")
     parser.add_argument(
-        "--model", choices=("fixed-degree", "erdos-renyi"), help="or generate one"
+        "--model", choices=tuple(MODEL_PARAMS), help="or generate one"
     )
     parser.add_argument("--l", type=int)
     parser.add_argument("--r", type=int)
@@ -54,22 +55,13 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def _load_instance(args) -> "BipartiteGraph":
     if args.graph is not None:
         return read_edge_list(args.graph)
-    if args.model == "fixed-degree":
-        return gen_fixed_degree(FixedDegreeSpec(args.l, args.r, args.d, args.seed))
-    if args.model == "erdos-renyi":
-        return gen_erdos_renyi(ErdosRenyiSpec(args.l, args.r, args.p, args.seed))
-    raise ConfigError("need either --graph or --model with its parameters")
+    if args.model is None:
+        raise ConfigError("need either --graph or --model with its parameters")
+    return generate_instance(args.model, args.seed, l=args.l, r=args.r, d=args.d, p=args.p)
 
 
 def _cmd_gen(args) -> int:
-    if args.model == "fixed-degree":
-        if None in (args.l, args.r, args.d):
-            raise ConfigError("gen fixed-degree needs --l, --r, --d")
-        graph = gen_fixed_degree(FixedDegreeSpec(args.l, args.r, args.d, args.seed))
-    else:
-        if None in (args.l, args.r) or args.p is None:
-            raise ConfigError("gen erdos-renyi needs --l, --r, --p")
-        graph = gen_erdos_renyi(ErdosRenyiSpec(args.l, args.r, args.p, args.seed))
+    graph = generate_instance(args.model, args.seed, l=args.l, r=args.r, d=args.d, p=args.p)
     # Files carry simple graphs, so parallel draws (possible in the
     # fixed-degree model) collapse here rather than warning on every read.
     note = ""
@@ -136,18 +128,17 @@ def _cmd_bounds(args) -> int:
         return 0
     if args.table == "sampling":
         _require_flags(args, "l", "r", "c", "a")
-        inputs = BoundInputs(l=args.l, r=args.r, c=args.c, a=args.a)
-        print(f"{sampling_lower_bound(inputs):.6f}")
+        print(f"{sampling_lower_bound(l=args.l, r=args.r, c=args.c, a=args.a):.6f}")
         return 0
     if args.table == "greedy":
         _require_flags(args, "l", "r", "c", "a", "p")
-        inputs = BoundInputs(l=args.l, r=args.r, c=args.c, a=args.a, p=args.p)
-        print(f"{greedy_expected_bound(inputs):.6f}")
+        value = greedy_expected_bound(l=args.l, r=args.r, c=args.c, a=args.a, p=args.p)
+        print(f"{value:.6f}")
         return 0
     if args.table == "concentration":
         _require_flags(args, "l", "r", "c", "a")
-        inputs = BoundInputs(l=args.l, r=args.r, c=args.c, a=args.a)
-        threshold, prob = concentration_bound(inputs)
+        _check_point(args.l, args.r, args.c, args.a)
+        threshold, prob = concentration_bound(r=args.r, ck=args.c * args.l / args.r)
         print(f"threshold={threshold:.6f} prob_bound={prob:.6e}")
         return 0
     raise ConfigError(f"unknown bounds table {args.table!r}")
@@ -232,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("model", choices=("fixed-degree", "erdos-renyi"))
+    p.add_argument("model", choices=tuple(MODEL_PARAMS))
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--d", type=int)
@@ -295,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="seeded sweep to CSV / plot data")
     p.add_argument("--spec", type=Path, help="JSON spec file (flags override it)")
-    p.add_argument("--model", choices=("fixed-degree", "erdos-renyi", "file"))
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--graph", type=Path, help="instance file for the file model")
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)

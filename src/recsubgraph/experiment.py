@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .generate import ErdosRenyiSpec, FixedDegreeSpec, gen_erdos_renyi, gen_fixed_degree
-from .graph import BipartiteGraph, ProblemParams
+from .generate import MODEL_PARAMS, _check_model_params, generate_instance
+from .graph import ProblemParams
 from .io import read_edge_list
 from .solvers import ALGORITHMS, SolverConfig, solve
 
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "model,l,r,d_or_p,c,a,algo,trial,seed,covered,upper_bound,ratio,elapsed_ms"
-MODELS = ("fixed-degree", "erdos-renyi", "file")
+MODELS = (*MODEL_PARAMS, "file")
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,12 +81,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.model == "fixed-degree" and None in (self.l, self.r, self.d):
-            raise ValueError("fixed-degree model needs l, r, d")
-        if self.model == "erdos-renyi" and (None in (self.l, self.r) or self.p is None):
-            raise ValueError("erdos-renyi model needs l, r, p")
-        if self.model == "file" and not self.path:
-            raise ValueError("file model needs path")
+        if self.model == "file":
+            if not self.path:
+                raise ValueError("file model needs path")
+        else:
+            _check_model_params(self.model, l=self.l, r=self.r, d=self.d, p=self.p)
 
     @property
     def d_or_p(self) -> str:
@@ -179,14 +178,6 @@ class CellAggregate:
     mean_elapsed_ms: float
 
 
-def _make_instance(spec: ExperimentSpec, seed: int) -> BipartiteGraph:
-    if spec.model == "fixed-degree":
-        return gen_fixed_degree(FixedDegreeSpec(spec.l, spec.r, spec.d, seed))
-    if spec.model == "erdos-renyi":
-        return gen_erdos_renyi(ErdosRenyiSpec(spec.l, spec.r, spec.p, seed))
-    raise AssertionError(spec.model)
-
-
 def run_experiment(
     spec: ExperimentSpec,
 ) -> tuple[list[ExperimentRow], list[CellAggregate]]:
@@ -200,7 +191,11 @@ def run_experiment(
     rows: list[ExperimentRow] = []
     for trial in range(spec.trials):
         seed = mix_seed(spec.base_seed, trial)
-        graph = file_graph if file_graph is not None else _make_instance(spec, seed)
+        graph = (
+            file_graph
+            if file_graph is not None
+            else generate_instance(spec.model, seed, l=spec.l, r=spec.r, d=spec.d, p=spec.p)
+        )
         for c, a in spec.sweep:
             params = ProblemParams(c=c, a=a)
             for algo in spec.algos:

@@ -22,7 +22,13 @@ import numpy as np
 
 from .graph import BipartiteGraph
 
-__all__ = ["FixedDegreeSpec", "ErdosRenyiSpec", "gen_fixed_degree", "gen_erdos_renyi"]
+__all__ = [
+    "FixedDegreeSpec",
+    "ErdosRenyiSpec",
+    "gen_fixed_degree",
+    "gen_erdos_renyi",
+    "generate_instance",
+]
 
 # Role words for Philox stream separation (second 64-bit key word).
 STREAM_GENERATE = 1
@@ -32,7 +38,9 @@ STREAM_PARTITION = 4
 
 
 def philox_stream(seed: int, role: int) -> np.random.Generator:
-    """A Philox generator keyed by ``(seed, role)``."""
+    """A Philox generator keyed by ``(seed, role)``; ``seed`` must fit in 64 bits."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
     )
@@ -116,3 +124,31 @@ def gen_erdos_renyi(spec: ErdosRenyiSpec) -> BipartiteGraph:
         pos = int(here[-1])
     idx = np.concatenate(chunks)
     return BipartiteGraph(spec.l, spec.r, idx // spec.r, idx % spec.r)
+
+
+# Parameters each generated model needs, besides the seed.
+MODEL_PARAMS = {"fixed-degree": ("l", "r", "d"), "erdos-renyi": ("l", "r", "p")}
+
+
+def _check_model_params(model: str, **params) -> None:
+    """Raise ``ValueError`` unless ``params`` names everything ``model`` needs."""
+    if model not in MODEL_PARAMS:
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(MODEL_PARAMS)}")
+    if any(params.get(name) is None for name in MODEL_PARAMS[model]):
+        raise ValueError(f"{model} model needs {', '.join(MODEL_PARAMS[model])}")
+
+
+def generate_instance(
+    model: str,
+    seed: int,
+    *,
+    l: int | None = None,
+    r: int | None = None,
+    d: int | None = None,
+    p: float | None = None,
+) -> BipartiteGraph:
+    """Sample one instance of ``model`` ("fixed-degree" or "erdos-renyi")."""
+    _check_model_params(model, l=l, r=r, d=d, p=p)
+    if model == "fixed-degree":
+        return gen_fixed_degree(FixedDegreeSpec(l, r, d, seed))
+    return gen_erdos_renyi(ErdosRenyiSpec(l, r, p, seed))

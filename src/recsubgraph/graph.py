@@ -45,10 +45,9 @@ class ProblemParams:
     a: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 1:
-            raise ValueError(f"c must be an integer >= 1, got {self.c!r}")
-        if not isinstance(self.a, int) or self.a < 1:
-            raise ValueError(f"a must be an integer >= 1, got {self.a!r}")
+        for name, value in (("c", self.c), ("a", self.a)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def check_against(self, graph: "BipartiteGraph") -> None:
         """Warn when ``c`` cannot prune anything (every candidate gets kept)."""
@@ -83,12 +82,15 @@ class BipartiteGraph:
         "indptr_r",
         "rev_u",
         "_keys",
+        "_distinct_keys",
         "_distinct_in_deg",
     )
 
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
         if l < 0 or r < 0:
             raise GraphError(f"side sizes must be >= 0, got l={l}, r={r}")
+        if int(l) * int(r) >= 1 << 63:
+            raise GraphError(f"l*r must be < 2**63 for int64 edge keys, got l={l}, r={r}")
         eu = np.ascontiguousarray(edge_u, dtype=np.int64)
         ev = np.ascontiguousarray(edge_v, dtype=np.int64)
         if eu.ndim != 1 or eu.shape != ev.shape:
@@ -100,9 +102,12 @@ class BipartiteGraph:
                 f"endpoint out of range at index {i}: ({int(eu[i])}, {int(ev[i])})"
                 f" with l={l}, r={r}"
             )
-        order = np.lexsort((ev, eu))
-        eu = eu[order]
-        ev = ev[order]
+        # One sort of the (u, v) keys gives the (u, v) order; a stable sort by
+        # v of that order gives the (v, u) order.
+        keys = eu * r + ev
+        keys.sort()
+        eu = keys // r
+        ev = keys - eu * r
         self.l = int(l)
         self.r = int(r)
         self.m = int(eu.size)
@@ -111,14 +116,14 @@ class BipartiteGraph:
         indptr_l = np.zeros(l + 1, dtype=np.int64)
         np.cumsum(np.bincount(eu, minlength=l), out=indptr_l[1:])
         self.indptr_l = indptr_l
-        rev = np.lexsort((eu, ev))
-        self.rev_u = eu[rev]
+        self.rev_u = eu[np.argsort(ev, kind="stable")]
         indptr_r = np.zeros(r + 1, dtype=np.int64)
         np.cumsum(np.bincount(ev, minlength=r), out=indptr_r[1:])
         self.indptr_r = indptr_r
-        for arr in (self.edge_u, self.edge_v, self.indptr_l, self.indptr_r, self.rev_u):
+        self._keys = keys
+        for arr in (eu, ev, indptr_l, indptr_r, self.rev_u, keys):
             arr.flags.writeable = False
-        self._keys = None
+        self._distinct_keys = None
         self._distinct_in_deg = None
 
     # -- accessors ---------------------------------------------------------
@@ -145,28 +150,30 @@ class BipartiteGraph:
         return self.rev_u[self.indptr_r[v] : self.indptr_r[v + 1]]
 
     def edge_keys(self) -> np.ndarray:
-        """Edges encoded as ``u * r + v``; ascending because edges are (u, v)-sorted."""
-        if self._keys is None:
-            keys = self.edge_u * self.r + self.edge_v
-            keys.flags.writeable = False
-            self._keys = keys
+        """Edges encoded as ``u * r + v``, ascending; parallel edges repeat."""
         return self._keys
+
+    def distinct_keys(self) -> np.ndarray:
+        """:meth:`edge_keys` with parallel edges collapsed to one."""
+        if self._distinct_keys is None:
+            keys = self._keys
+            first = np.ones(keys.size, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            distinct = keys if first.all() else keys[first]
+            distinct.flags.writeable = False
+            self._distinct_keys = distinct
+        return self._distinct_keys
 
     def distinct_in_degrees(self) -> np.ndarray:
         """Per-target count of distinct sources (parallel edges collapse to one)."""
         if self._distinct_in_deg is None:
-            if self.m == 0:
-                deg = np.zeros(self.r, dtype=np.int64)
-            else:
-                uniq = np.unique(self.edge_keys())
-                deg = np.bincount(uniq % self.r, minlength=self.r)
+            deg = np.bincount(self.distinct_keys() % self.r, minlength=self.r)
             deg.flags.writeable = False
             self._distinct_in_deg = deg
         return self._distinct_in_deg
 
     def has_parallel_edges(self) -> bool:
-        keys = self.edge_keys()
-        return bool(np.any(keys[1:] == keys[:-1]))
+        return self.distinct_keys().size < self.m
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
@@ -270,18 +277,14 @@ class CoverageReport:
 
 def full_subgraph(graph: BipartiteGraph) -> RecSubgraph:
     """The no-pruning selection: every distinct candidate link is kept."""
-    if graph.m == 0:
-        return RecSubgraph.empty(graph.l, graph.r)
-    uniq = np.unique(graph.edge_keys())
-    return RecSubgraph.from_edges(graph.l, graph.r, uniq // graph.r, uniq % graph.r)
+    return RecSubgraph.from_edges(graph.l, graph.r, *np.divmod(graph.distinct_keys(), graph.r))
 
 
 def simplify(graph: BipartiteGraph) -> BipartiteGraph:
     """The same graph with parallel edges collapsed to one."""
     if not graph.has_parallel_edges():
         return graph
-    uniq = np.unique(graph.edge_keys())
-    return BipartiteGraph(graph.l, graph.r, uniq // graph.r, uniq % graph.r)
+    return BipartiteGraph(graph.l, graph.r, *np.divmod(graph.distinct_keys(), graph.r))
 
 
 def validate(
@@ -290,8 +293,8 @@ def validate(
     """Check a selection against its host graph; return ``[]`` when clean.
 
     Violations come back as human-readable strings: dimension mismatches,
-    per-source degree caps (only when ``params`` is given), duplicate picks,
-    and picks that are not candidate edges.
+    per-source degree caps (only when ``params`` is given), targets out of
+    range, duplicate picks, and picks that are not candidate edges.
     """
     if sub.l != graph.l or sub.r != graph.r:
         return [
@@ -304,7 +307,16 @@ def validate(
             out.append(f"degree cap violated at u={u}")
     if sub.n_selected == 0:
         return out
-    keys = sub.selected_u() * graph.r + sub.targets
+    su = sub.selected_u()
+    sv = sub.targets
+    # An out-of-range target would alias another edge's key, so those picks
+    # are reported here and kept out of the key checks below.
+    bad = (sv < 0) | (sv >= graph.r)
+    if bad.any():
+        for u, v in zip(su[bad].tolist(), sv[bad].tolist()):
+            out.append(f"target out of range ({u},{v})")
+        su, sv = su[~bad], sv[~bad]
+    keys = su * graph.r + sv
     keys_sorted = np.sort(keys)
     dup = keys_sorted[1:][keys_sorted[1:] == keys_sorted[:-1]]
     for key in np.unique(dup).tolist():
@@ -329,7 +341,9 @@ def coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int) -> int:
     problems = validate(graph, sub, None)
     if problems:
         raise SubgraphValidationError(problems[0])
-    if sub.n_selected == 0:
-        return 0
-    counts = np.bincount(sub.targets, minlength=graph.r)
-    return int(np.count_nonzero(counts >= a))
+    return _count_covered(sub, a)
+
+
+def _count_covered(sub: RecSubgraph, a: int) -> int:
+    """Targets with at least ``a`` picks; ``sub`` must already be valid."""
+    return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))

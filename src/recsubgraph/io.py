@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import BipartiteGraph, GraphError, RecSubgraph
+from .graph import BipartiteGraph, GraphError, RecSubgraph, simplify
 
 __all__ = [
     "EdgeListError",
@@ -89,17 +89,18 @@ def _parse(path, magic: str) -> tuple[int, int, list[tuple[int, int]]]:
 def read_edge_list(path) -> BipartiteGraph:
     """Read a graph file; duplicate edge lines are dropped with a warning."""
     l, r, edges = _parse(path, GRAPH_MAGIC)
-    unique = sorted(set(edges))
-    if len(unique) != len(edges):
+    arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+    try:
+        graph = BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
+    except GraphError as exc:
+        raise EdgeListError(f"{path}: {exc}") from exc
+    if graph.has_parallel_edges():
         warnings.warn(
-            f"{path}: {len(edges) - len(unique)} duplicate edge line(s) ignored",
+            f"{path}: {graph.m - graph.distinct_keys().size} duplicate edge line(s) ignored",
             stacklevel=2,
         )
-    try:
-        arr = np.asarray(unique, dtype=np.int64).reshape(len(unique), 2)
-        return BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
-    except GraphError as exc:  # pragma: no cover - ranges already checked
-        raise EdgeListError(f"{path}: {exc}") from exc
+        graph = simplify(graph)
+    return graph
 
 
 def write_edge_list(graph: BipartiteGraph, path) -> None:

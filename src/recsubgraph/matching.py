@@ -32,13 +32,9 @@ class Matching:
 
 def _dedup_adjacency(graph: BipartiteGraph) -> list[list[int]]:
     # Parallel edges add nothing to a matching: first occurrence wins.
-    if graph.m == 0:
-        return [[] for _ in range(graph.l)]
-    keys = np.unique(graph.edge_keys())
-    eu = (keys // graph.r).tolist()
-    ev = (keys % graph.r).tolist()
+    eu, ev = np.divmod(graph.distinct_keys(), graph.r)
     adj: list[list[int]] = [[] for _ in range(graph.l)]
-    for u, v in zip(eu, ev):
+    for u, v in zip(eu.tolist(), ev.tolist()):
         adj[u].append(v)
     return adj
 

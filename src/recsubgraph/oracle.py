@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .graph import BipartiteGraph, ProblemParams
 
 __all__ = [
@@ -62,11 +64,10 @@ class FlowNetwork:
         net.sink = l + r + 1
         for u in range(l):
             net.add_arc(0, 1 + u, params.c)
-        seen: set[tuple[int, int]] = set()
-        for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
-            if (u, v) not in seen:  # parallel candidates carry no extra flow
-                seen.add((u, v))
-                net.add_arc(1 + u, 1 + l + v, 1)
+        # Parallel candidates carry no extra flow.
+        eu, ev = np.divmod(graph.distinct_keys(), r)
+        for u, v in zip(eu.tolist(), ev.tolist()):
+            net.add_arc(1 + u, 1 + l + v, 1)
         for v in targets:
             net.add_arc(1 + l + v, net.sink, params.a)
         return net
@@ -126,7 +127,8 @@ def exact_opt(
 
     Only targets with at least ``a`` distinct candidate sources can ever be
     covered; subsets of them are tried in decreasing size with a flow
-    feasibility check each, returning on the first feasible size.  Refuses
+    feasibility check each, returning on the first feasible size.  At
+    ``a == 1`` one max-flow gives the optimum and no subset is tried.  Refuses
     ``l`` or ``r`` beyond :data:`SIZE_GUARD` unless ``force`` is set.
     """
     if not force and (graph.l > SIZE_GUARD or graph.r > SIZE_GUARD):
@@ -141,11 +143,13 @@ def exact_opt(
     ]
     if not cands:
         return 0
-    # Two cheap true bounds shrink the search: the budget bound and the flow
-    # value with every candidate's sink open.
-    smax = min(len(cands), (graph.l * params.c) // params.a)
+    # The flow value with every candidate's sink open is the optimum at a=1;
+    # otherwise it and the budget bound are two cheap true bounds that shrink
+    # the search.
     full = max_flow(FlowNetwork.from_selection_problem(graph, params, cands))
-    smax = min(smax, full // params.a)
+    if params.a == 1:
+        return full
+    smax = min(len(cands), (graph.l * params.c) // params.a, full // params.a)
     for size in range(smax, 0, -1):
         want = params.a * size
         for subset in combinations(cands, size):

@@ -34,7 +34,7 @@ from .graph import (
     ProblemParams,
     RecSubgraph,
     SubgraphValidationError,
-    coverage,
+    _count_covered,
     validate,
 )
 from .matching import _hk_core
@@ -44,9 +44,6 @@ __all__ = [
     "SolverConfig",
     "SolveStats",
     "ALGORITHMS",
-    "solve_sampling",
-    "solve_greedy",
-    "solve_partition",
     "solve",
     "sampling_with_stats",
     "greedy_with_stats",
@@ -147,10 +144,6 @@ def sampling_with_stats(
     )
 
 
-def solve_sampling(graph: BipartiteGraph, config: SolverConfig) -> RecSubgraph:
-    return sampling_with_stats(graph, config)[0]
-
-
 # -- greedy -------------------------------------------------------------------
 
 
@@ -219,10 +212,6 @@ def greedy_with_stats(
         np.asarray(out_v, dtype=np.int64),
     )
     return sel, stats
-
-
-def solve_greedy(graph: BipartiteGraph, config: SolverConfig) -> RecSubgraph:
-    return greedy_with_stats(graph, config)[0]
 
 
 # -- partition ----------------------------------------------------------------
@@ -315,10 +304,6 @@ def partition_with_stats(
     return _dedup_pairs(graph.l, graph.r, su, sv), stats
 
 
-def solve_partition(graph: BipartiteGraph, config: SolverConfig) -> RecSubgraph:
-    return partition_with_stats(graph, config)[0]
-
-
 # -- dispatch -----------------------------------------------------------------
 
 _WITH_STATS = {
@@ -333,8 +318,8 @@ def solve(
 ) -> tuple[RecSubgraph, CoverageReport]:
     """Run one strategy and measure it.
 
-    Times the solver call only (not validation or scoring), re-validates the
-    selection as an internal guard, and scores coverage against the cheap
+    Times the solver call only (not validation or scoring), validates the
+    selection once as an internal guard, and scores coverage against the cheap
     upper bound.  When the bound is 0 nothing is coverable, so an (inevitably)
     empty selection scores ratio 1.
     """
@@ -348,7 +333,7 @@ def solve(
     problems = validate(graph, sel, config.params)
     if problems:
         raise SubgraphValidationError(f"{algo} produced an invalid selection: {problems[0]}")
-    covered = coverage(graph, sel, config.params.a)
+    covered = _count_covered(sel, config.params.a)
     bound = upper_bound_estimate(graph, config.params)
     ratio = 1.0 if bound == 0 else covered / bound
     report = CoverageReport(

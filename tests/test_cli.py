@@ -74,6 +74,21 @@ def test_solve_partition_a_above_c_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model_flags",
+    [
+        ["--model", "fixed-degree", "--r", "10", "--d", "2"],
+        ["--model", "erdos-renyi", "--l", "10", "--r", "10"],
+        ["--model", "fixed-degree", "--l", "10", "--r", "10", "--d", "2", "--seed", "-1"],
+    ],
+    ids=["fixed-degree-without-l", "erdos-renyi-without-p", "negative-seed"],
+)
+def test_solve_bad_instance_flags_exit_1(model_flags, capsys):
+    code = main(["solve", *model_flags, "--algo", "greedy", "--c", "2", "--a", "1"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     code = main([
         "solve", "--graph", str(tmp_path / "absent.txt"), "--algo", "greedy",

@@ -13,6 +13,7 @@ from recsubgraph import (
     build_graph,
     coverage,
     full_subgraph,
+    simplify,
     validate,
 )
 
@@ -47,6 +48,48 @@ def test_parallel_edges_kept_and_flagged():
     assert g.distinct_in_degrees().tolist() == [1, 1]
 
 
+def test_key_space_must_fit_int64():
+    with pytest.raises(GraphError, match=r"2\*\*63"):
+        build_graph(1 << 32, 1 << 31, [])
+
+
+@st.composite
+def shuffled_multigraph(draw):
+    l = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 8))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, r - 1)), max_size=40)
+    )
+    return l, r, draw(st.permutations(edges))
+
+
+@given(shuffled_multigraph())
+@settings(max_examples=200)
+def test_one_key_sort_matches_lexsort_and_unique(pack):
+    l, r, edges = pack
+    g = build_graph(l, r, edges)
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    by_uv = np.lexsort((ev, eu))
+    by_vu = np.lexsort((eu, ev))
+    assert g.edge_u.tolist() == eu[by_uv].tolist()
+    assert g.edge_v.tolist() == ev[by_uv].tolist()
+    assert g.rev_u.tolist() == eu[by_vu].tolist()
+    assert g.indptr_l.tolist() == [0, *np.cumsum(np.bincount(eu, minlength=l)).tolist()]
+    assert g.indptr_r.tolist() == [0, *np.cumsum(np.bincount(ev, minlength=r)).tolist()]
+
+    uniq = np.unique(g.edge_keys())
+    assert g.distinct_keys().tolist() == uniq.tolist()
+    distinct_pairs = sorted(set(edges))
+    assert uniq.tolist() == [u * r + v for u, v in distinct_pairs]
+    assert g.distinct_in_degrees().tolist() == np.bincount(
+        uniq % r, minlength=r
+    ).tolist()
+    assert full_subgraph(g).edge_list() == distinct_pairs
+    assert simplify(g).edge_list() == distinct_pairs
+    assert g.has_parallel_edges() == (len(distinct_pairs) < len(edges))
+
+
 def test_arrays_immutable():
     g = build_graph(2, 2, [(0, 0)])
     with pytest.raises(ValueError):
@@ -58,6 +101,8 @@ def test_params_validation():
         ProblemParams(c=0, a=1)
     with pytest.raises(ValueError):
         ProblemParams(c=1, a=0)
+    with pytest.raises(ValueError):
+        ProblemParams(c=True, a=1)
 
 
 def test_params_warn_when_budget_cannot_prune():
@@ -103,6 +148,15 @@ def test_validate_reports_duplicate():
     h = RecSubgraph.from_lists(1, 2, [[0, 0]])
     problems = validate(g, h, ProblemParams(c=3, a=1))
     assert problems == ["duplicate edge (0,0)"]
+
+
+def test_validate_reports_target_out_of_range():
+    # Target 4 of source 0 would alias the key of candidate (1, 1) at r=3.
+    g = build_graph(2, 3, [(0, 0), (1, 1)])
+    h = RecSubgraph.from_edges(2, 3, [0], [4])
+    assert validate(g, h) == ["target out of range (0,4)"]
+    with pytest.raises(SubgraphValidationError, match="target out of range"):
+        coverage(g, h, 1)
 
 
 def test_validate_reports_dimension_mismatch():

@@ -67,7 +67,8 @@ def test_never_exceeds_upper_bound_estimate(rng):
         g = random_simple_graph(rng)
         c = int(rng.integers(1, 4))
         a = int(rng.integers(1, 4))
-        assert exact_opt(g, ProblemParams(c=c, a=a)) <= upper_bound_estimate(g, c=c, a=a)
+        params = ProblemParams(c=c, a=a)
+        assert exact_opt(g, params) <= upper_bound_estimate(g, params)
 
 
 def test_dominates_heuristics(rng):
