@@ -58,7 +58,6 @@ from .oracle import (
     SIZE_GUARD,
     FlowNetwork,
     OracleSizeError,
-    bmatching_value,
     exact_opt,
     max_flow,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "SolverConfig",
     "SubgraphValidationError",
     "aggregate_rows",
-    "bmatching_value",
     "bounded_matching",
     "build_graph",
     "concentration_bound",

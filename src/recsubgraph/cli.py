@@ -22,6 +22,7 @@ from .bounds import (
     required_ck,
     sampling_approx_ratio,
     sampling_lower_bound,
+    upper_bound_estimate,
 )
 from .experiment import (
     MODELS,
@@ -35,8 +36,7 @@ from .graph import GraphError, ProblemParams, coverage, simplify
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
 from .oracle import OracleSizeError, exact_opt
-from .solvers import ALGORITHMS, ConfigError, SolverConfig, solve
-from .bounds import upper_bound_estimate
+from .solvers import ALGORITHMS, GREEDY_ORDERS, GREEDY_TIEBREAKS, ConfigError, SolverConfig, solve
 
 __all__ = ["main"]
 
@@ -239,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--greedy-order", choices=("input-order", "random-permutation"),
-                   default="input-order")
-    p.add_argument("--greedy-tiebreak", choices=("most-capacity-first", "input-order"),
-                   default="most-capacity-first")
+    p.add_argument("--greedy-order", choices=GREEDY_ORDERS,
+                   default=SolverConfig.greedy_order)
+    p.add_argument("--greedy-tiebreak", choices=GREEDY_TIEBREAKS,
+                   default=SolverConfig.greedy_tiebreak)
     p.add_argument("-o", "--out", type=Path, help="write the selection here")
     p.set_defaults(func=_cmd_solve)
 

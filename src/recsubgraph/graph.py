@@ -156,10 +156,7 @@ class BipartiteGraph:
     def distinct_keys(self) -> np.ndarray:
         """:meth:`edge_keys` with parallel edges collapsed to one."""
         if self._distinct_keys is None:
-            keys = self._keys
-            first = np.ones(keys.size, dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            distinct = keys if first.all() else keys[first]
+            distinct = _distinct_sorted(self._keys)
             distinct.flags.writeable = False
             self._distinct_keys = distinct
         return self._distinct_keys
@@ -347,3 +344,14 @@ def coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int) -> int:
 def _count_covered(sub: RecSubgraph, a: int) -> int:
     """Targets with at least ``a`` picks; ``sub`` must already be valid."""
     return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """Ascending ``keys`` with repeats dropped; ``keys`` itself when none repeat.
+
+    The same result as ``np.unique`` on sorted keys, without sorting them
+    again and with far less time and scratch memory.
+    """
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys if first.all() else keys[first]

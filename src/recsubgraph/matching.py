@@ -30,13 +30,15 @@ class Matching:
     phases: int  # BFS/augment rounds executed
 
 
-def _dedup_adjacency(graph: BipartiteGraph) -> list[list[int]]:
-    # Parallel edges add nothing to a matching: first occurrence wins.
-    eu, ev = np.divmod(graph.distinct_keys(), graph.r)
-    adj: list[list[int]] = [[] for _ in range(graph.l)]
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        adj[u].append(v)
-    return adj
+def _adjacency(keys: np.ndarray, n_left: int, n_right: int) -> list[list[int]]:
+    """Ascending neighbour lists from ascending distinct ``u*n_right + v`` keys.
+
+    Distinct keys matter: parallel edges add nothing to a matching.
+    """
+    eu, ev = np.divmod(keys, n_right)
+    cuts = np.cumsum(np.bincount(eu, minlength=n_left)).tolist()
+    targets = ev.tolist()
+    return [targets[lo:hi] for lo, hi in zip([0] + cuts[:-1], cuts)]
 
 
 def _hk_core(
@@ -136,7 +138,7 @@ def _hk_core(
 
 def hopcroft_karp(graph: BipartiteGraph) -> Matching:
     """Maximum matching of ``graph`` (parallel edges ignored)."""
-    adj = _dedup_adjacency(graph)
+    adj = _adjacency(graph.distinct_keys(), graph.l, graph.r)
     ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r)
     return Matching(ml, mr, size, phases)
 
@@ -154,6 +156,6 @@ def bounded_matching(
     """
     if max_path_len < 1 or max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be odd and >= 1, got {max_path_len}")
-    adj = _dedup_adjacency(graph)
+    adj = _adjacency(graph.distinct_keys(), graph.l, graph.r)
     ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r, max_path_len, initial)
     return Matching(ml, mr, size, phases)

@@ -18,7 +18,6 @@ __all__ = [
     "OracleSizeError",
     "FlowNetwork",
     "max_flow",
-    "bmatching_value",
     "exact_opt",
     "SIZE_GUARD",
 ]
@@ -60,8 +59,6 @@ class FlowNetwork:
         """Budgeted-coverage network; sink arcs open only for ``targets``."""
         l, r = graph.l, graph.r
         net = cls(l + r + 2)
-        net.source = 0
-        net.sink = l + r + 1
         for u in range(l):
             net.add_arc(0, 1 + u, params.c)
         # Parallel candidates carry no extra flow.
@@ -89,35 +86,33 @@ def max_flow(net: FlowNetwork) -> int:
                     queue.append(v)
         if level[t] < 0:
             return total
+        # Blocking flow by depth-first search with an explicit stack, since an
+        # augmenting path can be as long as the graph.  Arc pointers persist
+        # through the phase, so an arc found dead is never tried again.
         ptr = [0] * net.n
-
-        def push(u: int, limit: int) -> int:
-            if u == t:
-                return limit
-            while ptr[u] < len(net.head[u]):
-                e = net.head[u][ptr[u]]
-                v = net.to[e]
-                if net.cap[e] > 0 and level[v] == level[u] + 1:
-                    got = push(v, min(limit, net.cap[e]))
-                    if got > 0:
-                        net.cap[e] -= got
-                        net.cap[e ^ 1] += got
-                        return got
-                ptr[u] += 1
-            return 0
-
         while True:
-            got = push(s, 1 << 60)
-            if got == 0:
+            path: list[int] = []  # arcs from s to u
+            u = s
+            while u != t:
+                if ptr[u] == len(net.head[u]):  # dead end: retreat one arc
+                    if not path:
+                        break
+                    u = net.to[path.pop() ^ 1]
+                    ptr[u] += 1
+                    continue
+                e = net.head[u][ptr[u]]
+                if net.cap[e] > 0 and level[net.to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = net.to[e]
+                else:
+                    ptr[u] += 1
+            if u != t:
                 break
+            got = min(net.cap[e] for e in path)
+            for e in path:
+                net.cap[e] -= got
+                net.cap[e ^ 1] += got
             total += got
-
-
-def bmatching_value(graph: BipartiteGraph, c: int) -> int:
-    """Optimal coverage for ``a == 1``: a degree-constrained matching value."""
-    params = ProblemParams(c=c, a=1)
-    net = FlowNetwork.from_selection_problem(graph, params, range(graph.r))
-    return max_flow(net)
 
 
 def exact_opt(

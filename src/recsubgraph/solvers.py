@@ -35,9 +35,10 @@ from .graph import (
     RecSubgraph,
     SubgraphValidationError,
     _count_covered,
+    _distinct_sorted,
     validate,
 )
-from .matching import _hk_core
+from .matching import _adjacency, _hk_core
 
 __all__ = [
     "ConfigError",
@@ -103,9 +104,7 @@ class SolveStats:
 
 
 def _dedup_pairs(l: int, r: int, su: np.ndarray, sv: np.ndarray) -> RecSubgraph:
-    if su.size == 0:
-        return RecSubgraph.empty(l, r)
-    keys = np.unique(su * r + sv)
+    keys = _distinct_sorted(np.sort(su * r + sv))
     return RecSubgraph.from_edges(l, r, keys // r, keys % r)
 
 
@@ -189,18 +188,9 @@ def greedy_with_stats(
         if len(spare) < a:
             continue
         if by_capacity and len(spare) > a:
-            if a == 1:
-                lo = spare[0]
-                for u in spare[1:]:
-                    if used[u] < used[lo]:
-                        lo = u
-                pick = [lo]
-            else:
-                spare.sort(key=lambda u: (used[u], u))
-                pick = spare[:a]
-        else:
-            pick = spare[:a]  # ascending candidate order
-        for u in pick:
+            # Stable on an ascending list, so equal budgets keep index order.
+            spare.sort(key=used.__getitem__)
+        for u in spare[:a]:
             used[u] += 1
             out_u.append(u)
             out_v.append(v)
@@ -272,32 +262,22 @@ def partition_with_stats(
     elocal = (eq - starts[ewin]) % n_prime  # < wsize by construction
 
     max_path_len = 2 * math.ceil(c / config.epsilon) - 1
-    by_window = np.argsort(ewin, kind="stable")
-    bounds_w = np.searchsorted(ewin[by_window], np.arange(c + 1))
+    # One key space for all windows: window i owns [i*l*wsize, (i+1)*l*wsize).
+    span = graph.l * wsize
+    keys = _distinct_sorted(np.sort((ewin * graph.l + eu) * wsize + elocal))
+    cuts = np.searchsorted(keys, np.arange(c + 1, dtype=np.int64) * span).tolist()
     out_u: list[np.ndarray] = []
     out_v: list[np.ndarray] = []
     scans = 0
     for i in range(c):
-        lo, hi = bounds_w[i], bounds_w[i + 1]
-        if lo == hi:
-            continue
-        sel = by_window[lo:hi]
-        adj: list[list[int]] = [[] for _ in range(graph.l)]
-        for u, v in zip(eu[sel].tolist(), elocal[sel].tolist()):
-            adj[u].append(v)
-        for u in range(graph.l):
-            if len(adj[u]) > 1:
-                adj[u] = sorted(set(adj[u]))
+        adj = _adjacency(keys[cuts[i] : cuts[i + 1]] - i * span, graph.l, wsize)
         ml, _, _, _, sc = _hk_core(adj, graph.l, wsize, max_path_len)
         scans += sc
         ml_arr = np.asarray(ml, dtype=np.int64)
         matched = np.flatnonzero(ml_arr >= 0)
-        if matched.size:
-            out_u.append(matched)
-            out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])
+        out_u.append(matched)
+        out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])
     stats.edges_touched = graph.m + scans
-    if not out_u:
-        return RecSubgraph.empty(graph.l, graph.r), stats
     su = np.concatenate(out_u)
     sv = np.concatenate(out_v)
     # Parallel candidates can land the same (u, v) in two windows; keep one.

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from recsubgraph import CSV_HEADER, read_edge_list, read_subgraph
+from recsubgraph import CSV_HEADER, read_edge_list, read_subgraph, write_edge_list
 from recsubgraph.cli import main
+from conftest import chain_graph
 
 
 def test_gen_solve_eval_round_trip(tmp_path, capsys):
@@ -164,6 +165,15 @@ def test_oracle_size_guard_exits_1(tmp_path, capsys):
         "oracle", "--graph", str(gpath), "--c", "1", "--a", "1", "--force",
     ]) == 0
     assert "exact_opt=" in capsys.readouterr().out
+
+
+def test_oracle_long_augmenting_path_exits_0(tmp_path, capsys):
+    gpath = tmp_path / "chain.txt"
+    write_edge_list(chain_graph(600), gpath)
+    assert main([
+        "oracle", "--graph", str(gpath), "--c", "1", "--a", "1", "--force",
+    ]) == 0
+    assert capsys.readouterr().out == "exact_opt=600\n"
 
 
 def test_matching_subcommand(tmp_path, capsys):

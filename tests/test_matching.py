@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recsubgraph import bounded_matching, build_graph, hopcroft_karp
 from conftest import brute_force_max_matching, random_simple_graph
@@ -112,3 +113,27 @@ def test_bounded_quality_guarantee(rng):
         for alpha in (1, 2, 3):
             size = bounded_matching(g, 2 * alpha - 1).size
             assert size >= (1 - 1 / alpha) * best - 1e-9
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_matching_sizes_agree_with_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(seed)
+    l, r = (int(x) for x in rng.integers(1, 25, size=2))
+    m = int(rng.integers(0, 3 * (l + r)))
+    # Drawn with replacement, so multigraphs with parallel edges occur.
+    eu = rng.integers(0, l, size=m)
+    ev = rng.integers(0, r, size=m)
+    g = build_graph(l, r, list(zip(eu.tolist(), ev.tolist())))
+    ref = nx.Graph()
+    ref.add_nodes_from(("u", u) for u in range(l))
+    ref.add_nodes_from(("v", v) for v in range(r))
+    ref.add_edges_from((("u", u), ("v", v)) for u, v in g.edge_list())
+    top = [("u", u) for u in range(l)]
+    best = len(nx.algorithms.bipartite.hopcroft_karp_matching(ref, top)) // 2
+    assert hopcroft_karp(g).size == best
+    # No augmenting path of <= 2k+1 edges leaves every one with >= k+1
+    # matched edges, which puts the matching within (k+1)/(k+2) of maximum.
+    for k in range(4):
+        assert (k + 2) * bounded_matching(g, 2 * k + 1).size >= (k + 1) * best

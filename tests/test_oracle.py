@@ -9,7 +9,6 @@ from recsubgraph import (
     OracleSizeError,
     ProblemParams,
     SolverConfig,
-    bmatching_value,
     build_graph,
     coverage,
     exact_opt,
@@ -18,7 +17,7 @@ from recsubgraph import (
     solve,
     upper_bound_estimate,
 )
-from conftest import enumerate_opt, random_simple_graph
+from conftest import chain_graph, enumerate_opt, random_simple_graph
 
 
 def test_star_with_budget_two():
@@ -47,10 +46,17 @@ def test_crown_equals_matching():
 
 
 def test_a1_reduces_to_degree_constrained_matching(rng):
+    nx = pytest.importorskip("networkx")
     for _ in range(60):
         g = random_simple_graph(rng)
         c = int(rng.integers(1, 4))
-        assert exact_opt(g, ProblemParams(c=c, a=1)) == bmatching_value(g, c)
+        # The same budgeted network, solved by an independent max-flow.
+        net = nx.DiGraph()
+        net.add_edges_from((("s", ("u", u)) for u in range(g.l)), capacity=c)
+        net.add_edges_from(((("u", u), ("v", v)) for u, v in g.edge_list()), capacity=1)
+        net.add_edges_from(((("v", v), "t") for v in range(g.r)), capacity=1)
+        want = nx.maximum_flow_value(net, "s", "t")
+        assert exact_opt(g, ProblemParams(c=c, a=1)) == want
 
 
 def test_matches_exhaustive_enumeration(rng):
@@ -97,14 +103,19 @@ def test_size_guard():
         exact_opt(g, ProblemParams(c=1, a=1))
     # force bypasses the guard; a=1 keeps it cheap even at l=25.
     got = exact_opt(g, ProblemParams(c=1, a=1), force=True)
-    assert got == bmatching_value(g, 1)
+    assert got == hopcroft_karp(g).size
 
 
 def test_bmatching_counts_saturated_flow():
     g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert bmatching_value(g, 1) == 2
+    assert exact_opt(g, ProblemParams(c=1, a=1)) == 2
     # Raising c cannot help once every target already has a partner.
-    assert bmatching_value(g, 2) == 2
+    assert exact_opt(g, ProblemParams(c=2, a=1)) == 2
     star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
-    assert bmatching_value(star, 2) == 2
-    assert bmatching_value(star, 3) == 3
+    assert exact_opt(star, ProblemParams(c=2, a=1)) == 2
+    assert exact_opt(star, ProblemParams(c=3, a=1)) == 3
+
+
+def test_long_augmenting_path_does_not_recurse():
+    g = chain_graph(600)
+    assert exact_opt(g, ProblemParams(c=1, a=1), force=True) == 600

@@ -1,4 +1,5 @@
 """The three selection strategies: laws, invariants, worked examples."""
+import hashlib
 import math
 import statistics
 import warnings
@@ -232,6 +233,74 @@ def test_partition_deterministic():
     a = partition_with_stats(g, _cfg(2, 2, seed=5))[0].edge_list()
     b = partition_with_stats(g, _cfg(2, 2, seed=5))[0].edge_list()
     assert a == b
+
+
+# ------------------------------------------------------------ selection pins
+
+# Three fixed-degree instances (l, r, d, seed): two simple, the last one with
+# parallel edges.  The digests pin every strategy's selection bytes, so a
+# refactor of a solver's internals must reproduce them exactly.
+_PIN_INSTANCES = [(30, 400, 5, 0), (200, 300, 3, 5), (40, 25, 6, 1)]
+_PIN_VARIANTS = {
+    "sampling": (sampling_with_stats, {}),
+    "greedy-input-capacity": (
+        greedy_with_stats,
+        dict(greedy_order="input-order", greedy_tiebreak="most-capacity-first"),
+    ),
+    "greedy-input-input": (
+        greedy_with_stats,
+        dict(greedy_order="input-order", greedy_tiebreak="input-order"),
+    ),
+    "greedy-random-capacity": (
+        greedy_with_stats,
+        dict(greedy_order="random-permutation", greedy_tiebreak="most-capacity-first"),
+    ),
+    "greedy-random-input": (
+        greedy_with_stats,
+        dict(greedy_order="random-permutation", greedy_tiebreak="input-order"),
+    ),
+    "partition-eps0.1": (partition_with_stats, dict(epsilon=0.1)),
+    "partition-eps1.0": (partition_with_stats, dict(epsilon=1.0)),
+}
+# sha256 over indptr + targets bytes of the three selections, in order.
+# Sampling ignores ``a``, so it is pinned at a=1 only.
+_PIN_DIGESTS = {
+    ("sampling", 1, 1): "4805e418e243ad256415e6c4abb60f5a2559369054c38c44fca1e22599bf8039",
+    ("sampling", 3, 1): "6af93a5efeeab5eda7d711d5501f982f2e9416ef6eda9c0bd957ffb9bdb99e9f",
+    ("greedy-input-capacity", 1, 1): "9b3b6f958c08dacc386980226bc92e3987ee4f7f1ce7d48270a00140ffa08d80",
+    ("greedy-input-capacity", 3, 1): "938c1c567ba18324e7d01d8b75d2c322f6577bae352b355d9aa957e35c2cd62a",
+    ("greedy-input-capacity", 3, 2): "9dd3d9d18eedeb45b5cf7aa2e0d5998d81b7b8e236e37faf76688670af5ea910",
+    ("greedy-input-input", 1, 1): "9b3b6f958c08dacc386980226bc92e3987ee4f7f1ce7d48270a00140ffa08d80",
+    ("greedy-input-input", 3, 1): "0d4bf342f0fee9011a7b87ace6126c9e68e0d8cb4788971038b383367a794257",
+    ("greedy-input-input", 3, 2): "e010d12c065a66efbba4fe54fe72def50fb2249070d8bed8957b293fe3f3e272",
+    ("greedy-random-capacity", 1, 1): "3679457103a95a8100bb90caec3496c75bce42b2c66911eea42c7b33d8b987c0",
+    ("greedy-random-capacity", 3, 1): "0c06e450fdefc5c99da12580dd230328487570a1695f8e2936c7c0f5971d89a8",
+    ("greedy-random-capacity", 3, 2): "89ee6f5d8d4964f7880b8d818987c03827f5ae72ef33a1ee78cc755a576e62b1",
+    ("greedy-random-input", 1, 1): "3679457103a95a8100bb90caec3496c75bce42b2c66911eea42c7b33d8b987c0",
+    ("greedy-random-input", 3, 1): "b2ef2619c28fd783f1357e39e4805ecec5b7e1d48b8eff3c2933d50f44752d4d",
+    ("greedy-random-input", 3, 2): "bb3022657dd84b237eedde423dcbfe258002dccf66534301899686666880031b",
+    ("partition-eps0.1", 1, 1): "a035d6ee066e68194e05794abd508e3906cdf78bd63cce02cd6a74307c81504c",
+    ("partition-eps0.1", 3, 1): "93e00b07009ddd6c20e55294f50b57066d64be59b401c513f230a54a230668d8",
+    ("partition-eps0.1", 3, 2): "00cb7006da58512d8f553f88d95d8eab126051651e39a8271f35c366ea6d31b7",
+    ("partition-eps1.0", 1, 1): "b82894eff4ce3b6635f2059486c7dc32fa81508540e778d312fd4ed9313dba95",
+    ("partition-eps1.0", 3, 1): "f8c43f8f2676fb23c52dc6e9dbc4bbee1943d5718f0278836a5a5da9cda01d3b",
+    ("partition-eps1.0", 3, 2): "932656e814b131a9ac4b106249b2c0fbc526e8021acfd5a707e02a86dc90d30a",
+}
+
+
+@pytest.mark.parametrize("variant, c, a", sorted(_PIN_DIGESTS))
+def test_selection_bytes_pinned(variant, c, a):
+    graphs = [
+        gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=d, seed=seed))
+        for l, r, d, seed in _PIN_INSTANCES
+    ]
+    assert [g.has_parallel_edges() for g in graphs] == [False, False, True]
+    solver, kw = _PIN_VARIANTS[variant]
+    h = hashlib.sha256()
+    for g in graphs:
+        sub, _ = solver(g, _cfg(c, a, seed=7, **kw))
+        h.update(sub.indptr.tobytes() + sub.targets.tobytes())
+    assert h.hexdigest() == _PIN_DIGESTS[variant, c, a]
 
 
 # ----------------------------------------------------------------- solve()
