@@ -87,34 +87,15 @@ class BipartiteGraph:
     )
 
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
-        if l < 0 or r < 0:
-            raise GraphError(f"side sizes must be >= 0, got l={l}, r={r}")
-        if int(l) * int(r) >= 1 << 63:
-            raise GraphError(f"l*r must be < 2**63 for int64 edge keys, got l={l}, r={r}")
-        eu = np.ascontiguousarray(edge_u, dtype=np.int64)
-        ev = np.ascontiguousarray(edge_v, dtype=np.int64)
-        if eu.ndim != 1 or eu.shape != ev.shape:
-            raise GraphError("edge endpoint arrays must be 1-D and equal length")
-        bad = np.flatnonzero((eu < 0) | (eu >= l) | (ev < 0) | (ev >= r))
-        if bad.size:
-            i = int(bad[0])
-            raise GraphError(
-                f"endpoint out of range at index {i}: ({int(eu[i])}, {int(ev[i])})"
-                f" with l={l}, r={r}"
-            )
         # One sort of the (u, v) keys gives the (u, v) order; a stable sort by
         # v of that order gives the (v, u) order.
-        keys = eu * r + ev
-        keys.sort()
-        eu = keys // r
-        ev = keys - eu * r
+        keys = _pair_keys(l, r, edge_u, edge_v, GraphError)
+        indptr_l, eu, ev = _csr(keys, l, r)
         self.l = int(l)
         self.r = int(r)
         self.m = int(eu.size)
         self.edge_u = eu
         self.edge_v = ev
-        indptr_l = np.zeros(l + 1, dtype=np.int64)
-        np.cumsum(np.bincount(eu, minlength=l), out=indptr_l[1:])
         self.indptr_l = indptr_l
         self.rev_u = eu[np.argsort(ev, kind="stable")]
         indptr_r = np.zeros(r + 1, dtype=np.int64)
@@ -196,31 +177,41 @@ class RecSubgraph:
 
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
     sorted ascending.  Construction does not deduplicate — :func:`validate`
-    reports duplicate picks as violations.
+    reports duplicate picks as violations.  The raw constructor checks only
+    the offsets, so targets out of range reach :func:`validate` too.
     """
 
     __slots__ = ("l", "r", "indptr", "targets")
 
     def __init__(self, l: int, r: int, indptr, targets) -> None:
+        if l < 0 or r < 0:
+            raise ValueError(f"side sizes must be >= 0, got l={l}, r={r}")
         self.l = int(l)
         self.r = int(r)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.targets = np.ascontiguousarray(targets, dtype=np.int64)
-        if self.indptr.shape != (l + 1,) or int(self.indptr[-1]) != self.targets.size:
+        ptr = self.indptr
+        if ptr.shape != (self.l + 1,) or ptr[0] != 0 or ptr[-1] != self.targets.size:
             raise ValueError("inconsistent selection offsets")
+        if (ptr[1:] < ptr[:-1]).any():
+            raise ValueError("selection offsets must not decrease")
         self.indptr.flags.writeable = False
         self.targets.flags.writeable = False
 
     @classmethod
     def from_edges(cls, l: int, r: int, sel_u, sel_v) -> "RecSubgraph":
-        su = np.ascontiguousarray(sel_u, dtype=np.int64)
-        sv = np.ascontiguousarray(sel_v, dtype=np.int64)
-        order = np.lexsort((sv, su))
-        su = su[order]
-        sv = sv[order]
-        indptr = np.zeros(l + 1, dtype=np.int64)
-        np.cumsum(np.bincount(su, minlength=l), out=indptr[1:])
-        return cls(l, r, indptr, sv)
+        """Selection of the picks ``(sel_u[i], sel_v[i])``, given in any order.
+
+        Raises ``ValueError`` naming the first pick outside ``[0,l)×[0,r)``;
+        duplicate picks are kept for :func:`validate` to report.
+        """
+        return cls._from_keys(l, r, _pair_keys(l, r, sel_u, sel_v, ValueError))
+
+    @classmethod
+    def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "RecSubgraph":
+        """Selection of ascending ``u*r + v`` keys; a repeated key is a duplicate pick."""
+        indptr, _, targets = _csr(keys, l, r)
+        return cls(l, r, indptr, targets)
 
     @classmethod
     def from_lists(cls, l: int, r: int, lists) -> "RecSubgraph":
@@ -274,7 +265,7 @@ class CoverageReport:
 
 def full_subgraph(graph: BipartiteGraph) -> RecSubgraph:
     """The no-pruning selection: every distinct candidate link is kept."""
-    return RecSubgraph.from_edges(graph.l, graph.r, *np.divmod(graph.distinct_keys(), graph.r))
+    return RecSubgraph._from_keys(graph.l, graph.r, graph.distinct_keys())
 
 
 def simplify(graph: BipartiteGraph) -> BipartiteGraph:
@@ -302,8 +293,6 @@ def validate(
     if params is not None:
         for u in np.flatnonzero(sub.out_degrees() > params.c).tolist():
             out.append(f"degree cap violated at u={u}")
-    if sub.n_selected == 0:
-        return out
     su = sub.selected_u()
     sv = sub.targets
     # An out-of-range target would alias another edge's key, so those picks
@@ -314,15 +303,16 @@ def validate(
             out.append(f"target out of range ({u},{v})")
         su, sv = su[~bad], sv[~bad]
     keys = su * graph.r + sv
-    keys_sorted = np.sort(keys)
-    dup = keys_sorted[1:][keys_sorted[1:] == keys_sorted[:-1]]
-    for key in np.unique(dup).tolist():
-        out.append(f"duplicate edge ({key // graph.r},{key % graph.r})")
+    keys.sort()
+    distinct = _distinct_sorted(keys)
+    if distinct.size < keys.size:
+        for key in _distinct_sorted(keys[1:][keys[1:] == keys[:-1]]).tolist():
+            out.append(f"duplicate edge ({key // graph.r},{key % graph.r})")
     gkeys = graph.edge_keys()
-    pos = np.searchsorted(gkeys, keys)
-    pos_clipped = np.minimum(pos, max(graph.m - 1, 0))
-    missing = (graph.m == 0) | (gkeys[pos_clipped] != keys) if graph.m else keys == keys
-    for key in np.unique(keys[missing]).tolist():
+    pos = np.searchsorted(gkeys, distinct)
+    found = pos < graph.m
+    found[found] = gkeys[pos[found]] == distinct[found]
+    for key in distinct[~found].tolist():
         out.append(f"non-candidate edge ({key // graph.r},{key % graph.r})")
     return out
 
@@ -346,11 +336,50 @@ def _count_covered(sub: RecSubgraph, a: int) -> int:
     return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))
 
 
+def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.ndarray:
+    """Ascending ``u*r + v`` keys of the pairs ``(edge_u[i], edge_v[i])``.
+
+    Raises ``error`` naming the first pair outside ``[0,l)×[0,r)``, whose key
+    would alias another pair's.
+    """
+    if l < 0 or r < 0:
+        raise error(f"side sizes must be >= 0, got l={l}, r={r}")
+    if int(l) * int(r) >= 1 << 63:
+        raise error(f"l*r must be < 2**63 for int64 edge keys, got l={l}, r={r}")
+    eu = np.ascontiguousarray(edge_u, dtype=np.int64)
+    ev = np.ascontiguousarray(edge_v, dtype=np.int64)
+    if eu.ndim != 1 or eu.shape != ev.shape:
+        raise error("edge endpoint arrays must be 1-D and equal length")
+    bad = np.flatnonzero((eu < 0) | (eu >= l) | (ev < 0) | (ev >= r))
+    if bad.size:
+        i = int(bad[0])
+        raise error(
+            f"endpoint out of range at index {i}: ({int(eu[i])}, {int(ev[i])})"
+            f" with l={l}, r={r}"
+        )
+    keys = eu * r + ev
+    keys.sort()
+    return keys
+
+
+def _csr(keys: np.ndarray, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode ascending ``u*n_right + v`` keys into ``(indptr, left, right)``.
+
+    ``left``/``right`` are the endpoints of every key, and
+    ``right[indptr[u]:indptr[u+1]]`` are the ``v`` of source ``u``.
+    """
+    left = keys // n_right
+    right = keys - left * n_right
+    indptr = np.zeros(n_left + 1, dtype=np.int64)
+    np.cumsum(np.bincount(left, minlength=n_left), out=indptr[1:])
+    return indptr, left, right
+
+
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     """Ascending ``keys`` with repeats dropped; ``keys`` itself when none repeat.
 
-    The same result as ``np.unique`` on sorted keys, without sorting them
-    again and with far less time and scratch memory.
+    What a sorting unique would return, without sorting the keys again and
+    with far less time and scratch memory.
     """
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

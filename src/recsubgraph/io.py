@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import BipartiteGraph, GraphError, RecSubgraph, simplify
+from .graph import BipartiteGraph, GraphError, RecSubgraph, _distinct_sorted, _pair_keys, simplify
 
 __all__ = [
     "EdgeListError",
@@ -37,9 +37,11 @@ class EdgeListError(ValueError):
     """Malformed edge-list file (reported with its line number)."""
 
 
-def _parse(path, magic: str) -> tuple[int, int, list[tuple[int, int]]]:
+def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Header sides and the int64 endpoint arrays of the edge lines, in file order."""
     header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -75,23 +77,23 @@ def _parse(path, magic: str) -> tuple[int, int, list[tuple[int, int]]]:
                     f"{path}: endpoint out of range at line {lineno}: "
                     f"({u}, {v}) with l={l}, r={r}"
                 )
-            edges.append((u, v))
+            us.append(u)
+            vs.append(v)
     if header is None:
         raise EdgeListError(f"{path}: missing '{magic}' header line")
     l, r, m = header
-    if len(edges) != m:
+    if len(us) != m:
         raise EdgeListError(
-            f"{path}: header announces m={m} but file has {len(edges)} edge lines"
+            f"{path}: header announces m={m} but file has {len(us)} edge lines"
         )
-    return l, r, edges
+    return l, r, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
 
 def read_edge_list(path) -> BipartiteGraph:
     """Read a graph file; duplicate edge lines are dropped with a warning."""
-    l, r, edges = _parse(path, GRAPH_MAGIC)
-    arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+    l, r, us, vs = _parse(path, GRAPH_MAGIC)
     try:
-        graph = BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
+        graph = BipartiteGraph(l, r, us, vs)
     except GraphError as exc:
         raise EdgeListError(f"{path}: {exc}") from exc
     if graph.has_parallel_edges():
@@ -105,27 +107,28 @@ def read_edge_list(path) -> BipartiteGraph:
 
 def write_edge_list(graph: BipartiteGraph, path) -> None:
     """Write a graph file; inverse of :func:`read_edge_list` up to edge order."""
-    lines = [f"{GRAPH_MAGIC} {graph.l} {graph.r} {graph.m}"]
-    lines.extend(
-        f"{u} {v}" for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist())
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, GRAPH_MAGIC, graph.l, graph.r, graph.edge_u, graph.edge_v)
 
 
 def read_subgraph(path) -> RecSubgraph:
     """Read a selection file.  Duplicate picks are an error, not a warning."""
-    l, r, edges = _parse(path, SUBGRAPH_MAGIC)
-    if len(set(edges)) != len(edges):
+    l, r, us, vs = _parse(path, SUBGRAPH_MAGIC)
+    try:
+        keys = _pair_keys(l, r, us, vs, ValueError)
+        sub = RecSubgraph._from_keys(l, r, keys)
+    except ValueError as exc:
+        raise EdgeListError(f"{path}: {exc}") from exc
+    if _distinct_sorted(keys).size < keys.size:
         raise EdgeListError(f"{path}: duplicate selection lines")
-    if edges:
-        arr = np.asarray(edges, dtype=np.int64)
-        return RecSubgraph.from_edges(l, r, arr[:, 0], arr[:, 1])
-    return RecSubgraph.empty(l, r)
+    return sub
 
 
 def write_subgraph(sub: RecSubgraph, path) -> None:
-    lines = [f"{SUBGRAPH_MAGIC} {sub.l} {sub.r} {sub.n_selected}"]
-    lines.extend(
-        f"{u} {v}" for u, v in zip(sub.selected_u().tolist(), sub.targets.tolist())
-    )
+    """Write a selection file; inverse of :func:`read_subgraph`."""
+    _write(path, SUBGRAPH_MAGIC, sub.l, sub.r, sub.selected_u(), sub.targets)
+
+
+def _write(path, magic: str, l: int, r: int, us: np.ndarray, vs: np.ndarray) -> None:
+    lines = [f"{magic} {l} {r} {us.size}"]
+    lines.extend(f"{u} {v}" for u, v in zip(us.tolist(), vs.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _csr
 
 __all__ = ["Matching", "hopcroft_karp", "bounded_matching"]
 
@@ -35,10 +35,10 @@ def _adjacency(keys: np.ndarray, n_left: int, n_right: int) -> list[list[int]]:
 
     Distinct keys matter: parallel edges add nothing to a matching.
     """
-    eu, ev = np.divmod(keys, n_right)
-    cuts = np.cumsum(np.bincount(eu, minlength=n_left)).tolist()
-    targets = ev.tolist()
-    return [targets[lo:hi] for lo, hi in zip([0] + cuts[:-1], cuts)]
+    indptr, _, right = _csr(keys, n_left, n_right)
+    cuts = indptr.tolist()
+    targets = right.tolist()
+    return [targets[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def _hk_core(
@@ -46,21 +46,16 @@ def _hk_core(
     n_left: int,
     n_right: int,
     max_path_len: int | None = None,
-    initial: list[int] | None = None,
 ) -> tuple[list[int], list[int], int, int, int]:
     """Layered augmentation on an adjacency-list graph.
 
     Returns ``(match_l, match_r, size, phases, edge_scans)``.  With
     ``max_path_len=None`` this is plain Hopcroft–Karp; otherwise augmentation
-    stops once the shortest augmenting path exceeds the cap.  ``initial`` seeds
-    ``match_l`` (callers must pass a valid partial matching).
+    stops once the shortest augmenting path exceeds the cap.
     """
-    match_l = list(initial) if initial is not None else [-1] * n_left
+    match_l = [-1] * n_left
     match_r = [-1] * n_right
-    for u, v in enumerate(match_l):
-        if v >= 0:
-            match_r[v] = u
-    size = sum(1 for v in match_l if v >= 0)
+    size = 0
     # A path ending at a left vertex of BFS depth t has 2t+1 edges.
     depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
     dist = [_INF] * n_left
@@ -143,19 +138,13 @@ def hopcroft_karp(graph: BipartiteGraph) -> Matching:
     return Matching(ml, mr, size, phases)
 
 
-def bounded_matching(
-    graph: BipartiteGraph,
-    max_path_len: int,
-    initial: list[int] | None = None,
-) -> Matching:
+def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     """Matching with no remaining augmenting path of ``<= max_path_len`` edges.
 
     ``max_path_len`` must be odd and >= 1 (augmenting paths have odd length).
-    ``initial`` optionally seeds the search with a valid partial matching,
-    given as a ``match_l`` partner list.
     """
     if max_path_len < 1 or max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be odd and >= 1, got {max_path_len}")
     adj = _adjacency(graph.distinct_keys(), graph.l, graph.r)
-    ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r, max_path_len, initial)
+    ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r, max_path_len)
     return Matching(ml, mr, size, phases)

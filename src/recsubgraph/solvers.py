@@ -103,11 +103,6 @@ class SolveStats:
     peak_aux: int = 0
 
 
-def _dedup_pairs(l: int, r: int, su: np.ndarray, sv: np.ndarray) -> RecSubgraph:
-    keys = _distinct_sorted(np.sort(su * r + sv))
-    return RecSubgraph.from_edges(l, r, keys // r, keys % r)
-
-
 # -- sampling ---------------------------------------------------------------
 
 
@@ -136,11 +131,8 @@ def sampling_with_stats(
     rank = np.arange(m, dtype=np.int64) - np.repeat(
         graph.indptr_l[:-1], graph.left_degrees
     )
-    take = order[rank < c]
-    return (
-        _dedup_pairs(graph.l, graph.r, graph.edge_u[take], graph.edge_v[take]),
-        stats,
-    )
+    picks = _distinct_sorted(np.sort(graph.edge_keys()[order[rank < c]]))
+    return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
 
 
 # -- greedy -------------------------------------------------------------------
@@ -278,10 +270,10 @@ def partition_with_stats(
         out_u.append(matched)
         out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])
     stats.edges_touched = graph.m + scans
-    su = np.concatenate(out_u)
-    sv = np.concatenate(out_v)
+    sel_keys = np.concatenate(out_u) * graph.r + np.concatenate(out_v)
     # Parallel candidates can land the same (u, v) in two windows; keep one.
-    return _dedup_pairs(graph.l, graph.r, su, sv), stats
+    sel_keys = _distinct_sorted(np.sort(sel_keys))
+    return RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats
 
 
 # -- dispatch -----------------------------------------------------------------

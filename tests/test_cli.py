@@ -107,6 +107,18 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_negative_selection_header_exits_2(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph -1 2 0\n")
+    code = main(["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_bounds_required_ck_table(capsys):
     assert main(["bounds", "required-ck", "--target", "0.95"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -153,10 +153,84 @@ def test_validate_reports_duplicate():
 def test_validate_reports_target_out_of_range():
     # Target 4 of source 0 would alias the key of candidate (1, 1) at r=3.
     g = build_graph(2, 3, [(0, 0), (1, 1)])
-    h = RecSubgraph.from_edges(2, 3, [0], [4])
+    h = RecSubgraph(2, 3, [0, 1, 1], [4])
     assert validate(g, h) == ["target out of range (0,4)"]
     with pytest.raises(SubgraphValidationError, match="target out of range"):
         coverage(g, h, 1)
+    with pytest.raises(ValueError, match=r"out of range at index 0: \(0, 4\)"):
+        RecSubgraph.from_edges(2, 3, [0], [4])
+
+
+@pytest.mark.parametrize(
+    "l, r, indptr, targets",
+    [
+        (-1, 2, [], []),  # negative side size
+        (2, -1, [0, 0, 0], []),
+        (2, 2, [0, 2, 1], [0]),  # offsets decrease
+        (2, 2, [1, 1, 1], [0]),  # offsets do not start at 0
+        (2, 2, [0, 1], [0]),  # wrong number of offsets
+        (2, 2, [0, 1, 2], [0]),  # last offset is not the target count
+    ],
+)
+def test_selection_offsets_must_form_a_csr(l, r, indptr, targets):
+    with pytest.raises(ValueError):
+        RecSubgraph(l, r, indptr, targets)
+
+
+@st.composite
+def raw_selection(draw):
+    """A candidate graph and a raw selection that may break every rule."""
+    l = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 5))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, r - 1)), max_size=20)
+    )
+    lists = draw(
+        st.lists(
+            st.lists(st.integers(-2, r + 1), max_size=6), min_size=l, max_size=l
+        )
+    )
+    return l, r, edges, lists
+
+
+@given(raw_selection(), st.one_of(st.none(), st.integers(1, 4)))
+@settings(max_examples=300)
+def test_validate_reports_exactly_the_bad_picks(pack, c):
+    l, r, edges, lists = pack
+    g = build_graph(l, r, edges)
+    indptr = [0, *np.cumsum([len(xs) for xs in lists]).tolist()]
+    h = RecSubgraph(l, r, indptr, [v for xs in lists for v in xs])
+    params = None if c is None else ProblemParams(c=c, a=1)
+
+    want = []
+    if c is not None:
+        want += [f"degree cap violated at u={u}" for u, xs in enumerate(lists) if len(xs) > c]
+    picks = [(u, v) for u, xs in enumerate(lists) for v in xs]
+    want += [f"target out of range ({u},{v})" for u, v in picks if not 0 <= v < r]
+    in_range = [(u, v) for u, v in picks if 0 <= v < r]
+    want += [
+        f"duplicate edge ({u},{v})"
+        for u, v in sorted(set(in_range))
+        if in_range.count((u, v)) > 1
+    ]
+    want += [
+        f"non-candidate edge ({u},{v})"
+        for u, v in sorted(set(in_range) - set(edges))
+    ]
+    assert validate(g, h, params) == want
+
+
+@given(shuffled_multigraph())
+@settings(max_examples=200)
+def test_from_edges_matches_lexsort(pack):
+    l, r, picks = pack
+    su = np.array([u for u, _ in picks], dtype=np.int64)
+    sv = np.array([v for _, v in picks], dtype=np.int64)
+    h = RecSubgraph.from_edges(l, r, su, sv)
+    order = np.lexsort((sv, su))
+    assert h.indptr.tolist() == [0, *np.cumsum(np.bincount(su, minlength=l)).tolist()]
+    assert h.targets.tolist() == sv[order].tolist()
+    assert h.edge_list() == sorted(picks)
 
 
 def test_validate_reports_dimension_mismatch():

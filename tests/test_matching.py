@@ -79,19 +79,6 @@ def test_bounded_cap_one_is_maximal():
             assert u not in free_l or v not in free_r
 
 
-def test_bounded_with_initial_matching_augments_length_3_path():
-    g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-    got = bounded_matching(g, 3, initial=[-1, 0])
-    assert got.size == 2
-
-
-def test_bounded_with_initial_matching_respects_cap():
-    # The only augmenting path has length 3, so cap 1 cannot flip it.
-    g = build_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
-    got = bounded_matching(g, 1, initial=[-1, 0])
-    assert got.size == 1
-
-
 def test_bounded_monotone_and_reaches_maximum(rng):
     for _ in range(200):
         g = random_simple_graph(rng)
