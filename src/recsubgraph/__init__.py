@@ -54,13 +54,7 @@ from .io import (
     write_subgraph,
 )
 from .matching import Matching, bounded_matching, hopcroft_karp
-from .oracle import (
-    SIZE_GUARD,
-    FlowNetwork,
-    OracleSizeError,
-    exact_opt,
-    max_flow,
-)
+from .oracle import SIZE_GUARD, OracleSizeError, exact_opt
 from .solvers import (
     ALGORITHMS,
     ConfigError,
@@ -86,7 +80,6 @@ __all__ = [
     "ExperimentRow",
     "ExperimentSpec",
     "FixedDegreeSpec",
-    "FlowNetwork",
     "GraphError",
     "Matching",
     "OracleSizeError",
@@ -111,7 +104,6 @@ __all__ = [
     "greedy_expected_bound",
     "greedy_with_stats",
     "hopcroft_karp",
-    "max_flow",
     "mix_seed",
     "partition_with_stats",
     "read_edge_list",

@@ -178,7 +178,8 @@ class RecSubgraph:
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
     sorted ascending.  Construction does not deduplicate — :func:`validate`
     reports duplicate picks as violations.  The raw constructor checks only
-    the offsets, so targets out of range reach :func:`validate` too.
+    the offsets and the order of each source's picks, so targets out of range
+    reach :func:`validate` too.
     """
 
     __slots__ = ("l", "r", "indptr", "targets")
@@ -195,6 +196,15 @@ class RecSubgraph:
             raise ValueError("inconsistent selection offsets")
         if (ptr[1:] < ptr[:-1]).any():
             raise ValueError("selection offsets must not decrease")
+        # falls[j]: pick j is below pick j-1 of the same source.  The offsets
+        # hold 0 and the pick count, so clearing them also clears the two
+        # unwritten end slots.  Equal neighbours are left for validate.
+        falls = np.empty(self.targets.size + 1, dtype=bool)
+        np.less(self.targets[1:], self.targets[:-1], out=falls[1:-1])
+        falls[ptr] = False
+        if np.count_nonzero(falls):
+            u = int(np.searchsorted(ptr, falls.argmax(), side="right")) - 1
+            raise ValueError(f"targets of source {u} must not decrease")
         self.indptr.flags.writeable = False
         self.targets.flags.writeable = False
 

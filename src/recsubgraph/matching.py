@@ -30,29 +30,23 @@ class Matching:
     phases: int  # BFS/augment rounds executed
 
 
-def _adjacency(keys: np.ndarray, n_left: int, n_right: int) -> list[list[int]]:
-    """Ascending neighbour lists from ascending distinct ``u*n_right + v`` keys.
+def _match(
+    keys: np.ndarray,
+    n_left: int,
+    n_right: int,
+    max_path_len: int | None = None,
+) -> tuple[Matching, int]:
+    """Layered augmentation on the graph of ascending distinct ``u*n_right + v`` keys.
 
-    Distinct keys matter: parallel edges add nothing to a matching.
+    Returns the matching and its number of edge scans.  With
+    ``max_path_len=None`` this is plain Hopcroft–Karp; otherwise augmentation
+    stops once the shortest augmenting path exceeds the cap.  Distinct keys
+    matter: parallel edges add nothing to a matching.
     """
     indptr, _, right = _csr(keys, n_left, n_right)
     cuts = indptr.tolist()
     targets = right.tolist()
-    return [targets[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-
-def _hk_core(
-    adj: list[list[int]],
-    n_left: int,
-    n_right: int,
-    max_path_len: int | None = None,
-) -> tuple[list[int], list[int], int, int, int]:
-    """Layered augmentation on an adjacency-list graph.
-
-    Returns ``(match_l, match_r, size, phases, edge_scans)``.  With
-    ``max_path_len=None`` this is plain Hopcroft–Karp; otherwise augmentation
-    stops once the shortest augmenting path exceeds the cap.
-    """
+    adj = [targets[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     size = 0
@@ -92,50 +86,43 @@ def _hk_core(
         phases += 1
 
         # Depth-first augmentation along shortest layers only, one arc pointer
-        # per left vertex so each edge is tried at most once per phase.
+        # per left vertex so each edge is tried at most once per phase.  The
+        # stack is the path: each vertex on it left along adj[u][ptr[u] - 1].
         ptr = [0] * n_left
         for root in range(n_left):
             if match_l[root] >= 0:
                 continue
             stack = [root]
-            trail: list[tuple[int, int]] = []  # (u, v) pairs to re-point on success
             while stack:
                 u = stack[-1]
                 du = dist[u]
-                advanced = False
-                while ptr[u] < len(adj[u]):
-                    v = adj[u][ptr[u]]
+                nbrs = adj[u]
+                while ptr[u] < len(nbrs):
+                    v = nbrs[ptr[u]]
                     ptr[u] += 1
                     scans += 1
                     w = match_r[v]
                     if w < 0:
                         if du == found:  # complete only at the shortest layer
-                            trail.append((u, v))
-                            for uu, vv in trail:
-                                match_l[uu] = vv
-                                match_r[vv] = uu
+                            for x in stack:
+                                y = adj[x][ptr[x] - 1]
+                                match_l[x] = y
+                                match_r[y] = x
                             size += 1
                             stack.clear()
-                            advanced = True
                             break
                     elif dist[w] == du + 1 and dist[w] <= found:
-                        trail.append((u, v))
                         stack.append(w)
-                        advanced = True
                         break
-                if not advanced:
+                else:
                     dist[u] = _INF  # dead end for the rest of this phase
                     stack.pop()
-                    if trail:
-                        trail.pop()
-    return match_l, match_r, size, phases, scans
+    return Matching(match_l, match_r, size, phases), scans
 
 
 def hopcroft_karp(graph: BipartiteGraph) -> Matching:
     """Maximum matching of ``graph`` (parallel edges ignored)."""
-    adj = _adjacency(graph.distinct_keys(), graph.l, graph.r)
-    ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r)
-    return Matching(ml, mr, size, phases)
+    return _match(graph.distinct_keys(), graph.l, graph.r)[0]
 
 
 def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
@@ -145,6 +132,4 @@ def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     """
     if max_path_len < 1 or max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be odd and >= 1, got {max_path_len}")
-    adj = _adjacency(graph.distinct_keys(), graph.l, graph.r)
-    ml, mr, size, phases, _ = _hk_core(adj, graph.l, graph.r, max_path_len)
-    return Matching(ml, mr, size, phases)
+    return _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)[0]

@@ -10,17 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
+from .graph import BipartiteGraph, ProblemParams, _csr
 
-from .graph import BipartiteGraph, ProblemParams
-
-__all__ = [
-    "OracleSizeError",
-    "FlowNetwork",
-    "max_flow",
-    "exact_opt",
-    "SIZE_GUARD",
-]
+__all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
 
 SIZE_GUARD = 20  # exact_opt refuses l or r beyond this unless forced
 
@@ -29,59 +21,50 @@ class OracleSizeError(ValueError):
     """Instance too large for exhaustive search."""
 
 
-class FlowNetwork:
-    """Residual-arc flow network.
+def _network(
+    graph: BipartiteGraph, params: ProblemParams
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Budgeted-coverage network with every target's sink arc shut.
 
-    Node layout for selection problems: ``0`` is the source, ``1 .. l`` the
-    left vertices, ``l+1 .. l+r`` the right vertices, ``l+r+1`` the sink.
+    Node ``0`` is the source, ``1 .. l`` the left vertices, ``l+1 .. l+r`` the
+    right vertices and ``l+r+1`` the sink.  Returns ``(head, to, cap, first)``:
+    the arcs leaving each node, every arc's head and capacity (arc ``e ^ 1``
+    is the reverse of arc ``e``), and the index of target 0's sink arc; target
+    ``v``'s is ``first + 2*v``, with capacity 0 until a caller opens it.
     """
-
-    def __init__(self, n_nodes: int, source: int = 0, sink: int | None = None) -> None:
-        self.n = n_nodes
-        self.source = source
-        self.sink = n_nodes - 1 if sink is None else sink
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_arc(self, u: int, v: int, capacity: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    @classmethod
-    def from_selection_problem(
-        cls, graph: BipartiteGraph, params: ProblemParams, targets
-    ) -> "FlowNetwork":
-        """Budgeted-coverage network; sink arcs open only for ``targets``."""
-        l, r = graph.l, graph.r
-        net = cls(l + r + 2)
-        for u in range(l):
-            net.add_arc(0, 1 + u, params.c)
-        # Parallel candidates carry no extra flow.
-        eu, ev = np.divmod(graph.distinct_keys(), r)
-        for u, v in zip(eu.tolist(), ev.tolist()):
-            net.add_arc(1 + u, 1 + l + v, 1)
-        for v in targets:
-            net.add_arc(1 + l + v, net.sink, params.a)
-        return net
+    l, r = graph.l, graph.r
+    sink = l + r + 1
+    head: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    cap: list[int] = []
+    # Parallel candidates carry no extra flow.
+    _, eu, ev = _csr(graph.distinct_keys(), l, r)
+    arcs = [(0, 1 + u, params.c) for u in range(l)]
+    arcs += [(1 + u, 1 + l + v, 1) for u, v in zip(eu.tolist(), ev.tolist())]
+    arcs += [(1 + l + v, sink, 0) for v in range(r)]
+    for u, v, capacity in arcs:
+        head[u].append(len(to))
+        to.append(v)
+        cap.append(capacity)
+        head[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+    return head, to, cap, len(to) - 2 * r
 
 
-def max_flow(net: FlowNetwork) -> int:
-    """Dinic's algorithm between ``net.source`` and ``net.sink``."""
-    s, t = net.source, net.sink
+def _max_flow(head: list[list[int]], to: list[int], cap: list[int]) -> int:
+    """Dinic's algorithm from the first node to the last; consumes ``cap``."""
+    n = len(head)
+    s, t = 0, n - 1
     total = 0
     while True:
-        level = [-1] * net.n
+        level = [-1] * n
         level[s] = 0
         queue = [s]
         for u in queue:
-            for e in net.head[u]:
-                v = net.to[e]
-                if net.cap[e] > 0 and level[v] < 0:
+            for e in head[u]:
+                v = to[e]
+                if cap[e] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[t] < 0:
@@ -89,29 +72,29 @@ def max_flow(net: FlowNetwork) -> int:
         # Blocking flow by depth-first search with an explicit stack, since an
         # augmenting path can be as long as the graph.  Arc pointers persist
         # through the phase, so an arc found dead is never tried again.
-        ptr = [0] * net.n
+        ptr = [0] * n
         while True:
             path: list[int] = []  # arcs from s to u
             u = s
             while u != t:
-                if ptr[u] == len(net.head[u]):  # dead end: retreat one arc
+                if ptr[u] == len(head[u]):  # dead end: retreat one arc
                     if not path:
                         break
-                    u = net.to[path.pop() ^ 1]
+                    u = to[path.pop() ^ 1]
                     ptr[u] += 1
                     continue
-                e = net.head[u][ptr[u]]
-                if net.cap[e] > 0 and level[net.to[e]] == level[u] + 1:
+                e = head[u][ptr[u]]
+                if cap[e] > 0 and level[to[e]] == level[u] + 1:
                     path.append(e)
-                    u = net.to[e]
+                    u = to[e]
                 else:
                     ptr[u] += 1
             if u != t:
                 break
-            got = min(net.cap[e] for e in path)
+            got = min(cap[e] for e in path)
             for e in path:
-                net.cap[e] -= got
-                net.cap[e ^ 1] += got
+                cap[e] -= got
+                cap[e ^ 1] += got
             total += got
 
 
@@ -140,15 +123,23 @@ def exact_opt(
         return 0
     # The flow value with every candidate's sink open is the optimum at a=1;
     # otherwise it and the budget bound are two cheap true bounds that shrink
-    # the search.
-    full = max_flow(FlowNetwork.from_selection_problem(graph, params, cands))
+    # the search.  One network serves every subset: each test copies the
+    # shut capacities and opens only that subset's sink arcs.
+    head, to, shut, first = _network(graph, params)
+
+    def flow(targets) -> int:
+        cap = shut.copy()
+        for v in targets:
+            cap[first + 2 * v] = params.a
+        return _max_flow(head, to, cap)
+
+    full = flow(cands)
     if params.a == 1:
         return full
     smax = min(len(cands), (graph.l * params.c) // params.a, full // params.a)
     for size in range(smax, 0, -1):
         want = params.a * size
         for subset in combinations(cands, size):
-            net = FlowNetwork.from_selection_problem(graph, params, subset)
-            if max_flow(net) == want:
+            if flow(subset) == want:
                 return size
     return 0

@@ -38,7 +38,7 @@ from .graph import (
     _distinct_sorted,
     validate,
 )
-from .matching import _adjacency, _hk_core
+from .matching import _match
 
 __all__ = [
     "ConfigError",
@@ -212,6 +212,11 @@ def partition_with_stats(
     each window is solved as a depth-capped matching (no augmenting path
     longer than ``2*ceil(c/eps) - 1``), and the union of the ``c`` matchings
     is the selection.
+
+    When ``c - 1`` strides plus one window fall short of |R'|, the last
+    positions of R' lie in no window, and edges to them are dropped along with
+    the edges outside R'.  Whenever every position is covered, which includes
+    every ``a == 1`` case, nothing more is dropped.
     """
     c = config.params.c
     a = config.params.a
@@ -240,7 +245,9 @@ def partition_with_stats(
     win_indptr = np.zeros(n_prime + 1, dtype=np.int64)
     np.cumsum(win_count, out=win_indptr[1:])
 
-    # Route each surviving edge into one eligible window, uniformly.
+    # Route each surviving edge into one eligible window, uniformly.  Edges to
+    # a position in no window are dropped like those outside R'.
+    pos_of[sample[win_count == 0]] = -1
     q = pos_of[graph.edge_v]
     keep = q >= 0
     eu = graph.edge_u[keep]
@@ -262,10 +269,10 @@ def partition_with_stats(
     out_v: list[np.ndarray] = []
     scans = 0
     for i in range(c):
-        adj = _adjacency(keys[cuts[i] : cuts[i + 1]] - i * span, graph.l, wsize)
-        ml, _, _, _, sc = _hk_core(adj, graph.l, wsize, max_path_len)
+        window = keys[cuts[i] : cuts[i + 1]] - i * span
+        matching, sc = _match(window, graph.l, wsize, max_path_len)
         scans += sc
-        ml_arr = np.asarray(ml, dtype=np.int64)
+        ml_arr = np.asarray(matching.match_l, dtype=np.int64)
         matched = np.flatnonzero(ml_arr >= 0)
         out_u.append(matched)
         out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])

@@ -75,6 +75,15 @@ def test_solve_partition_a_above_c_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_partition_with_uncovered_positions_exits_0(capsys):
+    # Positions 13-15 of R' lie in no window at l=3, c=11, a=2.
+    code = main([
+        "solve", "--model", "erdos-renyi", "--l", "3", "--r", "40", "--p", "0.3",
+        "--algo", "partition", "--c", "11", "--a", "2", "--seed", "0",
+    ])
+    assert code == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "model_flags",
     [

@@ -170,6 +170,7 @@ def test_validate_reports_target_out_of_range():
         (2, 2, [1, 1, 1], [0]),  # offsets do not start at 0
         (2, 2, [0, 1], [0]),  # wrong number of offsets
         (2, 2, [0, 1, 2], [0]),  # last offset is not the target count
+        (1, 3, [0, 2], [2, 0]),  # a source's targets decrease
     ],
 )
 def test_selection_offsets_must_form_a_csr(l, r, indptr, targets):
@@ -179,7 +180,10 @@ def test_selection_offsets_must_form_a_csr(l, r, indptr, targets):
 
 @st.composite
 def raw_selection(draw):
-    """A candidate graph and a raw selection that may break every rule."""
+    """A candidate graph and a raw selection that may break every rule.
+
+    Each source's picks are drawn ascending, as the constructor requires.
+    """
     l = draw(st.integers(1, 5))
     r = draw(st.integers(1, 5))
     edges = draw(
@@ -187,7 +191,9 @@ def raw_selection(draw):
     )
     lists = draw(
         st.lists(
-            st.lists(st.integers(-2, r + 1), max_size=6), min_size=l, max_size=l
+            st.lists(st.integers(-2, r + 1), max_size=6).map(sorted),
+            min_size=l,
+            max_size=l,
         )
     )
     return l, r, edges, lists

@@ -10,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from recsubgraph import (
     ConfigError,
+    ErdosRenyiSpec,
     FixedDegreeSpec,
     ProblemParams,
     SolverConfig,
+    bounded_matching,
     build_graph,
     coverage,
+    gen_erdos_renyi,
     gen_fixed_degree,
     greedy_expected_bound,
     greedy_with_stats,
+    hopcroft_karp,
     partition_with_stats,
     sampling_with_stats,
     solve,
@@ -216,6 +220,11 @@ def test_partition_output_valid(rng):
         seed = int(rng.integers(2**32))
         sub, _ = partition_with_stats(g, _cfg(c, a, seed=seed))
         assert validate(g, sub, ProblemParams(c=c, a=a)) == []
+    # |R'| = 16 and windows of 3 start 1 apart, so positions 13-15 of R' lie
+    # in no window; edges to them must not be routed into a neighbour's.
+    g = gen_erdos_renyi(ErdosRenyiSpec(3, 40, 0.3, seed=0))
+    sub, _ = partition_with_stats(g, _cfg(11, 2, seed=0))
+    assert validate(g, sub, ProblemParams(c=11, a=2)) == []
 
 
 def test_partition_near_full_coverage_at_threshold():
@@ -286,21 +295,82 @@ _PIN_DIGESTS = {
     ("partition-eps1.0", 3, 1): "f8c43f8f2676fb23c52dc6e9dbc4bbee1943d5718f0278836a5a5da9cda01d3b",
     ("partition-eps1.0", 3, 2): "932656e814b131a9ac4b106249b2c0fbc526e8021acfd5a707e02a86dc90d30a",
 }
+# (edges_touched, peak_aux) of the same solves, per instance; partition's
+# edges_touched includes its window matchings' edge scans.
+_GREEDY_COUNTERS = [(150, 30), (600, 200), (240, 40)]
+_PIN_COUNTERS = {
+    ("sampling", 1, 1): [(150, 1), (600, 1), (240, 1)],
+    ("sampling", 3, 1): [(150, 3), (600, 3), (240, 3)],
+    **{
+        (variant, c, a): _GREEDY_COUNTERS
+        for variant, c, a in _PIN_DIGESTS
+        if variant.startswith("greedy")
+    },
+    ("partition-eps0.1", 1, 1): [(162, 11), (1705, 394), (623, 240)],
+    ("partition-eps0.1", 3, 1): [(187, 34), (2004, 600), (795, 240)],
+    ("partition-eps0.1", 3, 2): [(177, 20), (2040, 600), (777, 240)],
+    ("partition-eps1.0", 1, 1): [(162, 11), (954, 394), (486, 240)],
+    ("partition-eps1.0", 3, 1): [(187, 34), (1837, 600), (780, 240)],
+    ("partition-eps1.0", 3, 2): [(177, 20), (1920, 600), (766, 240)],
+}
+
+
+def _pin_graphs():
+    return [
+        gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=d, seed=seed))
+        for l, r, d, seed in _PIN_INSTANCES
+    ]
 
 
 @pytest.mark.parametrize("variant, c, a", sorted(_PIN_DIGESTS))
 def test_selection_bytes_pinned(variant, c, a):
-    graphs = [
-        gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=d, seed=seed))
-        for l, r, d, seed in _PIN_INSTANCES
-    ]
+    graphs = _pin_graphs()
     assert [g.has_parallel_edges() for g in graphs] == [False, False, True]
     solver, kw = _PIN_VARIANTS[variant]
     h = hashlib.sha256()
+    counters = []
     for g in graphs:
-        sub, _ = solver(g, _cfg(c, a, seed=7, **kw))
+        sub, stats = solver(g, _cfg(c, a, seed=7, **kw))
         h.update(sub.indptr.tobytes() + sub.targets.tobytes())
+        counters.append((stats.edges_touched, stats.peak_aux))
     assert h.hexdigest() == _PIN_DIGESTS[variant, c, a]
+    assert counters == _PIN_COUNTERS[variant, c, a]
+
+
+# (size, phases, sha256 of match_l as int64) per pinned instance, for each
+# augmenting-path cap; None is the uncapped Hopcroft–Karp.
+_MATCHING_PINS = {
+    None: [
+        (30, 1, "a0d30e0a8ba8286dfac0ed1fc4d0a0d9c0a00e8508b6eebcbcfbdfccb80045f3"),
+        (200, 3, "07d424fb1a1412d49aaa5e623428b0cbc7aa707a71fe325d3ec38a2d25b9c463"),
+        (25, 1, "3a8b7ed25d052a0e88d4ad220e66b5ba42bf08eabfc7c0e4a0d1def9ca7d7ec8"),
+    ],
+    1: [
+        (30, 1, "a0d30e0a8ba8286dfac0ed1fc4d0a0d9c0a00e8508b6eebcbcfbdfccb80045f3"),
+        (189, 1, "3cc66bca66d0709e8feb8f5abcace314297e7224904452ee80f88b9972f5b5c0"),
+        (25, 1, "3a8b7ed25d052a0e88d4ad220e66b5ba42bf08eabfc7c0e4a0d1def9ca7d7ec8"),
+    ],
+    3: [
+        (30, 1, "a0d30e0a8ba8286dfac0ed1fc4d0a0d9c0a00e8508b6eebcbcfbdfccb80045f3"),
+        (199, 2, "e8a3e9c5fc5d5ebd42e1b4c8c045306c84fdbb1c0946d0cf636671e0be99e562"),
+        (25, 1, "3a8b7ed25d052a0e88d4ad220e66b5ba42bf08eabfc7c0e4a0d1def9ca7d7ec8"),
+    ],
+    5: [
+        (30, 1, "a0d30e0a8ba8286dfac0ed1fc4d0a0d9c0a00e8508b6eebcbcfbdfccb80045f3"),
+        (200, 3, "07d424fb1a1412d49aaa5e623428b0cbc7aa707a71fe325d3ec38a2d25b9c463"),
+        (25, 1, "3a8b7ed25d052a0e88d4ad220e66b5ba42bf08eabfc7c0e4a0d1def9ca7d7ec8"),
+    ],
+}
+
+
+@pytest.mark.parametrize("cap", list(_MATCHING_PINS), ids=str)
+def test_matchings_pinned(cap):
+    got = []
+    for g in _pin_graphs():
+        m = hopcroft_karp(g) if cap is None else bounded_matching(g, cap)
+        digest = hashlib.sha256(np.asarray(m.match_l, dtype=np.int64).tobytes())
+        got.append((m.size, m.phases, digest.hexdigest()))
+    assert got == _MATCHING_PINS[cap]
 
 
 # ----------------------------------------------------------------- solve()
