@@ -6,8 +6,6 @@ textbook 1/(a+1) worst case.  The second half cross-checks all three
 strategies against the exhaustive flow-based optimum on a batch of tiny
 random instances.
 """
-import warnings
-
 import numpy as np
 
 from recsubgraph import (
@@ -40,24 +38,22 @@ def main():
     print("\ncross-check on 50 tiny random instances (c=2, a=2):")
     rng = np.random.default_rng(3)
     gaps = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for i in range(50):
-            inst = gen_fixed_degree(
-                FixedDegreeSpec(l=int(rng.integers(2, 7)), r=int(rng.integers(2, 7)),
-                                d=2, seed=int(rng.integers(2**31)))
-            )
-            params = ProblemParams(c=2, a=2)
-            opt = exact_opt(inst, params)
-            line = [f"opt={opt}"]
-            for algo in ("sampling", "greedy", "partition"):
-                _, report = solve(inst, algo, SolverConfig(params=params, seed=i))
-                assert report.covered <= opt
-                line.append(f"{algo}={report.covered}")
-                if algo == "greedy":
-                    gaps.append(opt - report.covered)
-            if i < 8:
-                print("  " + " ".join(line))
+    for i in range(50):
+        inst = gen_fixed_degree(
+            FixedDegreeSpec(l=int(rng.integers(2, 7)), r=int(rng.integers(2, 7)),
+                            d=2, seed=int(rng.integers(2**31)))
+        )
+        params = ProblemParams(c=2, a=2)
+        opt = exact_opt(inst, params)
+        line = [f"opt={opt}"]
+        for algo in ("sampling", "greedy", "partition"):
+            _, report = solve(inst, algo, SolverConfig(params=params, seed=i))
+            assert report.covered <= opt
+            line.append(f"{algo}={report.covered}")
+            if algo == "greedy":
+                gaps.append(opt - report.covered)
+        if i < 8:
+            print("  " + " ".join(line))
     print(f"  ... greedy matched the optimum in "
           f"{sum(1 for gap in gaps if gap == 0)}/50 instances "
           f"(worst gap {max(gaps)})")

@@ -42,7 +42,6 @@ from .graph import (
     SubgraphValidationError,
     build_graph,
     coverage,
-    full_subgraph,
     simplify,
     validate,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "emit_csv",
     "emit_plotdata",
     "exact_opt",
-    "full_subgraph",
     "gen_erdos_renyi",
     "gen_fixed_degree",
     "generate_instance",

@@ -5,8 +5,8 @@ Verbs: ``gen`` (write a random instance), ``solve`` (run one strategy),
 ``oracle`` (exact optimum for small instances), ``matching`` (debug view of
 the matching core), and ``experiment`` (seeded sweeps to CSV/plot data).
 
-Exit codes: 0 on success, 1 for validation/configuration problems, 2 for
-file problems.
+Exit codes: 0 on success, 1 for validation/configuration problems (usage
+errors included), 2 for file problems.
 """
 from __future__ import annotations
 
@@ -39,6 +39,14 @@ from .oracle import OracleSizeError, exact_opt
 from .solvers import ALGORITHMS, GREEDY_ORDERS, GREEDY_TIEBREAKS, ConfigError, SolverConfig, solve
 
 __all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as parameter errors: exit 1, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -216,7 +224,7 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recsubgraph",
         description="Budgeted link selection on bipartite graphs.",
     )

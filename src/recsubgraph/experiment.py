@@ -10,7 +10,6 @@ everything except the elapsed-ms column still is.
 """
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import warnings
@@ -108,10 +107,6 @@ class ExperimentSpec:
         if "algos" in data:
             data["algos"] = tuple(data["algos"])
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentSpec":
-        return cls.from_mapping(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 @dataclass

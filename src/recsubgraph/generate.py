@@ -79,13 +79,6 @@ class ErdosRenyiSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 
-    @property
-    def gamma(self) -> float:
-        """Density in threshold units: ``p * l / log(l)`` (needs l > 1)."""
-        if self.l <= 1:
-            raise ValueError("gamma needs l > 1")
-        return self.p * self.l / math.log(self.l)
-
 
 def gen_fixed_degree(spec: FixedDegreeSpec) -> BipartiteGraph:
     """Sample the fixed out-degree model; exactly ``l * d`` edges, duplicates kept."""
@@ -115,7 +108,9 @@ def gen_erdos_renyi(spec: ErdosRenyiSpec) -> BipartiteGraph:
     while True:
         expect = (total - pos) * spec.p
         batch = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
-        gaps = rng.geometric(spec.p, size=batch).astype(np.int64)
+        # numpy saturates huge gaps at 2**63-1, which would overflow the
+        # cumsum; any gap past total + 1 ends the walk just the same.
+        gaps = np.minimum(rng.geometric(spec.p, size=batch), total + 1)
         here = pos + np.cumsum(gaps)
         if here[-1] >= total:
             chunks.append(here[here < total])

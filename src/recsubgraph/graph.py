@@ -10,7 +10,6 @@ target) so solvers can scan either side without per-vertex allocations.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "RecSubgraph",
     "CoverageReport",
     "build_graph",
-    "full_subgraph",
     "coverage",
     "validate",
 ]
@@ -48,18 +46,6 @@ class ProblemParams:
         for name, value in (("c", self.c), ("a", self.a)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-    def check_against(self, graph: "BipartiteGraph") -> None:
-        """Warn when ``c`` cannot prune anything (every candidate gets kept)."""
-        if graph.m == 0:
-            return
-        max_deg = int(graph.left_degrees.max())
-        if self.c >= max_deg:
-            warnings.warn(
-                f"c={self.c} >= max source degree {max_deg}: "
-                "sampling degenerates to keeping every candidate",
-                stacklevel=3,
-            )
 
 
 class BipartiteGraph:
@@ -110,25 +96,8 @@ class BipartiteGraph:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def k(self) -> float:
-        """Side ratio l/r."""
-        return self.l / self.r
-
-    @property
     def left_degrees(self) -> np.ndarray:
         return np.diff(self.indptr_l)
-
-    @property
-    def right_degrees(self) -> np.ndarray:
-        return np.diff(self.indptr_r)
-
-    def adj_l(self, u: int) -> np.ndarray:
-        """Targets of source ``u``, ascending (parallel edges repeated)."""
-        return self.edge_v[self.indptr_l[u] : self.indptr_l[u + 1]]
-
-    def adj_r(self, v: int) -> np.ndarray:
-        """Sources of target ``v``, ascending (parallel edges repeated)."""
-        return self.rev_u[self.indptr_r[v] : self.indptr_r[v + 1]]
 
     def edge_keys(self) -> np.ndarray:
         """Edges encoded as ``u * r + v``, ascending; parallel edges repeat."""
@@ -173,7 +142,7 @@ def build_graph(l: int, r: int, edges) -> BipartiteGraph:
 
 
 class RecSubgraph:
-    """A per-source choice of targets; ``chosen(u)`` lists u's selected targets.
+    """A per-source choice of targets: the links a selection keeps.
 
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
     sorted ascending.  Construction does not deduplicate — :func:`validate`
@@ -223,27 +192,9 @@ class RecSubgraph:
         indptr, _, targets = _csr(keys, l, r)
         return cls(l, r, indptr, targets)
 
-    @classmethod
-    def from_lists(cls, l: int, r: int, lists) -> "RecSubgraph":
-        lists = list(lists)
-        if len(lists) != l:
-            raise ValueError(f"expected {l} per-source lists, got {len(lists)}")
-        su = np.repeat(np.arange(l, dtype=np.int64), [len(x) for x in lists])
-        sv = np.fromiter(
-            (v for xs in lists for v in xs), dtype=np.int64, count=int(su.size)
-        )
-        return cls.from_edges(l, r, su, sv)
-
-    @classmethod
-    def empty(cls, l: int, r: int) -> "RecSubgraph":
-        return cls(l, r, np.zeros(l + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-
     @property
     def n_selected(self) -> int:
         return int(self.targets.size)
-
-    def chosen(self, u: int) -> np.ndarray:
-        return self.targets[self.indptr[u] : self.indptr[u + 1]]
 
     def selected_u(self) -> np.ndarray:
         """Source endpoint of every selected link, parallel to ``targets``."""
@@ -251,9 +202,6 @@ class RecSubgraph:
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.chosen(u).tolist() for u in range(self.l)]
 
     def edge_list(self) -> list[tuple[int, int]]:
         return list(zip(self.selected_u().tolist(), self.targets.tolist()))
@@ -271,11 +219,6 @@ class CoverageReport:
     ratio: float
     elapsed_ms: float
     peak_edges_held: int
-
-
-def full_subgraph(graph: BipartiteGraph) -> RecSubgraph:
-    """The no-pruning selection: every distinct candidate link is kept."""
-    return RecSubgraph._from_keys(graph.l, graph.r, graph.distinct_keys())
 
 
 def simplify(graph: BipartiteGraph) -> BipartiteGraph:

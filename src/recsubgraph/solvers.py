@@ -119,10 +119,6 @@ def sampling_with_stats(
     """
     c = config.params.c
     m = graph.m
-    stats = SolveStats(edges_touched=m, peak_aux=0)
-    if m == 0:
-        return RecSubgraph.empty(graph.l, graph.r), stats
-    stats.peak_aux = int(min(c, int(graph.left_degrees.max())))
     rng = philox_stream(config.seed, STREAM_SAMPLING)
     keys = rng.random(m)
     # edge_u is already sorted; the stable lexsort orders each source's
@@ -132,6 +128,7 @@ def sampling_with_stats(
         graph.indptr_l[:-1], graph.left_degrees
     )
     picks = _distinct_sorted(np.sort(graph.edge_keys()[order[rank < c]]))
+    stats = SolveStats(edges_touched=m, peak_aux=min(c, int(graph.left_degrees.max(initial=0))))
     return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
 
 
@@ -149,10 +146,6 @@ def greedy_with_stats(
     """
     c = config.params.c
     a = config.params.a
-    stats = SolveStats(edges_touched=0, peak_aux=graph.l)
-    if graph.m == 0:
-        return RecSubgraph.empty(graph.l, graph.r), stats
-
     if config.greedy_order == "random-permutation":
         order = philox_stream(config.seed, STREAM_GREEDY).permutation(graph.r).tolist()
     else:
@@ -186,14 +179,13 @@ def greedy_with_stats(
             used[u] += 1
             out_u.append(u)
             out_v.append(v)
-    stats.edges_touched = touched
     sel = RecSubgraph.from_edges(
         graph.l,
         graph.r,
         np.asarray(out_u, dtype=np.int64),
         np.asarray(out_v, dtype=np.int64),
     )
-    return sel, stats
+    return sel, SolveStats(edges_touched=touched, peak_aux=graph.l)
 
 
 # -- partition ----------------------------------------------------------------
@@ -222,10 +214,10 @@ def partition_with_stats(
     a = config.params.a
     if a > c:
         raise ConfigError(f"partition requires a <= c, got a={a}, c={c}")
-    stats = SolveStats(edges_touched=graph.m, peak_aux=0)
     n_prime = min(graph.r, (graph.l * c) // a)
-    if graph.m == 0 or n_prime == 0:
-        return RecSubgraph.empty(graph.l, graph.r), stats
+    if n_prime == 0:  # l == 0 or r == 0: no window can be laid out
+        stats = SolveStats(edges_touched=graph.m, peak_aux=0)
+        return RecSubgraph.from_edges(graph.l, graph.r, [], []), stats
 
     rng = philox_stream(config.seed, STREAM_PARTITION)
     sample = rng.permutation(graph.r)[:n_prime].astype(np.int64)
@@ -252,9 +244,6 @@ def partition_with_stats(
     keep = q >= 0
     eu = graph.edge_u[keep]
     eq = q[keep]
-    stats.peak_aux = int(eq.size)
-    if eq.size == 0:
-        return RecSubgraph.empty(graph.l, graph.r), stats
     n_opts = win_count[eq]
     pick = np.minimum((rng.random(eq.size) * n_opts).astype(np.int64), n_opts - 1)
     ewin = win_ids[win_indptr[eq] + pick]
@@ -276,10 +265,10 @@ def partition_with_stats(
         matched = np.flatnonzero(ml_arr >= 0)
         out_u.append(matched)
         out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])
-    stats.edges_touched = graph.m + scans
     sel_keys = np.concatenate(out_u) * graph.r + np.concatenate(out_v)
     # Parallel candidates can land the same (u, v) in two windows; keep one.
     sel_keys = _distinct_sorted(np.sort(sel_keys))
+    stats = SolveStats(edges_touched=graph.m + scans, peak_aux=int(eq.size))
     return RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats
 
 
@@ -304,7 +293,6 @@ def solve(
     """
     if algo not in _WITH_STATS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    config.params.check_against(graph)
     runner = _WITH_STATS[algo]
     t0 = time.perf_counter()
     sel, stats = runner(graph, config)

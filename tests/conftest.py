@@ -14,9 +14,17 @@ import pytest
 from recsubgraph import BipartiteGraph, build_graph
 
 
+def _neighborhoods(graph: BipartiteGraph) -> list[list[int]]:
+    """Each source's distinct candidates, ascending, read off the edge list."""
+    adj: list[set[int]] = [set() for _ in range(graph.l)]
+    for u, v in graph.edge_list():
+        adj[u].add(v)
+    return [sorted(vs) for vs in adj]
+
+
 def brute_force_max_matching(graph: BipartiteGraph) -> int:
     """Maximum matching size by exhaustive recursion (fine for l, r <= 8)."""
-    adj = [sorted(set(graph.adj_l(u).tolist())) for u in range(graph.l)]
+    adj = _neighborhoods(graph)
 
     def best(u: int, used: frozenset[int]) -> int:
         if u == graph.l:
@@ -36,9 +44,8 @@ def enumerate_opt(graph: BipartiteGraph, c: int, a: int) -> int:
     Each source independently keeps any subset of at most c of its distinct
     candidates; the optimum is the best coverage over the full product space.
     """
-    neighborhoods = [sorted(set(graph.adj_l(u).tolist())) for u in range(graph.l)]
     local: list[list[tuple[int, ...]]] = []
-    for nbrs in neighborhoods:
+    for nbrs in _neighborhoods(graph):
         opts = [()]
         for k in range(1, min(c, len(nbrs)) + 1):
             opts.extend(combinations(nbrs, k))

@@ -8,7 +8,6 @@ charged to criterion 3's budget.
 import math
 import statistics
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -186,31 +185,29 @@ def test_criterion_6_oracle_safety_net():
     checks = 0
     greedy_floor_hits = 0
     worst = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        while instances < 200:
-            l = int(rng.integers(1, 7))
-            r = int(rng.integers(1, 7))
-            d = int(rng.integers(1, 4))
-            g = gen_fixed_degree(FixedDegreeSpec(l, r, d, seed=int(rng.integers(2**31))))
-            instances += 1
-            for c in (1, 2):
-                for a in (1, 2):
-                    params = ProblemParams(c=c, a=a)
-                    opt = exact_opt(g, params)
-                    for algo in ("sampling", "greedy", "partition"):
-                        if algo == "partition" and a > c:
-                            continue
-                        cfg = SolverConfig(params=params, seed=int(rng.integers(2**31)))
-                        _, report = solve(g, algo, cfg)
-                        checks += 1
-                        if report.covered > opt:
-                            worst = (algo, c, a, report.covered, opt, g.edge_list())
-                        if algo == "greedy":
-                            floor = -(-opt // (a + 1))  # ceil
-                            greedy_floor_hits += report.covered >= floor
-                            if report.covered < floor:
-                                worst = ("greedy-floor", c, a, report.covered, opt)
+    while instances < 200:
+        l = int(rng.integers(1, 7))
+        r = int(rng.integers(1, 7))
+        d = int(rng.integers(1, 4))
+        g = gen_fixed_degree(FixedDegreeSpec(l, r, d, seed=int(rng.integers(2**31))))
+        instances += 1
+        for c in (1, 2):
+            for a in (1, 2):
+                params = ProblemParams(c=c, a=a)
+                opt = exact_opt(g, params)
+                for algo in ("sampling", "greedy", "partition"):
+                    if algo == "partition" and a > c:
+                        continue
+                    cfg = SolverConfig(params=params, seed=int(rng.integers(2**31)))
+                    _, report = solve(g, algo, cfg)
+                    checks += 1
+                    if report.covered > opt:
+                        worst = (algo, c, a, report.covered, opt, g.edge_list())
+                    if algo == "greedy":
+                        floor = -(-opt // (a + 1))  # ceil
+                        greedy_floor_hits += report.covered >= floor
+                        if report.covered < floor:
+                            worst = ("greedy-floor", c, a, report.covered, opt)
     elapsed = time.perf_counter() - start
     ok = worst is None and greedy_floor_hits == instances * 4 and elapsed < 60.0
     _verdict(

@@ -1,11 +1,17 @@
 """End-to-end command-line flows and exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from recsubgraph import CSV_HEADER, read_edge_list, read_subgraph, write_edge_list
 from recsubgraph.cli import main
 from conftest import chain_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_gen_solve_eval_round_trip(tmp_path, capsys):
@@ -54,6 +60,31 @@ def test_gen_erdos_renyi(tmp_path):
 
 def test_gen_missing_params_exits_1(tmp_path):
     assert main(["gen", "fixed-degree", "--l", "5", "-o", str(tmp_path / "g")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "sampling", "--c", "nan"],
+        ["solve", "--model", "fixed-degree", "--l", "5", "--r", "5", "--d", "2",
+         "--algo", "greedy", "--c", "1"],
+        ["oracle", "--graph", "g.txt", "--c", "1", "--a", "1", "--bogus"],
+        [],
+    ],
+    ids=["malformed-value", "missing-required-flag", "unknown-flag", "no-verb"],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--algo" in capsys.readouterr().out
 
 
 def test_solve_all_algorithms_inline_model(capsys):
@@ -266,3 +297,27 @@ def test_bad_spec_json_exits_2(tmp_path, capsys):
     spec_path.write_text("{not json")
     assert main(["experiment", "--spec", str(spec_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_experiment_with_unprunable_budget_keeps_stderr_clean(tmp_path):
+    # c=11 exceeds every source degree and only partition runs: nothing may warn.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "recsubgraph.cli", "experiment",
+            "--model", "erdos-renyi", "--l", "3", "--r", "40", "--p", "0.3",
+            "--c-min", "11", "--c-max", "11", "--a", "2", "--algos", "partition",
+            "--trials", "3", "--base-seed", "0", "--no-timing", "--csv", "out.csv",
+        ],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (tmp_path / "out.csv").exists()

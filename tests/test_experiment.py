@@ -157,7 +157,7 @@ def test_spec_from_json_round_trip(tmp_path):
         "sweep": [[1, 1], [2, 1]], "algos": ["greedy"], "trials": 1,
         "measure_time": False,
     }))
-    rows, _ = run_experiment(ExperimentSpec.from_json(p))
+    rows, _ = run_experiment(ExperimentSpec.from_mapping(json.loads(p.read_text())))
     assert len(rows) == 2
 
 

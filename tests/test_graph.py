@@ -12,7 +12,6 @@ from recsubgraph import (
     SubgraphValidationError,
     build_graph,
     coverage,
-    full_subgraph,
     simplify,
     validate,
 )
@@ -22,16 +21,14 @@ def test_single_edge_counts():
     g = build_graph(1, 1, [(0, 0)])
     assert g.m == 1
     assert g.left_degrees.tolist() == [1]
-    assert g.right_degrees.tolist() == [1]
+    assert np.diff(g.indptr_r).tolist() == [1]
 
 
 def test_adjacency_sorted_both_ways():
     g = build_graph(2, 2, [(1, 0), (0, 1), (0, 0)])
     assert g.m == 3
-    assert g.adj_l(0).tolist() == [0, 1]
-    assert g.adj_r(0).tolist() == [0, 1]
-    assert g.adj_r(1).tolist() == [0]
-    assert g.k == 1.0
+    assert (g.indptr_l.tolist(), g.edge_v.tolist()) == ([0, 2, 3], [0, 1, 0])
+    assert (g.indptr_r.tolist(), g.rev_u.tolist()) == ([0, 2, 3], [0, 1, 0])
 
 
 def test_out_of_range_endpoint_named():
@@ -85,7 +82,6 @@ def test_one_key_sort_matches_lexsort_and_unique(pack):
     assert g.distinct_in_degrees().tolist() == np.bincount(
         uniq % r, minlength=r
     ).tolist()
-    assert full_subgraph(g).edge_list() == distinct_pairs
     assert simplify(g).edge_list() == distinct_pairs
     assert g.has_parallel_edges() == (len(distinct_pairs) < len(edges))
 
@@ -105,47 +101,41 @@ def test_params_validation():
         ProblemParams(c=True, a=1)
 
 
-def test_params_warn_when_budget_cannot_prune():
-    g = build_graph(2, 2, [(0, 0), (0, 1)])
-    with pytest.warns(UserWarning, match="degenerates"):
-        ProblemParams(c=2, a=1).check_against(g)
-
-
 def test_coverage_single_edge():
     g = build_graph(1, 1, [(0, 0)])
-    h = RecSubgraph.from_lists(1, 1, [[0]])
+    h = RecSubgraph.from_edges(1, 1, [0], [0])
     assert coverage(g, h, 1) == 1
     assert coverage(g, h, 2) == 0
 
 
 def test_coverage_two_sources_one_target():
     g = build_graph(2, 1, [(0, 0), (1, 0)])
-    h = RecSubgraph.from_lists(2, 1, [[0], [0]])
+    h = RecSubgraph.from_edges(2, 1, [0, 1], [0, 0])
     assert coverage(g, h, 2) == 1
 
 
 def test_coverage_rejects_invalid_selection():
     g = build_graph(2, 4, [(0, 0), (1, 1)])
-    bad = RecSubgraph.from_lists(2, 4, [[3], []])
+    bad = RecSubgraph.from_edges(2, 4, [0], [3])
     with pytest.raises(SubgraphValidationError, match=r"non-candidate edge \(0,3\)"):
         coverage(g, bad, 1)
 
 
 def test_validate_clean():
     g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
-    h = RecSubgraph.from_lists(2, 2, [[0], [0]])
+    h = RecSubgraph.from_edges(2, 2, [0, 1], [0, 0])
     assert validate(g, h, ProblemParams(c=1, a=1)) == []
 
 
 def test_validate_reports_cap():
     g = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
-    h = RecSubgraph.from_lists(1, 3, [[0, 1]])
+    h = RecSubgraph.from_edges(1, 3, [0, 0], [0, 1])
     assert validate(g, h, ProblemParams(c=1, a=1)) == ["degree cap violated at u=0"]
 
 
 def test_validate_reports_duplicate():
     g = build_graph(1, 2, [(0, 0), (0, 1)])
-    h = RecSubgraph.from_lists(1, 2, [[0, 0]])
+    h = RecSubgraph.from_edges(1, 2, [0, 0], [0, 0])
     problems = validate(g, h, ProblemParams(c=3, a=1))
     assert problems == ["duplicate edge (0,0)"]
 
@@ -241,13 +231,19 @@ def test_from_edges_matches_lexsort(pack):
 
 def test_validate_reports_dimension_mismatch():
     g = build_graph(2, 2, [(0, 0)])
-    h = RecSubgraph.empty(3, 2)
+    h = RecSubgraph.from_edges(3, 2, [], [])
     assert "dimension mismatch" in validate(g, h)[0]
+
+
+def _keep_all(g):
+    """The no-pruning selection: every distinct candidate link."""
+    s = simplify(g)
+    return RecSubgraph.from_edges(s.l, s.r, s.edge_u, s.edge_v)
 
 
 def test_full_subgraph_coverage_counts_degrees():
     g = build_graph(3, 4, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2)])
-    h = full_subgraph(g)
+    h = _keep_all(g)
     for a in (1, 2, 3, 4):
         want = int(np.count_nonzero(g.distinct_in_degrees() >= a))
         assert coverage(g, h, a) == want
@@ -267,10 +263,8 @@ def small_graph_and_selection(draw):
     g = build_graph(l, r, edges)
     keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     chosen = [e for e, flag in zip(sorted(edges), keep) if flag]
-    lists: list[list[int]] = [[] for _ in range(l)]
-    for u, v in chosen:
-        lists[u].append(v)
-    return g, RecSubgraph.from_lists(l, r, lists), chosen
+    sel = RecSubgraph.from_edges(l, r, [u for u, _ in chosen], [v for _, v in chosen])
+    return g, sel, chosen
 
 
 @given(small_graph_and_selection(), st.integers(1, 4))
@@ -280,7 +274,7 @@ def test_coverage_monotone_in_edges_and_antitone_in_a(pack, a):
     base = coverage(g, h, a)
     assert 0 <= base <= g.r
     assert coverage(g, h, a + 1) <= base
-    full = full_subgraph(g)
+    full = _keep_all(g)
     assert coverage(g, full, a) >= base
 
 
@@ -293,7 +287,7 @@ def test_validate_accepts_any_subselection(pack):
 
 def test_selection_round_trips_lists():
     lists = [[1, 3], [], [0]]
-    h = RecSubgraph.from_lists(3, 4, lists)
-    assert h.to_lists() == lists
+    h = RecSubgraph.from_edges(3, 4, [0, 0, 2], [3, 1, 0])
+    assert [h.targets[lo:hi].tolist() for lo, hi in zip(h.indptr[:-1], h.indptr[1:])] == lists
     assert h.n_selected == 3
     assert h.out_degrees().tolist() == [2, 0, 1]

@@ -1,6 +1,4 @@
 """Exact optimum via flow: worked instances, cross-checks, size guard."""
-import warnings
-
 import numpy as np
 import pytest
 
@@ -78,18 +76,15 @@ def test_never_exceeds_upper_bound_estimate(rng):
 
 
 def test_dominates_heuristics(rng):
-    with warnings.catch_warnings():
-        # Tiny graphs often trip the degenerate-budget note; irrelevant here.
-        warnings.simplefilter("ignore", UserWarning)
-        for _ in range(40):
-            g = random_simple_graph(rng)
-            c = int(rng.integers(1, 4))
-            a = int(rng.integers(1, c + 1))
-            opt = exact_opt(g, ProblemParams(c=c, a=a))
-            for algo in ("sampling", "greedy", "partition"):
-                cfg = SolverConfig(params=ProblemParams(c=c, a=a), seed=int(rng.integers(2**32)))
-                _, report = solve(g, algo, cfg)
-                assert report.covered <= opt, (algo, report.covered, opt)
+    for _ in range(40):
+        g = random_simple_graph(rng)
+        c = int(rng.integers(1, 4))
+        a = int(rng.integers(1, c + 1))
+        opt = exact_opt(g, ProblemParams(c=c, a=a))
+        for algo in ("sampling", "greedy", "partition"):
+            cfg = SolverConfig(params=ProblemParams(c=c, a=a), seed=int(rng.integers(2**32)))
+            _, report = solve(g, algo, cfg)
+            assert report.covered <= opt, (algo, report.covered, opt)
 
 
 def test_parallel_edges_do_not_double_count():

@@ -2,7 +2,6 @@
 import hashlib
 import math
 import statistics
-import warnings
 
 import numpy as np
 import pytest
@@ -42,9 +41,6 @@ def test_sampling_keeps_everything_when_budget_covers_degrees():
     g = build_graph(3, 4, [(0, 0), (0, 1), (1, 2), (2, 3), (2, 0)])
     sub, _ = sampling_with_stats(g, _cfg(2, 1))
     assert sorted(sub.edge_list()) == sorted(g.edge_list())
-    # The orchestrated entry point flags the degenerate budget.
-    with pytest.warns(UserWarning, match="degenerates"):
-        solve(g, "sampling", _cfg(2, 1))
 
 
 def test_sampling_single_edge():
@@ -62,8 +58,7 @@ def test_sampling_respects_cap_and_candidates(rng):
         assert validate(g, sub, ProblemParams(c=c, a=1)) == []
         # Every source with degree >= c uses its full budget.
         for u in range(g.l):
-            want = min(c, len(g.adj_l(u)))
-            assert sub.out_degrees()[u] == want
+            assert sub.out_degrees()[u] == min(c, g.left_degrees[u])
 
 
 def test_sampling_picks_uniform_subsets():
@@ -382,6 +377,26 @@ def test_solve_unknown_algo():
         solve(g, "newton", _cfg(1, 1))
 
 
+@pytest.mark.parametrize("l, r", [(0, 0), (0, 3), (3, 0), (3, 4)])
+@pytest.mark.parametrize(
+    "runner, kw, counters",
+    [
+        (sampling_with_stats, {}, lambda l: (0, 0)),
+        (greedy_with_stats, {"greedy_order": "input-order"}, lambda l: (0, l)),
+        (greedy_with_stats, {"greedy_order": "random-permutation"}, lambda l: (0, l)),
+        (partition_with_stats, {}, lambda l: (0, 0)),
+    ],
+    ids=["sampling", "greedy-input-order", "greedy-random-permutation", "partition"],
+)
+def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters):
+    g = build_graph(l, r, [])
+    cfg = _cfg(2, 1, **kw)
+    sub, stats = runner(g, cfg)
+    assert (sub.l, sub.r, sub.n_selected) == (l, r, 0)
+    assert validate(g, sub, cfg.params) == []
+    assert (stats.edges_touched, stats.peak_aux) == counters(l)
+
+
 def test_solve_edgeless_ratio_is_one():
     g = build_graph(5, 5, [])
     sub, report = solve(g, "greedy", _cfg(1, 1))
@@ -391,30 +406,25 @@ def test_solve_edgeless_ratio_is_one():
 
 
 def test_solve_reports_match_recomputation(rng):
-    with warnings.catch_warnings():
-        # Tiny graphs often trip the degenerate-budget note; irrelevant here.
-        warnings.simplefilter("ignore", UserWarning)
-        for algo in ("sampling", "greedy", "partition"):
-            g = random_simple_graph(rng, max_l=8, max_r=8, p=0.5)
-            cfg = _cfg(2, 1, seed=3)
-            sub, report = solve(g, algo, cfg)
-            assert report.covered == coverage(g, sub, 1)
-            assert report.upper_bound == upper_bound_estimate(g, cfg.params)
-            assert 0.0 <= report.ratio <= 1.0
+    for algo in ("sampling", "greedy", "partition"):
+        g = random_simple_graph(rng, max_l=8, max_r=8, p=0.5)
+        cfg = _cfg(2, 1, seed=3)
+        sub, report = solve(g, algo, cfg)
+        assert report.covered == coverage(g, sub, 1)
+        assert report.upper_bound == upper_bound_estimate(g, cfg.params)
+        assert 0.0 <= report.ratio <= 1.0
 
 
 def test_solve_every_algo_valid_on_many_instances(rng):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for _ in range(150):
-            g = random_simple_graph(rng)
-            c = int(rng.integers(1, 4))
-            for algo in ("sampling", "greedy", "partition"):
-                a = int(rng.integers(1, c + 1)) if algo == "partition" else int(rng.integers(1, 4))
-                cfg = _cfg(c, a, seed=int(rng.integers(2**32)))
-                sub, report = solve(g, algo, cfg)
-                assert validate(g, sub, cfg.params) == []
-                assert report.covered <= report.upper_bound or report.upper_bound == 0
+    for _ in range(150):
+        g = random_simple_graph(rng)
+        c = int(rng.integers(1, 4))
+        for algo in ("sampling", "greedy", "partition"):
+            a = int(rng.integers(1, c + 1)) if algo == "partition" else int(rng.integers(1, 4))
+            cfg = _cfg(c, a, seed=int(rng.integers(2**32)))
+            sub, report = solve(g, algo, cfg)
+            assert validate(g, sub, cfg.params) == []
+            assert report.covered <= report.upper_bound or report.upper_bound == 0
 
 
 def test_solve_epsilon_validation():
