@@ -106,7 +106,7 @@ def _cmd_eval(args) -> int:
     graph = read_edge_list(args.graph)
     sel = read_subgraph(args.subgraph)
     covered = coverage(graph, sel, args.a)
-    c = args.c if args.c is not None else max(1, int(sel.out_degrees().max()) if sel.n_selected else 1)
+    c = args.c if args.c is not None else int(sel.out_degrees().max(initial=1))
     bound = upper_bound_estimate(graph, ProblemParams(c=c, a=args.a))
     ratio = 1.0 if bound == 0 else covered / bound
     print(f"covered={covered} upper_bound={bound} ratio={ratio:.6f}")

@@ -5,8 +5,9 @@ vertices in L to target vertices in R.  A selection keeps at most ``c`` of the
 candidate links per source, and a target counts as covered once it receives at
 least ``a`` distinct selected links.
 
-Adjacency is stored twice as flat CSR-style arrays (sorted by source and by
-target) so solvers can scan either side without per-vertex allocations.
+Adjacency is stored once, as flat CSR-style arrays sorted by source, so
+solvers scan it without per-vertex allocations; a solver that needs another
+layout decodes it from the edge keys itself.
 """
 from __future__ import annotations
 
@@ -49,13 +50,12 @@ class ProblemParams:
 
 
 class BipartiteGraph:
-    """Immutable bipartite multigraph with both adjacency directions pre-sorted.
+    """Immutable bipartite multigraph with a by-source adjacency.
 
-    Edges are kept once sorted by (u, v) — ``edge_u``/``edge_v`` with offsets
-    ``indptr_l``, so ``edge_v[indptr_l[u]:indptr_l[u+1]]`` is N(u) ascending —
-    and once sorted by (v, u) — ``rev_u`` with offsets ``indptr_r``.  Parallel
-    edges are preserved: generators that sample with replacement may produce
-    them, file input may not.
+    Edges are kept sorted by (u, v) — ``edge_u``/``edge_v`` with offsets
+    ``indptr_l``, so ``edge_v[indptr_l[u]:indptr_l[u+1]]`` is N(u) ascending.
+    Parallel edges are preserved: generators that sample with replacement may
+    produce them, file input may not.
     """
 
     __slots__ = (
@@ -65,16 +65,12 @@ class BipartiteGraph:
         "edge_u",
         "edge_v",
         "indptr_l",
-        "indptr_r",
-        "rev_u",
         "_keys",
         "_distinct_keys",
         "_distinct_in_deg",
     )
 
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
-        # One sort of the (u, v) keys gives the (u, v) order; a stable sort by
-        # v of that order gives the (v, u) order.
         keys = _pair_keys(l, r, edge_u, edge_v, GraphError)
         indptr_l, eu, ev = _csr(keys, l, r)
         self.l = int(l)
@@ -83,12 +79,8 @@ class BipartiteGraph:
         self.edge_u = eu
         self.edge_v = ev
         self.indptr_l = indptr_l
-        self.rev_u = eu[np.argsort(ev, kind="stable")]
-        indptr_r = np.zeros(r + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ev, minlength=r), out=indptr_r[1:])
-        self.indptr_r = indptr_r
         self._keys = keys
-        for arr in (eu, ev, indptr_l, indptr_r, self.rev_u, keys):
+        for arr in (eu, ev, indptr_l, keys):
             arr.flags.writeable = False
         self._distinct_keys = None
         self._distinct_in_deg = None

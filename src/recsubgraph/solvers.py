@@ -35,6 +35,7 @@ from .graph import (
     RecSubgraph,
     SubgraphValidationError,
     _count_covered,
+    _csr,
     _distinct_sorted,
     validate,
 )
@@ -92,7 +93,8 @@ class SolverConfig:
 class SolveStats:
     """Instrumented cost counters.
 
-    ``edges_touched`` counts candidate-edge inspections; ``peak_aux`` counts
+    ``edges_touched`` counts candidate-edge inspections (greedy counts every
+    candidate edge once, parallel edges included); ``peak_aux`` counts
     the auxiliary working-set entries held across the scan (excluding input,
     output, and per-item transients): the ``c``-slot selection buffer for
     sampling, one budget counter per source for greedy, and the edge
@@ -152,24 +154,12 @@ def greedy_with_stats(
         order = range(graph.r)
     by_capacity = config.greedy_tiebreak == "most-capacity-first"
 
-    sources = graph.rev_u.tolist()
-    offsets = graph.indptr_r.tolist()
+    offsets, sources = _by_target(graph)
     used = [0] * graph.l  # budget spent per source — the whole persistent state
     out_u: list[int] = []
     out_v: list[int] = []
-    touched = 0
     for v in order:
-        start = offsets[v]
-        end = offsets[v + 1]
-        touched += end - start
-        spare: list[int] = []
-        prev = -1
-        for j in range(start, end):
-            u = sources[j]
-            if u != prev:  # candidates are sorted, so parallels are adjacent
-                prev = u
-                if used[u] < c:
-                    spare.append(u)
+        spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
         if len(spare) < a:
             continue
         if by_capacity and len(spare) > a:
@@ -185,7 +175,25 @@ def greedy_with_stats(
         np.asarray(out_u, dtype=np.int64),
         np.asarray(out_v, dtype=np.int64),
     )
-    return sel, SolveStats(edges_touched=touched, peak_aux=graph.l)
+    return sel, SolveStats(edges_touched=graph.m, peak_aux=graph.l)
+
+
+def _by_target(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
+    """``(offsets, sources)``: ``sources[offsets[v]:offsets[v+1]]`` are the
+    distinct candidate sources of target ``v``, ascending.
+
+    Returned as lists for greedy's Python loop.  The re-keying runs in place
+    and the arrays are dropped before ``tolist``: freed pages stay resident
+    while the lists fill, so each array still held then adds to the peak RSS.
+    """
+    u, keys = np.divmod(graph.distinct_keys(), graph.r)
+    keys *= graph.l
+    keys += u
+    del u
+    keys.sort()
+    offsets, _, sources = _csr(keys, graph.r, graph.l)
+    del keys, _
+    return offsets.tolist(), sources.tolist()
 
 
 # -- partition ----------------------------------------------------------------
@@ -231,11 +239,8 @@ def partition_with_stats(
     # Window membership per position, as CSR keyed by position.
     mem_pos = ((starts[:, None] + np.arange(wsize, dtype=np.int64)[None, :]) % n_prime).ravel()
     mem_win = np.repeat(np.arange(c, dtype=np.int64), wsize)
-    win_count = np.bincount(mem_pos, minlength=n_prime)
-    mem_order = np.argsort(mem_pos, kind="stable")
-    win_ids = mem_win[mem_order]
-    win_indptr = np.zeros(n_prime + 1, dtype=np.int64)
-    np.cumsum(win_count, out=win_indptr[1:])
+    win_indptr, _, win_ids = _csr(np.sort(mem_pos * c + mem_win), n_prime, c)
+    win_count = np.diff(win_indptr)
 
     # Route each surviving edge into one eligible window, uniformly.  Edges to
     # a position in no window are dropped like those outside R'.

@@ -159,6 +159,23 @@ def test_eval_negative_selection_header_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_default_budget_is_largest_out_degree(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 3 2 5\n0 0\n0 1\n1 0\n1 1\n2 1\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 3 2 3\n0 0\n0 1\n2 1\n")
+    empty = tmp_path / "e.txt"
+    empty.write_text("recsubgraph 3 2 0\n")
+
+    def upper_bound(sub, *extra):
+        argv = ["eval", "--graph", str(graph), "--subgraph", str(sub), "--a", "2"]
+        assert main(argv + list(extra)) == 0
+        return capsys.readouterr().out.split()[1]
+
+    assert upper_bound(sel) == upper_bound(sel, "--c", "2") == "upper_bound=2"
+    assert upper_bound(empty) == upper_bound(empty, "--c", "1") == "upper_bound=1"
+
+
 def test_bounds_required_ck_table(capsys):
     assert main(["bounds", "required-ck", "--target", "0.95"]) == 0
     lines = capsys.readouterr().out.splitlines()

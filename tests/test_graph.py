@@ -21,14 +21,14 @@ def test_single_edge_counts():
     g = build_graph(1, 1, [(0, 0)])
     assert g.m == 1
     assert g.left_degrees.tolist() == [1]
-    assert np.diff(g.indptr_r).tolist() == [1]
+    assert np.bincount(g.edge_v, minlength=g.r).tolist() == [1]
 
 
 def test_adjacency_sorted_both_ways():
     g = build_graph(2, 2, [(1, 0), (0, 1), (0, 0)])
     assert g.m == 3
     assert (g.indptr_l.tolist(), g.edge_v.tolist()) == ([0, 2, 3], [0, 1, 0])
-    assert (g.indptr_r.tolist(), g.rev_u.tolist()) == ([0, 2, 3], [0, 1, 0])
+    assert np.bincount(g.edge_v, minlength=g.r).tolist() == [2, 1]
 
 
 def test_out_of_range_endpoint_named():
@@ -68,12 +68,9 @@ def test_one_key_sort_matches_lexsort_and_unique(pack):
     eu = np.array([u for u, _ in edges], dtype=np.int64)
     ev = np.array([v for _, v in edges], dtype=np.int64)
     by_uv = np.lexsort((ev, eu))
-    by_vu = np.lexsort((eu, ev))
     assert g.edge_u.tolist() == eu[by_uv].tolist()
     assert g.edge_v.tolist() == ev[by_uv].tolist()
-    assert g.rev_u.tolist() == eu[by_vu].tolist()
     assert g.indptr_l.tolist() == [0, *np.cumsum(np.bincount(eu, minlength=l)).tolist()]
-    assert g.indptr_r.tolist() == [0, *np.cumsum(np.bincount(ev, minlength=r)).tolist()]
 
     uniq = np.unique(g.edge_keys())
     assert g.distinct_keys().tolist() == uniq.tolist()

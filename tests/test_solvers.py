@@ -27,6 +27,8 @@ from recsubgraph import (
     upper_bound_estimate,
     validate,
 )
+from recsubgraph.generate import STREAM_GREEDY, philox_stream
+from recsubgraph.solvers import GREEDY_ORDERS, GREEDY_TIEBREAKS
 from conftest import random_simple_graph
 
 
@@ -184,6 +186,53 @@ def test_greedy_indegrees_zero_or_a(seed):
     for _, v in sub.edge_list():
         indeg[v] += 1
     assert set(indeg.tolist()) <= {0, a}
+
+
+def _greedy_reference(l, edges, c, a, order, by_capacity):
+    """Greedy as its docstring states it, one target at a time."""
+    used = [0] * l
+    picks = []
+    for v in order:
+        spare = sorted({u for u, w in edges if w == v and used[u] < c})
+        if len(spare) < a:
+            continue
+        if by_capacity:
+            spare.sort(key=lambda u: (used[u], u))
+        for u in spare[:a]:
+            used[u] += 1
+            picks.append((u, v))
+    return sorted(picks)
+
+
+@st.composite
+def _greedy_case(draw):
+    l = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 8))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, r - 1)), max_size=40)
+    )
+    return l, r, edges, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@given(
+    _greedy_case(),
+    st.sampled_from(GREEDY_ORDERS),
+    st.sampled_from(GREEDY_TIEBREAKS),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_greedy_matches_reference(case, order, tiebreak, seed):
+    l, r, edges, c, a = case
+    g = build_graph(l, r, edges)
+    cfg = _cfg(c, a, seed=seed, greedy_order=order, greedy_tiebreak=tiebreak)
+    sub, stats = greedy_with_stats(g, cfg)
+    if order == "random-permutation":
+        targets = philox_stream(seed, STREAM_GREEDY).permutation(r).tolist()
+    else:
+        targets = range(r)
+    by_capacity = tiebreak == "most-capacity-first"
+    assert sub.edge_list() == _greedy_reference(l, edges, c, a, targets, by_capacity)
+    assert stats.edges_touched == g.m
 
 
 # --------------------------------------------------------------- partition
