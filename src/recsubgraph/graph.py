@@ -289,8 +289,10 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
     """
     if l < 0 or r < 0:
         raise error(f"side sizes must be >= 0, got l={l}, r={r}")
-    if int(l) * int(r) >= 1 << 63:
-        raise error(f"l*r must be < 2**63 for int64 edge keys, got l={l}, r={r}")
+    if l >= 1 << 31 or r >= 1 << 31:
+        raise error(
+            f"side sizes must be < 2**31 (so l*r < 2**63 fits int64 edge keys), got l={l}, r={r}"
+        )
     eu = np.ascontiguousarray(edge_u, dtype=np.int64)
     ev = np.ascontiguousarray(edge_v, dtype=np.int64)
     if eu.ndim != 1 or eu.shape != ev.shape:

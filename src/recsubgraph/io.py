@@ -7,13 +7,21 @@ per edge::
     0 3
     1 0
 
-Selections use the same line format under a ``recsubgraph`` header.  Graph
-files are simple: duplicate edge lines are dropped with a warning.  Writers
-emit edges in canonical (u, v) order with a trailing newline, so identical
-graphs produce byte-identical files.
+Selections use the same line format under a ``recsubgraph`` header.  Side
+sizes must be below ``2**31``.  Graph files are simple: duplicate edge lines
+are dropped with a warning.  Writers emit edges in canonical (u, v) order with
+a trailing newline, so identical graphs produce byte-identical files.
+
+Readers read a file once.  A file as the writers emit it (header first, then
+only digits, spaces, tabs and newlines) is parsed in one :func:`numpy.loadtxt`
+call.  Any other file, and any file whose parse gives the wrong count or an
+out-of-range endpoint, goes through a line loop over the same text.  The loop
+skips comments and blank lines and names the first malformed line in its
+:class:`EdgeListError`.
 """
 from __future__ import annotations
 
+import io
 import warnings
 from pathlib import Path
 
@@ -38,47 +46,97 @@ class EdgeListError(ValueError):
 
 
 def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Header sides and the int64 endpoint arrays of the edge lines, in file order."""
+    """Header sides and the int64 endpoint arrays of the edge lines, in file order.
+
+    The file is read once.  A plain file -- header on the first line, a body
+    of only ASCII digits, spaces, tabs and newlines with at least one digit --
+    is parsed by one :func:`numpy.loadtxt` call, accepted when it yields ``m``
+    rows of two in-range endpoints.  Every other file goes through
+    :func:`_parse_lines`, which reads the same text line by line and raises
+    :class:`EdgeListError` naming the first bad line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    parsed = _parse_plain(text, magic)
+    return parsed if parsed is not None else _parse_lines(path, text, magic)
+
+
+# The only bytes a body may hold to reach loadtxt.  Signs, ``_``, ``.``, ``#``
+# and non-ASCII digits either parse differently under ``int()`` and loadtxt or
+# need the line loop's error message, so such bodies are left to the loop.
+_PLAIN_BODY_BYTES = b"0123456789 \t\n"
+
+
+def _parse_plain(text: str, magic: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """:func:`_parse_lines`' result for a plain file in one numpy call, else None."""
+    head, _, body = text.partition("\n")
+    tokens = head.split()
+    if len(tokens) != 4 or tokens[0] != magic:
+        return None
+    raw = body.encode()
+    # A body with no digit would make loadtxt warn "input contained no data".
+    if not body or body.isspace() or raw.translate(None, _PLAIN_BODY_BYTES):
+        return None
+    try:
+        l, r, m = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        # BytesIO shares ``raw``; a StringIO would copy the body at 4 bytes a char.
+        edges = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:  # a non-integer header, a 1- or 3-token line, a value beyond int64
+        return None
+    # Check the lower bound too: numpy versions that still parse integers via a
+    # float (deprecated in 1.23) can turn an int64 overflow into a negative.
+    if (
+        edges.shape != (m, 2)
+        or edges.min() < 0
+        or int(edges[:, 0].max()) >= l
+        or int(edges[:, 1].max()) >= r
+    ):
+        return None
+    us, vs = np.ascontiguousarray(edges.T)
+    return l, r, us, vs
+
+
+def _parse_lines(path, text: str, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """:func:`_parse` one line at a time: skips comments, reports the first bad line."""
     header: tuple[int, int, int] | None = None
     us: list[int] = []
     vs: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if header is None:
-                if len(tokens) != 4 or tokens[0] != magic:
-                    raise EdgeListError(
-                        f"{path}: line {lineno}: expected header "
-                        f"'{magic} <l> <r> <m>', got {line!r}"
-                    )
-                try:
-                    header = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
-                except ValueError:
-                    raise EdgeListError(
-                        f"{path}: line {lineno}: non-integer header field in {line!r}"
-                    ) from None
-                continue
-            if len(tokens) != 2:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 4 or tokens[0] != magic:
                 raise EdgeListError(
-                    f"{path}: line {lineno}: expected 'u v', got {line!r}"
+                    f"{path}: line {lineno}: expected header "
+                    f"'{magic} <l> <r> <m>', got {line!r}"
                 )
             try:
-                u, v = int(tokens[0]), int(tokens[1])
+                header = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
             except ValueError:
                 raise EdgeListError(
-                    f"{path}: line {lineno}: non-integer endpoint in {line!r}"
+                    f"{path}: line {lineno}: non-integer header field in {line!r}"
                 ) from None
-            l, r, _ = header
-            if not (0 <= u < l and 0 <= v < r):
-                raise EdgeListError(
-                    f"{path}: endpoint out of range at line {lineno}: "
-                    f"({u}, {v}) with l={l}, r={r}"
-                )
-            us.append(u)
-            vs.append(v)
+            continue
+        if len(tokens) != 2:
+            raise EdgeListError(
+                f"{path}: line {lineno}: expected 'u v', got {line!r}"
+            )
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListError(
+                f"{path}: line {lineno}: non-integer endpoint in {line!r}"
+            ) from None
+        l, r, _ = header
+        if not (0 <= u < l and 0 <= v < r):
+            raise EdgeListError(
+                f"{path}: endpoint out of range at line {lineno}: "
+                f"({u}, {v}) with l={l}, r={r}"
+            )
+        us.append(u)
+        vs.append(v)
     if header is None:
         raise EdgeListError(f"{path}: missing '{magic}' header line")
     l, r, m = header

@@ -123,9 +123,13 @@ def sampling_with_stats(
     m = graph.m
     rng = philox_stream(config.seed, STREAM_SAMPLING)
     keys = rng.random(m)
-    # edge_u is already sorted; the stable lexsort orders each source's
-    # segment by key without mixing segments.
-    order = np.lexsort((keys, graph.edge_u))
+    # Sort by key, then stably by source, so each source's segment comes out
+    # in key order.  Equal float64 keys of one source (rare at 53 random
+    # bits) keep argsort's unstable tie order rather than edge order.
+    by_key = np.argsort(keys)
+    del keys
+    order = by_key[np.argsort(graph.edge_u[by_key], kind="stable")]
+    del by_key
     rank = np.arange(m, dtype=np.int64) - np.repeat(
         graph.indptr_l[:-1], graph.left_degrees
     )

@@ -147,6 +147,25 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("huge", ["graph", "selection"])
+def test_huge_header_sides_exit_2(tmp_path, capsys, huge):
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 2 2 1\n0 0\n")
+    if huge == "graph":
+        graph.write_text("bipartite 100000000000 5 1\n0 0\n")
+        argv = ["solve", "--graph", str(graph), "--algo", "greedy", "--c", "1", "--a", "1"]
+    else:
+        sel.write_text("recsubgraph 100000000000 5 1\n0 0\n")
+        argv = ["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    bad = graph if huge == "graph" else sel
+    assert f"error: {bad}: side sizes must be < 2**31" in err
+    assert "Traceback" not in err
+
+
 def test_eval_negative_selection_header_exits_2(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("bipartite 2 2 1\n0 0\n")

@@ -1,6 +1,13 @@
 """Edge-list file format: parsing, errors, byte round-trips."""
-import pytest
+import warnings
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from recsubgraph import io as rio
 from recsubgraph import (
     EdgeListError,
     RecSubgraph,
@@ -106,3 +113,109 @@ def test_subgraph_rejects_duplicates(tmp_path):
     p.write_text("recsubgraph 2 2 2\n0 0\n0 0\n")
     with pytest.raises(EdgeListError, match="duplicate"):
         read_subgraph(p)
+
+
+@pytest.mark.parametrize(
+    ("read", "magic"), [(read_edge_list, "bipartite"), (read_subgraph, "recsubgraph")]
+)
+@pytest.mark.parametrize("sides", [(10**11, 5), (5, 10**11), (2**31, 1), (1, 2**31)])
+def test_huge_header_sides_are_malformed(tmp_path, read, magic, sides):
+    # The side cap is checked before anything of size l or r is allocated.
+    p = tmp_path / "huge.txt"
+    p.write_text(f"{magic} {sides[0]} {sides[1]} 1\n0 0\n")
+    with pytest.raises(EdgeListError, match=r"huge\.txt: side sizes must be < 2\*\*31"):
+        read(p)
+
+
+@pytest.mark.parametrize(
+    ("read", "magic"), [(read_edge_list, "bipartite"), (read_subgraph, "recsubgraph")]
+)
+def test_empty_bodies_read_without_warning(tmp_path, read, magic):
+    p = tmp_path / "empty.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in (f"{magic} 3 4 0\n", f"{magic} 3 4 0", f"{magic} 3 4 0\n\n \t\n"):
+            p.write_text(text)
+            got = read(p)
+            assert (got.l, got.r) == (3, 4)
+        # A header announcing edges over a blank body is a count mismatch.
+        p.write_text(f"{magic} 3 4 2\n\n")
+        with pytest.raises(EdgeListError, match="m=2 but file has 0"):
+            read(p)
+
+
+# Lines and tokens that a plain body must never pass on to np.loadtxt, plus
+# plain ones that the one-call parse must read as the line loop does.
+_ODD_LINES = [
+    "# note", "", " \t ", "7", "0 1 2", "0 0 # c", "0\t0", "  1   0  ", "00 0",
+]
+_ODD_TOKENS = ["+1", "-1", "1_0", "\u0661", "99999999999999999999", "1.0", "x", "00"]
+_PLAIN_CHARS = set("0123456789 \t\n")
+
+
+@st.composite
+def edge_file_text(draw):
+    """A writer-style edge file, or one mutated the ways hand-edited files are."""
+    magic = draw(st.sampled_from(["bipartite", "recsubgraph"]))
+    l, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, l - 1), st.integers(0, r - 1))
+    edges = draw(st.lists(pair, min_size=1, max_size=12))
+    lines = [f"{u} {v}" for u, v in edges]
+    m = len(lines)
+    kinds = ["clean", "clean", "token", "token", "token", "line", "count", "range", "mixed", "empty"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        edges, lines, m = [], [], draw(st.sampled_from([0, 1]))
+    for _ in range(draw(st.integers(2, 4)) if kind == "mixed" else 1):
+        how = draw(st.sampled_from(kinds[2:-2])) if kind == "mixed" else kind
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if how == "line" or (how in ("token", "range") and not lines):
+            lines.insert(at, draw(st.sampled_from(_ODD_LINES)))
+        elif how == "token":
+            tokens = lines[at].split() or ["0"]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            lines[at] = " ".join(tokens)
+        elif how == "range":
+            u, v = edges[at] if at < len(edges) else (0, 0)
+            lines[at] = draw(st.sampled_from([f"{l} {v}", f"{u} {r}"]))
+        elif how == "count":
+            m += draw(st.sampled_from([-1, 1]))
+    head = [f"{magic} {l} {r} {m}"]
+    if draw(st.integers(0, 9)) == 5:
+        head.insert(0, "# made by hand")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return magic, newline.join(head + lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse):
+    try:
+        l, r, us, vs = parse()
+    except EdgeListError as exc:
+        return str(exc)
+    assert us.dtype == vs.dtype == np.int64
+    return l, r, us.tolist(), vs.tolist()
+
+
+@given(edge_file_text())
+@settings(max_examples=400)
+def test_one_pass_parse_matches_line_loop(tmp_path_factory, case):
+    magic, text = case
+    path = tmp_path_factory.getbasetemp() / "differential.txt"
+    path.write_bytes(text.encode("utf-8"))
+    loadtxt = np.loadtxt
+    bodies = []
+
+    def plain_only_loadtxt(fh, *args, **kwargs):
+        bodies.append(fh.getvalue().decode("utf-8"))
+        assert set(bodies[-1]) <= _PLAIN_CHARS, f"loadtxt saw {bodies[-1]!r}"
+        return loadtxt(fh, *args, **kwargs)
+
+    with mock.patch.object(np, "loadtxt", plain_only_loadtxt):
+        fast = _outcome(lambda: rio._parse(path, magic))
+    with open(path, encoding="utf-8") as fh:
+        loop = _outcome(lambda: rio._parse_lines(path, fh.read(), magic))
+    assert fast == loop
+    first, _, body = text.replace("\r\n", "\n").partition("\n")
+    if first.startswith(magic) and set(body) <= _PLAIN_CHARS and not isinstance(loop, str):
+        # Writer-style files with edges take the one-call path.
+        assert bodies == ([body] if loop[2] else [])
