@@ -3,8 +3,8 @@
 The two-source instance below makes greedy commit its only flexible source
 to a target the other source could have finished, halving the optimum — the
 textbook 1/(a+1) worst case.  The second half cross-checks all three
-strategies against the exhaustive flow-based optimum on a batch of tiny
-random instances.
+strategies against the exhaustive optimum, found by one maximum matching
+per candidate target set, on a batch of tiny random instances.
 """
 import numpy as np
 

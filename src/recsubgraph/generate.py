@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _check_side_limit
 
 __all__ = [
     "FixedDegreeSpec",
@@ -62,6 +62,7 @@ class FixedDegreeSpec:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_side_limit(self.l, self.r, ValueError)  # before anything is drawn
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ class ErdosRenyiSpec:
     def __post_init__(self) -> None:
         if self.l < 0 or self.r < 0:
             raise ValueError(f"side sizes must be >= 0, got l={self.l}, r={self.r}")
+        _check_side_limit(self.l, self.r, ValueError)  # before anything is drawn
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 

@@ -281,6 +281,14 @@ def _count_covered(sub: RecSubgraph, a: int) -> int:
     return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))
 
 
+def _check_side_limit(l: int, r: int, error: type[ValueError]) -> None:
+    """Raise ``error`` unless both sides are below ``2**31``, so ``u*r + v`` fits int64."""
+    if l >= 1 << 31 or r >= 1 << 31:
+        raise error(
+            f"side sizes must be < 2**31 (so l*r < 2**63 fits int64 edge keys), got l={l}, r={r}"
+        )
+
+
 def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.ndarray:
     """Ascending ``u*r + v`` keys of the pairs ``(edge_u[i], edge_v[i])``.
 
@@ -289,10 +297,7 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
     """
     if l < 0 or r < 0:
         raise error(f"side sizes must be >= 0, got l={l}, r={r}")
-    if l >= 1 << 31 or r >= 1 << 31:
-        raise error(
-            f"side sizes must be < 2**31 (so l*r < 2**63 fits int64 edge keys), got l={l}, r={r}"
-        )
+    _check_side_limit(l, r, error)
     eu = np.ascontiguousarray(edge_u, dtype=np.int64)
     ev = np.ascontiguousarray(edge_v, dtype=np.int64)
     if eu.ndim != 1 or eu.shape != ev.shape:

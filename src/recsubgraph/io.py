@@ -55,8 +55,13 @@ def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     :func:`_parse_lines`, which reads the same text line by line and raises
     :class:`EdgeListError` naming the first bad line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(
+            f"{path}: not valid UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     parsed = _parse_plain(text, magic)
     return parsed if parsed is not None else _parse_lines(path, text, magic)
 

@@ -1,16 +1,20 @@
-"""Exact optima for small instances via max-flow feasibility search.
+"""Exact optima for small instances via matching feasibility search.
 
-A target set T is fully coverable iff the flow network (source -> each u with
-capacity c, u -> v with capacity 1 per distinct candidate edge, v -> sink with
-capacity a for v in T) carries ``a * |T|`` units.  The exact optimum walks
-candidate target subsets by decreasing size and returns the first feasible
-size — exponential in r, hence the hard size guard.
+A target set T is fully coverable iff one largest budgeted selection into T
+gives every target ``a`` links.  That selection is a bipartite b-matching with
+unit edge capacities, found as a plain maximum matching on a split graph (see
+:func:`_served`).  The exact optimum walks candidate target subsets by
+decreasing size and returns the first feasible size — exponential in r, hence
+the hard size guard.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .graph import BipartiteGraph, ProblemParams, _csr
+from .matching import _match
 
 __all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
 
@@ -21,81 +25,48 @@ class OracleSizeError(ValueError):
     """Instance too large for exhaustive search."""
 
 
-def _network(
-    graph: BipartiteGraph, params: ProblemParams
-) -> tuple[list[list[int]], list[int], list[int], int]:
-    """Budgeted-coverage network with every target's sink arc shut.
+def _served(sources: list[list[int]], targets, l: int, c: int, a: int) -> list[int]:
+    """Links each of ``targets`` gets in one largest selection into them.
 
-    Node ``0`` is the source, ``1 .. l`` the left vertices, ``l+1 .. l+r`` the
-    right vertices and ``l+r+1`` the sink.  Returns ``(head, to, cap, first)``:
-    the arcs leaving each node, every arc's head and capacity (arc ``e ^ 1``
-    is the reverse of arc ``e``), and the index of target 0's sink arc; target
-    ``v``'s is ``first + 2*v``, with capacity 0 until a caller opens it.
+    ``sources[v]`` lists the distinct candidate sources of target ``v``; each
+    source gives at most ``c`` links and each target takes at most ``a``.
+    The selection is a maximum matching on a split graph.  Each candidate
+    edge ``e = (u, v)`` becomes a right node ``x_e`` and a left node ``y_e``,
+    joined by an edge.  The ``a`` copies of ``v`` (left) reach ``x_e``, and
+    ``y_e`` reaches the ``c`` copies of ``u`` (right).  A maximum matching has
+    ``m + (largest selection)`` edges, where ``m`` counts the candidate edges:
+    ``e`` is selected when a copy of ``v`` holds ``x_e`` and ``y_e`` holds a
+    copy of ``u``.
     """
-    l, r = graph.l, graph.r
-    sink = l + r + 1
-    head: list[list[int]] = [[] for _ in range(sink + 1)]
-    to: list[int] = []
-    cap: list[int] = []
-    # Parallel candidates carry no extra flow.
-    _, eu, ev = _csr(graph.distinct_keys(), l, r)
-    arcs = [(0, 1 + u, params.c) for u in range(l)]
-    arcs += [(1 + u, 1 + l + v, 1) for u, v in zip(eu.tolist(), ev.tolist())]
-    arcs += [(1 + l + v, sink, 0) for v in range(r)]
-    for u, v, capacity in arcs:
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(capacity)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    return head, to, cap, len(to) - 2 * r
-
-
-def _max_flow(head: list[list[int]], to: list[int], cap: list[int]) -> int:
-    """Dinic's algorithm from the first node to the last; consumes ``cap``."""
-    n = len(head)
-    s, t = 0, n - 1
-    total = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in head[u]:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            return total
-        # Blocking flow by depth-first search with an explicit stack, since an
-        # augmenting path can be as long as the graph.  Arc pointers persist
-        # through the phase, so an arc found dead is never tried again.
-        ptr = [0] * n
-        while True:
-            path: list[int] = []  # arcs from s to u
-            u = s
-            while u != t:
-                if ptr[u] == len(head[u]):  # dead end: retreat one arc
-                    if not path:
-                        break
-                    u = to[path.pop() ^ 1]
-                    ptr[u] += 1
-                    continue
-                e = head[u][ptr[u]]
-                if cap[e] > 0 and level[to[e]] == level[u] + 1:
-                    path.append(e)
-                    u = to[e]
-                else:
-                    ptr[u] += 1
-            if u != t:
-                break
-            got = min(cap[e] for e in path)
-            for e in path:
-                cap[e] -= got
-                cap[e ^ 1] += got
-            total += got
+    m = sum(len(sources[v]) for v in targets)
+    copies = a * len(targets)
+    # Left: the copies of each target in turn, then y_e at copies + e.  Right:
+    # x_e at e, then copy i of source u at m + u*c + i.  Copies first let the
+    # first phase route most links, which saves about a third of the scans.
+    n_right = m + l * c
+    keys: list[int] = []
+    row = e = 0
+    for v in targets:
+        stop = e + len(sources[v])
+        for _ in range(a):
+            keys.extend(range(row + e, row + stop))
+            row += n_right
+        e = stop
+    e = 0
+    for v in targets:
+        for u in sources[v]:
+            keys.append(row + e)
+            keys.extend(range(row + m + u * c, row + m + (u + 1) * c))
+            row += n_right
+            e += 1
+    match_l = _match(np.array(keys, dtype=np.int64), copies + m, n_right)[0].match_l
+    # A copy of v may hold x_e while y_e stays free: a half-used edge, which
+    # a maximum matching can keep and which gives no link.
+    served = []
+    for first in range(0, copies, a):
+        held = (match_l[j] for j in range(first, first + a))
+        served.append(sum(1 for x in held if x >= 0 and match_l[copies + x] >= 0))
+    return served
 
 
 def exact_opt(
@@ -104,42 +75,29 @@ def exact_opt(
     """Exact maximum coverage, by exhaustive target-subset search.
 
     Only targets with at least ``a`` distinct candidate sources can ever be
-    covered; subsets of them are tried in decreasing size with a flow
-    feasibility check each, returning on the first feasible size.  At
-    ``a == 1`` one max-flow gives the optimum and no subset is tried.  Refuses
-    ``l`` or ``r`` beyond :data:`SIZE_GUARD` unless ``force`` is set.
+    covered.  One selection into all of them bounds the search: the targets
+    it serves fully are a feasible set, and its links over ``a`` cap any
+    feasible size.  Subsets of sizes between the two are tried in decreasing
+    size with a matching feasibility check each, returning on the first
+    feasible size.  Refuses ``l`` or ``r`` beyond :data:`SIZE_GUARD` unless
+    ``force`` is set.
     """
     if not force and (graph.l > SIZE_GUARD or graph.r > SIZE_GUARD):
         raise OracleSizeError(
             f"instance {graph.l}x{graph.r} exceeds the size guard "
             f"({SIZE_GUARD}); pass force=True to insist"
         )
-    cands = [
-        v
-        for v, deg in enumerate(graph.distinct_in_degrees().tolist())
-        if deg >= params.a
-    ]
-    if not cands:
-        return 0
-    # The flow value with every candidate's sink open is the optimum at a=1;
-    # otherwise it and the budget bound are two cheap true bounds that shrink
-    # the search.  One network serves every subset: each test copies the
-    # shut capacities and opens only that subset's sink arcs.
-    head, to, shut, first = _network(graph, params)
-
-    def flow(targets) -> int:
-        cap = shut.copy()
-        for v in targets:
-            cap[first + 2 * v] = params.a
-        return _max_flow(head, to, cap)
-
-    full = flow(cands)
-    if params.a == 1:
-        return full
-    smax = min(len(cands), (graph.l * params.c) // params.a, full // params.a)
-    for size in range(smax, 0, -1):
-        want = params.a * size
+    c, a = params.c, params.a
+    # Parallel candidates give no extra link.
+    sources: list[list[int]] = [[] for _ in range(graph.r)]
+    _, eu, ev = _csr(graph.distinct_keys(), graph.l, graph.r)
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        sources[v].append(u)
+    cands = [v for v in range(graph.r) if len(sources[v]) >= a]
+    served = _served(sources, cands, graph.l, c, a)
+    lo = served.count(a)
+    for size in range(sum(served) // a, lo, -1):
         for subset in combinations(cands, size):
-            if flow(subset) == want:
+            if sum(_served(sources, subset, graph.l, c, a)) == a * size:
                 return size
-    return 0
+    return lo

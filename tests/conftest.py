@@ -72,8 +72,8 @@ def random_simple_graph(rng: np.random.Generator, max_l: int = 7, max_r: int = 7
 def chain_graph(n: int) -> BipartiteGraph:
     """u_i -> {v_i, v_i+1} for i < n-1 and u_n-1 -> v_0.
 
-    Its maximum matching is perfect, but the flow that finds it first matches
-    u_i -> v_i and is then left one augmenting path of about 2n arcs.
+    Its maximum matching is perfect, but a search that first matches
+    u_i -> v_i is then left one augmenting path of about 2n edges.
     """
     edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
     return build_graph(n, n, edges + [(n - 1, 0)])

@@ -121,13 +121,20 @@ def test_solve_partition_with_uncovered_positions_exits_0(capsys):
         ["--model", "fixed-degree", "--r", "10", "--d", "2"],
         ["--model", "erdos-renyi", "--l", "10", "--r", "10"],
         ["--model", "fixed-degree", "--l", "10", "--r", "10", "--d", "2", "--seed", "-1"],
+        # Refused by the spec before any array is allocated.
+        ["--model", "fixed-degree", "--l", "100000000000", "--r", "100000000000", "--d", "2"],
+        ["--model", "erdos-renyi", "--l", "100000000000", "--r", "100000000000", "--p", "0.5"],
     ],
-    ids=["fixed-degree-without-l", "erdos-renyi-without-p", "negative-seed"],
+    ids=[
+        "fixed-degree-without-l", "erdos-renyi-without-p", "negative-seed",
+        "fixed-degree-huge-sides", "erdos-renyi-huge-sides",
+    ],
 )
 def test_solve_bad_instance_flags_exit_1(model_flags, capsys):
     code = main(["solve", *model_flags, "--algo", "greedy", "--c", "2", "--a", "1"])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_missing_graph_file_exits_2(tmp_path, capsys):
@@ -163,6 +170,25 @@ def test_huge_header_sides_exit_2(tmp_path, capsys, huge):
     err = capsys.readouterr().err
     bad = graph if huge == "graph" else sel
     assert f"error: {bad}: side sizes must be < 2**31" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["graph", "selection"])
+def test_non_utf8_file_exits_2(tmp_path, capsys, bad):
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 2 2 1\n0 0\n")
+    if bad == "graph":
+        graph.write_bytes(b"bipartite 2 2 1\n0 \xff\n")
+        argv = ["solve", "--graph", str(graph), "--algo", "greedy", "--c", "1", "--a", "1"]
+    else:
+        sel.write_bytes(b"recsubgraph 2 2 1\n0 \xff\n")
+        argv = ["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    path = graph if bad == "graph" else sel
+    assert f"error: {path}: not valid UTF-8" in err
     assert "Traceback" not in err
 
 

@@ -51,6 +51,12 @@ def test_spec_validation():
         FixedDegreeSpec(l=1, r=1, d=0)
     with pytest.raises(ValueError):
         ErdosRenyiSpec(l=1, r=1, p=1.5)
+    # Sides beyond the int64 key range are refused before anything is drawn.
+    for l, r in ((2**31, 5), (5, 2**31)):
+        with pytest.raises(ValueError, match=r"side sizes must be < 2\*\*31"):
+            FixedDegreeSpec(l=l, r=r, d=2)
+        with pytest.raises(ValueError, match=r"side sizes must be < 2\*\*31"):
+            ErdosRenyiSpec(l=l, r=r, p=0.5)
 
 
 def test_erdos_renyi_edge_cases():

@@ -1,4 +1,10 @@
-"""Exact optimum via flow: worked instances, cross-checks, size guard."""
+"""Exact optimum via split-graph matching: worked instances, cross-checks, size guard.
+
+The cross-checks compare against exhaustive enumeration and against
+networkx's max-flow on the budgeted network.
+"""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -43,18 +49,38 @@ def test_crown_equals_matching():
     assert exact_opt(g, ProblemParams(c=1, a=1)) == hopcroft_karp(g).size
 
 
-def test_a1_reduces_to_degree_constrained_matching(rng):
+def test_matches_networkx_flow_search(rng):
+    # An independent reference: the largest target set T whose budgeted
+    # network (source -> u at capacity c, u -> v at 1, v in T -> sink at a)
+    # carries a*|T| units in networkx's max-flow.
     nx = pytest.importorskip("networkx")
-    for _ in range(60):
-        g = random_simple_graph(rng)
-        c = int(rng.integers(1, 4))
-        # The same budgeted network, solved by an independent max-flow.
+
+    def flow_opt(g, c, a):
         net = nx.DiGraph()
         net.add_edges_from((("s", ("u", u)) for u in range(g.l)), capacity=c)
+        # A DiGraph keeps one arc per pair, so parallel edges add nothing.
         net.add_edges_from(((("u", u), ("v", v)) for u, v in g.edge_list()), capacity=1)
-        net.add_edges_from(((("v", v), "t") for v in range(g.r)), capacity=1)
-        want = nx.maximum_flow_value(net, "s", "t")
-        assert exact_opt(g, ProblemParams(c=c, a=1)) == want
+        net.add_edges_from(((("v", v), "t") for v in range(g.r)), capacity=0)
+        cands = [v for v in range(g.r) if net.in_degree(("v", v)) >= a]
+        for size in range(len(cands), 0, -1):
+            for targets in combinations(cands, size):
+                for v in range(g.r):
+                    net[("v", v)]["t"]["capacity"] = a if v in targets else 0
+                if nx.maximum_flow_value(net, "s", "t") == a * size:
+                    return size
+        return 0
+
+    graphs = [random_simple_graph(rng, max_l=6, max_r=6) for _ in range(40)]
+    graphs += [
+        gen_fixed_degree(FixedDegreeSpec(l=int(rng.integers(1, 7)), r=int(rng.integers(1, 7)),
+                                         d=3, seed=int(rng.integers(2**32))))
+        for _ in range(20)
+    ]
+    assert any(g.has_parallel_edges() for g in graphs)
+    for g in graphs:
+        c = int(rng.integers(1, 4))
+        a = int(rng.integers(1, 4))
+        assert exact_opt(g, ProblemParams(c=c, a=a)) == flow_opt(g, c, a), (g.edge_list(), c, a)
 
 
 def test_matches_exhaustive_enumeration(rng):

@@ -1,5 +1,6 @@
 """The three selection strategies: laws, invariants, worked examples."""
 import hashlib
+import itertools
 import math
 import statistics
 
@@ -77,6 +78,23 @@ def test_sampling_picks_uniform_subsets():
     for key, cnt in counts.items():
         # 4 sigma of Binomial(6000, 1/6).
         assert abs(cnt - n / 6) <= 4 * math.sqrt(n * (1 / 6) * (5 / 6)), (key, cnt)
+
+
+def test_sampling_subsets_pass_chi_square():
+    # Source 1 has five candidates and budget two, between two other sources
+    # so that its keys come from the middle of the stream.  All 10 pairs are
+    # equally likely: Pearson's statistic over 2000 seeds stays below 27.877,
+    # the 0.999 quantile of chi-square with 9 degrees of freedom (p > 0.001).
+    edges = [(0, 0), (0, 1)] + [(1, v) for v in range(5)] + [(2, 3), (2, 4)]
+    g = build_graph(3, 5, edges)
+    n = 2000
+    counts = {pair: 0 for pair in itertools.combinations(range(5), 2)}
+    for seed in range(n):
+        sub, _ = sampling_with_stats(g, _cfg(2, 1, seed=seed))
+        counts[tuple(v for u, v in sub.edge_list() if u == 1)] += 1
+    expected = n / len(counts)
+    stat = sum((cnt - expected) ** 2 / expected for cnt in counts.values())
+    assert stat < 27.877, counts
 
 
 def test_sampling_coverage_law():
