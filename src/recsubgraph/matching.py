@@ -5,6 +5,22 @@ exceed ``max_path_len`` edges; since a matching with no augmenting path
 shorter than 2·alpha+1 is within a factor 1 - 1/alpha of maximum, the cap
 trades quality for time in a controlled way.  ``max_path_len=1`` degenerates
 to a maximal matching.
+
+``_match`` is the one matching core.  It has two phase engines whose output
+is identical, down to the partner of every vertex, the phase count and the
+scan count:
+
+* the list engine, for graphs with fewer than ``_LAYERED_MIN`` left
+  vertices: each phase is a Python BFS and a Python DFS over adjacency lists;
+* the layered engine, for larger graphs: a numpy BFS keeps each layer, a
+  backward numpy pass marks the *alive* vertices (those with a layered path
+  to a free right vertex), and the Python DFS walks only alive vertices.
+
+A *dead* vertex lies on no shortest augmenting path, so no edge into or out
+of it flips during the phase.  When the list DFS reaches one, it scans all of
+its entries, finds nothing and never enters it again.  The layered engine
+skips those walks and adds, in numpy, the full degree of every dead vertex
+the list DFS would have reached, so ``scans`` does not change.
 """
 from __future__ import annotations
 
@@ -18,6 +34,14 @@ from .graph import BipartiteGraph, _csr
 __all__ = ["Matching", "hopcroft_karp", "bounded_matching"]
 
 _INF = float("inf")
+
+# Left-side size from which phases run layered in numpy.  Below it the
+# per-layer numpy calls cost more than the Python work they save: at 500 left
+# vertices the layered engine took 1.4-3.5x the list engine's time on every
+# window measured; at 1000 it was faster on fixed-degree windows and whole
+# graphs, and slower only on sparse Erdos-Renyi partition windows, which
+# cross over near 2500 (table in CHANGES.md).
+_LAYERED_MIN = 1000
 
 
 @dataclass
@@ -42,7 +66,25 @@ def _match(
     ``max_path_len=None`` this is plain Hopcroft–Karp; otherwise augmentation
     stops once the shortest augmenting path exceeds the cap.  Distinct keys
     matter: parallel edges add nothing to a matching.
+
+    Each phase is a BFS from every free left vertex, which stops scanning
+    after the first vertex of the shallowest layer that reaches a free right
+    vertex, and then a DFS from each free left vertex in index order along
+    shortest layers only.  A scan is one adjacency entry read by either.
+    With ``n_left >= _LAYERED_MIN`` the phases run in ``_layered.match_layered``,
+    which gives the same matching, phases and scans (see the module
+    docstring); below it they run here, on Python lists.
     """
+    # A path ending at a left vertex of BFS depth t has 2t+1 edges.
+    depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
+    # Its positions are int32, so the layered engine takes < 2**31 edges.
+    if n_left >= _LAYERED_MIN and keys.size < 2**31:
+        # Imported on first use: the layered engine is most of this
+        # package's matching code, and a process that never matches a large
+        # graph need not compile it.
+        from ._layered import match_layered
+
+        return match_layered(keys, n_left, n_right, depth_cap)
     indptr, _, right = _csr(keys, n_left, n_right)
     cuts = indptr.tolist()
     targets = right.tolist()
@@ -50,8 +92,6 @@ def _match(
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     size = 0
-    # A path ending at a left vertex of BFS depth t has 2t+1 edges.
-    depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
     dist = [_INF] * n_left
     phases = 0
     scans = 0
@@ -128,8 +168,14 @@ def hopcroft_karp(graph: BipartiteGraph) -> Matching:
 def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     """Matching with no remaining augmenting path of ``<= max_path_len`` edges.
 
-    ``max_path_len`` must be odd and >= 1 (augmenting paths have odd length).
+    ``max_path_len`` must be an odd ``int`` >= 1 (augmenting paths have odd
+    length); anything else, a ``bool`` included, raises ``ValueError``.
     """
-    if max_path_len < 1 or max_path_len % 2 == 0:
-        raise ValueError(f"max_path_len must be odd and >= 1, got {max_path_len}")
+    if (
+        isinstance(max_path_len, bool)
+        or not isinstance(max_path_len, int)
+        or max_path_len < 1
+        or max_path_len % 2 == 0
+    ):
+        raise ValueError(f"max_path_len must be an odd integer >= 1, got {max_path_len!r}")
     return _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)[0]

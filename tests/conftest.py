@@ -6,12 +6,13 @@ selection, so agreement with the fast paths actually means something.
 """
 from __future__ import annotations
 
+import sys
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from recsubgraph import BipartiteGraph, build_graph
+from recsubgraph import BipartiteGraph, build_graph, matching
 
 
 def _neighborhoods(graph: BipartiteGraph) -> list[list[int]]:
@@ -82,6 +83,23 @@ def chain_graph(n: int) -> BipartiteGraph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240819)
+
+
+@pytest.fixture
+def matching_engines(monkeypatch):
+    """Run a loop body once on each of ``_match``'s two phase engines.
+
+    ``for engine in matching_engines(): ...`` first sends every graph to the
+    list engine, then every graph to the layered one, by moving the private
+    left-side threshold between them; ``engine`` names the one in force.
+    """
+
+    def engines():
+        for name, threshold in (("list", sys.maxsize), ("layered", 0)):
+            monkeypatch.setattr(matching, "_LAYERED_MIN", threshold)
+            yield name
+
+    return engines
 
 
 # -- acceptance verdict collection ---------------------------------------------

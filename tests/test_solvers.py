@@ -28,6 +28,7 @@ from recsubgraph import (
     upper_bound_estimate,
     validate,
 )
+from recsubgraph import matching, solvers
 from recsubgraph.generate import STREAM_GREEDY, philox_stream
 from recsubgraph.solvers import GREEDY_ORDERS, GREEDY_TIEBREAKS
 from conftest import random_simple_graph
@@ -306,6 +307,36 @@ def test_partition_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("l, r, c, a", [(60, 90, 3, 2), (1200, 1500, 2, 1)])
+def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, r, c, a):
+    # A window whose cap exceeds every simple path is solved to a maximum
+    # matching; the two sizes sit on either side of the layered threshold.
+    nx = pytest.importorskip("networkx")
+    windows = []
+
+    def spy(keys, n_left, n_right, cap):
+        got = real(keys, n_left, n_right, cap)
+        windows.append((keys, n_left, n_right, cap, got[0].size))
+        return got
+
+    real = solvers._match
+    monkeypatch.setattr(solvers, "_match", spy)
+    g = gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=3, seed=11))
+    wsize = min(l, r, l * c // a)
+    partition_with_stats(g, _cfg(c, a, seed=5, epsilon=c / (wsize + 1)))
+    assert len(windows) == c
+    for keys, n_left, n_right, cap, size in windows:
+        assert (n_left, n_right) == (l, wsize)
+        assert (n_left >= matching._LAYERED_MIN) == (l >= 1000)
+        assert cap >= 2 * min(n_left, n_right) + 1
+        ref = nx.Graph()
+        top = [("u", u) for u in range(n_left)]
+        ref.add_nodes_from(top)
+        ref.add_nodes_from(("v", v) for v in range(n_right))
+        ref.add_edges_from((("u", k // n_right), ("v", k % n_right)) for k in keys.tolist())
+        assert size == len(nx.algorithms.bipartite.hopcroft_karp_matching(ref, top)) // 2
+
+
 # ------------------------------------------------------------ selection pins
 
 # Three fixed-degree instances (l, r, d, seed): two simple, the last one with
@@ -385,18 +416,19 @@ def _pin_graphs():
 
 
 @pytest.mark.parametrize("variant, c, a", sorted(_PIN_DIGESTS))
-def test_selection_bytes_pinned(variant, c, a):
+def test_selection_bytes_pinned(variant, c, a, matching_engines):
     graphs = _pin_graphs()
     assert [g.has_parallel_edges() for g in graphs] == [False, False, True]
     solver, kw = _PIN_VARIANTS[variant]
-    h = hashlib.sha256()
-    counters = []
-    for g in graphs:
-        sub, stats = solver(g, _cfg(c, a, seed=7, **kw))
-        h.update(sub.indptr.tobytes() + sub.targets.tobytes())
-        counters.append((stats.edges_touched, stats.peak_aux))
-    assert h.hexdigest() == _PIN_DIGESTS[variant, c, a]
-    assert counters == _PIN_COUNTERS[variant, c, a]
+    for _ in matching_engines():
+        h = hashlib.sha256()
+        counters = []
+        for g in graphs:
+            sub, stats = solver(g, _cfg(c, a, seed=7, **kw))
+            h.update(sub.indptr.tobytes() + sub.targets.tobytes())
+            counters.append((stats.edges_touched, stats.peak_aux))
+        assert h.hexdigest() == _PIN_DIGESTS[variant, c, a]
+        assert counters == _PIN_COUNTERS[variant, c, a]
 
 
 # (size, phases, sha256 of match_l as int64) per pinned instance, for each
@@ -426,13 +458,14 @@ _MATCHING_PINS = {
 
 
 @pytest.mark.parametrize("cap", list(_MATCHING_PINS), ids=str)
-def test_matchings_pinned(cap):
-    got = []
-    for g in _pin_graphs():
-        m = hopcroft_karp(g) if cap is None else bounded_matching(g, cap)
-        digest = hashlib.sha256(np.asarray(m.match_l, dtype=np.int64).tobytes())
-        got.append((m.size, m.phases, digest.hexdigest()))
-    assert got == _MATCHING_PINS[cap]
+def test_matchings_pinned(cap, matching_engines):
+    for _ in matching_engines():
+        got = []
+        for g in _pin_graphs():
+            m = hopcroft_karp(g) if cap is None else bounded_matching(g, cap)
+            digest = hashlib.sha256(np.asarray(m.match_l, dtype=np.int64).tobytes())
+            got.append((m.size, m.phases, digest.hexdigest()))
+        assert got == _MATCHING_PINS[cap]
 
 
 # ----------------------------------------------------------------- solve()
