@@ -1,0 +1,149 @@
+"""The wave engine of ``solvers.greedy_with_stats``, for large graphs.
+
+``greedy_waves`` returns exactly the selection of greedy's target loop, with
+whole waves of targets decided by one round of numpy calls each.
+
+A target's decision reads and writes only the budgets of its own sources, so
+two targets that share no source can be decided together.  Each source keeps
+a pointer to its first target not yet decided, in processing order.  A target
+is *ready* once every source of it points at it or is full: then every target
+before it that could change those budgets is decided, and no other ready
+target shares a non-full source with it.  A wave decides every ready target
+at once.  The first undecided target is always ready, so the waves decide
+every target.
+
+A full source takes part in no later decision, so it stops pointing at
+anything: it counts as having passed all of its remaining targets at once.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .graph import BipartiteGraph, _distinct_sorted
+
+
+def greedy_waves(
+    graph: BipartiteGraph, c: int, a: int, perm: np.ndarray | None, by_capacity: bool
+) -> np.ndarray:
+    """Ascending ``u*r + v`` keys of greedy's selection.
+
+    ``perm`` is the target processing order, ``None`` for input order; the
+    engine runs on target ranks and maps them back at the end.  Targets with
+    fewer than ``a`` distinct sources are dropped up front, as no budget can
+    cover them.
+
+    One wave:
+
+    1. Gather each ready target's sources and keep the spare ones
+       (``used < c``), the loop's test.
+    2. A target with at least ``a`` spare sources takes the first ``a`` by
+       ``(used, u)``, or by ``u`` alone under the input-order tiebreak, and
+       adds them to ``used``.
+    3. Each spare source advances one target; one that has just filled
+       passes all of its remaining targets.  ``missing[t]`` counts the
+       sources of ``t`` still behind it, and the targets it drops to zero
+       for are the next wave.
+    """
+    l, r = graph.l, graph.r
+    keys = graph.distinct_keys()
+    deg = graph.distinct_in_degrees()
+    u = keys // r
+    v = u * r
+    np.subtract(keys, v, out=v)
+    coverable = deg >= a
+    keep = coverable[v]
+    if not keep.all():
+        u, v = u[keep], v[keep]
+    del keep
+    t_deg = np.where(coverable, deg, 0)  # sources of each kept target
+    del coverable
+    if perm is not None:
+        rank = np.empty(r, dtype=np.int64)
+        rank[perm] = np.arange(r, dtype=np.int64)
+        t_deg = t_deg[perm]
+        # Each source's targets in rank order.
+        by_s = u * r
+        by_s += rank[v]
+        del rank
+        by_s.sort()
+        u = by_s // r
+        v = by_s - u * r
+        del by_s
+
+    # By source: its targets, v[ptr[u]:end[u]] still undecided.
+    n_targets = np.bincount(u, minlength=l)
+    end = np.add.accumulate(n_targets)
+    ptr = end - n_targets
+    # By target: its sources, ascending, in by_t[t_off[t]:t_off[t] + t_deg[t]].
+    by_t = v * l
+    by_t += u
+    del u
+    by_t.sort()
+    by_t %= l
+    t_off = np.zeros(r, dtype=np.int64)
+    np.add.accumulate(t_deg[:-1], out=t_off[1:])
+    missing = t_deg.copy()
+
+    used = np.zeros(l, dtype=np.int64)
+    out_u = [np.empty(0, dtype=np.int64)]
+    out_t = [np.empty(0, dtype=np.int64)]
+    arrive = v[ptr[n_targets > 0]]
+    del n_targets
+    while True:
+        np.subtract.at(missing, arrive, 1)
+        ready = arrive[missing[arrive] == 0]
+        if not ready.size:
+            break
+        ready.sort()
+        wave = _distinct_sorted(ready)
+        del ready
+
+        # 1. Each target's spare sources, ascending, grouped by wave position.
+        counts = t_deg[wave]
+        group = np.repeat(np.arange(wave.size, dtype=np.int64), counts)
+        src = by_t[_segments(t_off[wave], counts)]
+        spare = used[src] < c
+        src, group = src[spare], group[spare]
+        del spare
+        # 2. The picks.
+        n_spare = np.bincount(group, minlength=wave.size)
+        taken = n_spare[group] >= a
+        pick_src, pick_group = src[taken], group[taken]
+        del taken
+        if by_capacity:
+            # Stable, so equal budgets keep index order; the key stays below
+            # r * (r + 1), as no budget passes the number of targets.
+            spent = used[pick_src]
+            key = pick_group * (int(spent.max(initial=0)) + 1) + spent
+            pick_src = pick_src[np.argsort(key, kind="stable")]
+            del spent, key
+        n_taken = np.where(n_spare >= a, n_spare, 0)
+        first = np.add.accumulate(n_taken) - n_taken
+        rank_in = np.arange(pick_src.size, dtype=np.int64) - first[pick_group]
+        first_a = rank_in < a
+        pick_src, pick_group = pick_src[first_a], pick_group[first_a]
+        used[pick_src] += 1
+        out_u.append(pick_src)
+        out_t.append(wave[pick_group])
+        # 3. Advance every spare source.
+        ptr[src] += 1
+        left = end[src] - ptr[src]
+        full = used[src] >= c
+        steps = np.where(full, left, np.minimum(left, 1))
+        arrive = v[_segments(ptr[src], steps)]
+
+    sel_v = np.concatenate(out_t)
+    if perm is not None:
+        sel_v = perm[sel_v]
+    sel = np.concatenate(out_u) * r
+    sel += sel_v
+    sel.sort()
+    return sel
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
+    ends = np.add.accumulate(lengths)
+    idx = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    idx += np.repeat(starts - ends + lengths, lengths)
+    return idx

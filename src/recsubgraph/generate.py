@@ -103,24 +103,36 @@ def gen_erdos_renyi(spec: ErdosRenyiSpec) -> BipartiteGraph:
         return BipartiteGraph(spec.l, spec.r, empty, empty)
     if spec.p >= 1.0:
         idx = np.arange(total, dtype=np.int64)
-        return BipartiteGraph(spec.l, spec.r, idx // spec.r, idx % spec.r)
-    rng = philox_stream(spec.seed, STREAM_GENERATE)
+    else:
+        idx = _gap_walk(total, spec.p, philox_stream(spec.seed, STREAM_GENERATE))
+    return BipartiteGraph(spec.l, spec.r, idx // spec.r, idx % spec.r)
+
+
+def _gap_walk(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Ascending slots of ``[0, total)``, each kept with probability ``p``.
+
+    The walk starts before slot 0 and moves by Geometric(p) gaps, drawn in
+    batches.  ``total`` is ``l * r < 2**62`` and ``0 < p < 1``.
+    """
     chunks: list[np.ndarray] = []
     pos = -1
     while True:
-        expect = (total - pos) * spec.p
+        expect = (total - pos) * p
         batch = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
-        # numpy saturates huge gaps at 2**63-1, which would overflow the
-        # cumsum; any gap past total + 1 ends the walk just the same.
-        gaps = np.minimum(rng.geometric(spec.p, size=batch), total + 1)
+        # numpy saturates huge gaps at 2**63-1; any gap past total + 1 ends
+        # the walk just the same.
+        gaps = np.minimum(rng.geometric(p, size=batch), total + 1)
         here = pos + np.cumsum(gaps)
-        if here[-1] >= total:
-            chunks.append(here[here < total])
+        # Each sum up to the first that reaches total is below 2*total + 1,
+        # so exact.  Later ones can pass 2**63 and wrap around to negative
+        # values, so they are never read.
+        done = np.flatnonzero(here >= total)
+        if done.size:
+            chunks.append(here[: done[0]])
             break
         chunks.append(here)
         pos = int(here[-1])
-    idx = np.concatenate(chunks)
-    return BipartiteGraph(spec.l, spec.r, idx // spec.r, idx % spec.r)
+    return np.concatenate(chunks)
 
 
 # Parameters each generated model needs, besides the seed.

@@ -323,7 +323,7 @@ def _csr(keys: np.ndarray, n_left: int, n_right: int) -> tuple[np.ndarray, np.nd
     left = keys // n_right
     right = keys - left * n_right
     indptr = np.zeros(n_left + 1, dtype=np.int64)
-    np.cumsum(np.bincount(left, minlength=n_left), out=indptr[1:])
+    np.add.accumulate(np.bincount(left, minlength=n_left), out=indptr[1:])
     return indptr, left, right
 
 

@@ -5,6 +5,9 @@ and window matching.
   one pass over the edges, constant auxiliary state per source.
 * ``greedy``     — targets are processed in order; a target is covered the
   moment ``a`` sources with spare budget point at it.  One counter per source.
+  It has two engines with identical output: a Python loop over the targets,
+  and, from ``_WAVES_MIN_EDGES`` distinct edges, ``_waves.greedy_waves``,
+  which decides in numpy each wave of targets that share no source.
 * ``partition``  — targets are arranged into ``c`` overlapping index windows,
   every candidate edge is dropped into one window it is eligible for, and each
   window is solved as a depth-capped matching; the union of the ``c``
@@ -56,6 +59,12 @@ ALGORITHMS = ("sampling", "greedy", "partition")
 
 GREEDY_ORDERS = ("input-order", "random-permutation")
 GREEDY_TIEBREAKS = ("most-capacity-first", "input-order")
+
+# Distinct edge count from which greedy decides its targets in waves.  Below
+# it the per-wave numpy calls cost more than the Python loop they replace:
+# at 50 000 edges the waves took 0.8-1.3x the loop's time, at 75 000 they
+# were faster or level on every graph measured (table in CHANGES.md).
+_WAVES_MIN_EDGES = 75_000
 
 
 class ConfigError(ValueError):
@@ -126,16 +135,29 @@ def sampling_with_stats(
     # Sort by key, then stably by source, so each source's segment comes out
     # in key order.  Equal float64 keys of one source (rare at 53 random
     # bits) keep argsort's unstable tie order rather than edge order.
-    by_key = np.argsort(keys)
+    order = np.argsort(keys)
     del keys
-    order = by_key[np.argsort(graph.edge_u[by_key], kind="stable")]
-    del by_key
+    order = _stable_by_source(graph, order)
     rank = np.arange(m, dtype=np.int64) - np.repeat(
         graph.indptr_l[:-1], graph.left_degrees
     )
     picks = _distinct_sorted(np.sort(graph.edge_keys()[order[rank < c]]))
     stats = SolveStats(edges_touched=m, peak_aux=min(c, int(graph.left_degrees.max(initial=0))))
     return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
+
+
+def _stable_by_source(graph: BipartiteGraph, order: np.ndarray) -> np.ndarray:
+    """``order`` stably sorted by ``graph.edge_u[order]``.
+
+    LSD radix passes over the 16-bit digits of the source, because numpy
+    runs a stable argsort of ``uint16`` as a radix sort and one of ``int64``
+    as a timsort.  One pass covers ``l <= 2**16``, two cover every side
+    below ``2**31``.
+    """
+    for shift in range(0, max(graph.l - 1, 1).bit_length(), 16):
+        digit = (graph.edge_u[order] >> shift).astype(np.uint16)  # low 16 bits
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 # -- greedy -------------------------------------------------------------------
@@ -149,15 +171,29 @@ def greedy_with_stats(
     A target with at least ``a`` distinct candidate sources that still have
     spare budget gets exactly ``a`` links; anything less leaves it untouched,
     so selected in-degrees are always 0 or ``a``.
+
+    Graphs with fewer than ``_WAVES_MIN_EDGES`` distinct edges run the pass
+    as a Python loop, one target at a time.  Larger ones run it in
+    ``_waves.greedy_waves``, imported on first use, which decides together
+    all targets that share no spare source with an earlier undecided
+    target; the selection is the same.
     """
     c = config.params.c
     a = config.params.a
+    perm = None
     if config.greedy_order == "random-permutation":
-        order = philox_stream(config.seed, STREAM_GREEDY).permutation(graph.r).tolist()
-    else:
-        order = range(graph.r)
+        perm = philox_stream(config.seed, STREAM_GREEDY).permutation(graph.r)
     by_capacity = config.greedy_tiebreak == "most-capacity-first"
+    stats = SolveStats(edges_touched=graph.m, peak_aux=graph.l)
+    if graph.distinct_keys().size >= _WAVES_MIN_EDGES:
+        # Imported on first use, like the layered matching engine: a process
+        # that never solves a large graph need not compile it.
+        from ._waves import greedy_waves
 
+        keys = greedy_waves(graph, c, a, perm, by_capacity)
+        return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
+
+    order = range(graph.r) if perm is None else perm.tolist()
     offsets, sources = _by_target(graph)
     used = [0] * graph.l  # budget spent per source — the whole persistent state
     out_u: list[int] = []
@@ -179,7 +215,7 @@ def greedy_with_stats(
         np.asarray(out_u, dtype=np.int64),
         np.asarray(out_v, dtype=np.int64),
     )
-    return sel, SolveStats(edges_touched=graph.m, peak_aux=graph.l)
+    return sel, stats
 
 
 def _by_target(graph: BipartiteGraph) -> tuple[list[int], list[int]]:

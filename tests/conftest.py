@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from recsubgraph import BipartiteGraph, build_graph, matching
+from recsubgraph import BipartiteGraph, build_graph, matching, solvers
 
 
 def _neighborhoods(graph: BipartiteGraph) -> list[list[int]]:
@@ -97,6 +97,23 @@ def matching_engines(monkeypatch):
     def engines():
         for name, threshold in (("list", sys.maxsize), ("layered", 0)):
             monkeypatch.setattr(matching, "_LAYERED_MIN", threshold)
+            yield name
+
+    return engines
+
+
+@pytest.fixture
+def greedy_engines(monkeypatch):
+    """Run a loop body once on each of greedy's two engines.
+
+    ``for engine in greedy_engines(): ...`` first sends every graph to the
+    target loop, then every graph to the wave engine, by moving the private
+    distinct-edge threshold between them; ``engine`` names the one in force.
+    """
+
+    def engines():
+        for name, threshold in (("loop", sys.maxsize), ("waves", 0)):
+            monkeypatch.setattr(solvers, "_WAVES_MIN_EDGES", threshold)
             yield name
 
     return engines

@@ -10,6 +10,7 @@ from recsubgraph import (
     gen_erdos_renyi,
     gen_fixed_degree,
 )
+from recsubgraph.generate import STREAM_GENERATE, _gap_walk, philox_stream
 
 
 def test_fixed_degree_exact_edge_count():
@@ -105,3 +106,16 @@ def test_erdos_renyi_tiny_p_returns_edgeless_graph(p):
     # numpy saturates Geometric(p) draws at 2**63-1 for such p.
     g = gen_erdos_renyi(ErdosRenyiSpec(5, 5, p, seed=0))
     assert (g.l, g.r, g.m) == (5, 5, 0)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-17])
+def test_erdos_renyi_gap_walk_stays_in_range_on_huge_sides(p):
+    # l = r = 2**30: a batch of gaps near l*r sums past 2**63.  Only the walk
+    # runs; a graph this wide would need 8 GB of offsets.
+    total = 2**30 * 2**30
+    for seed in range(5):
+        idx = _gap_walk(total, p, philox_stream(seed, STREAM_GENERATE))
+        assert ((idx >= 0) & (idx < total)).all()
+        assert (np.diff(idx) > 0).all()
+        if p == 1e-300:  # every gap saturates past total
+            assert idx.size == 0

@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from recsubgraph import (
     ConfigError,
@@ -29,7 +29,7 @@ from recsubgraph import (
     validate,
 )
 from recsubgraph import matching, solvers
-from recsubgraph.generate import STREAM_GREEDY, philox_stream
+from recsubgraph.generate import STREAM_GREEDY, STREAM_SAMPLING, philox_stream
 from recsubgraph.solvers import GREEDY_ORDERS, GREEDY_TIEBREAKS
 from conftest import random_simple_graph
 
@@ -118,6 +118,27 @@ def test_sampling_deterministic():
     c = sampling_with_stats(g, _cfg(2, 1, seed=10))[0].edge_list()
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("l", [2**16, 2**16 + 1, 200_000])
+def test_sampling_sorts_wide_source_ranges(l):
+    # Sources on both sides of 2**16, sharing low 16-bit digits, so the
+    # second radix pass decides their order whenever it runs.
+    rng = np.random.default_rng(l)
+    low = rng.integers(0, 2**16, size=300)
+    us = np.concatenate([low, (low + 2**16) % l, rng.integers(0, l, size=600)])
+    us = np.repeat(us, rng.integers(1, 6, size=us.size))
+    vs = rng.integers(0, 50, size=us.size)
+    g = build_graph(l, 50, zip(us.tolist(), vs.tolist()))
+    c = 2
+    sub, _ = sampling_with_stats(g, _cfg(c, 1, seed=5))
+    # Reference: each source's edges in key order, by one lexsort.
+    keys = philox_stream(5, STREAM_SAMPLING).random(g.m)
+    order = np.lexsort((keys, g.edge_u))
+    rank = np.arange(g.m) - np.repeat(g.indptr_l[:-1], g.left_degrees)
+    kept = order[rank < c]
+    expected = sorted(set(zip(g.edge_u[kept].tolist(), g.edge_v[kept].tolist())))
+    assert sub.edge_list() == expected
 
 
 # ------------------------------------------------------------------ greedy
@@ -239,19 +260,46 @@ def _greedy_case(draw):
     st.sampled_from(GREEDY_TIEBREAKS),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=300, deadline=None)
-def test_greedy_matches_reference(case, order, tiebreak, seed):
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_greedy_matches_reference(greedy_engines, case, order, tiebreak, seed):
     l, r, edges, c, a = case
     g = build_graph(l, r, edges)
     cfg = _cfg(c, a, seed=seed, greedy_order=order, greedy_tiebreak=tiebreak)
-    sub, stats = greedy_with_stats(g, cfg)
     if order == "random-permutation":
         targets = philox_stream(seed, STREAM_GREEDY).permutation(r).tolist()
     else:
         targets = range(r)
     by_capacity = tiebreak == "most-capacity-first"
-    assert sub.edge_list() == _greedy_reference(l, edges, c, a, targets, by_capacity)
-    assert stats.edges_touched == g.m
+    expected = _greedy_reference(l, edges, c, a, targets, by_capacity)
+    for _ in greedy_engines():
+        sub, stats = greedy_with_stats(g, cfg)
+        assert sub.edge_list() == expected
+        assert (stats.edges_touched, stats.peak_aux) == (g.m, l)
+
+
+@pytest.mark.parametrize(
+    "make, spec",
+    [
+        (gen_erdos_renyi, ErdosRenyiSpec(l=5000, r=5000, p=2e-3, seed=41)),
+        # Many parallel edges: 20 draws per source over 600 targets.
+        (gen_fixed_degree, FixedDegreeSpec(l=2000, r=600, d=20, seed=42)),
+    ],
+    ids=["erdos-renyi", "fixed-degree-multigraph"],
+)
+def test_greedy_engines_agree_at_scale(make, spec, greedy_engines):
+    # Thousands of targets per wave and full sources passing their remaining
+    # targets in bulk: the waves must still reproduce the loop bit for bit.
+    graph = make(spec)
+    assert graph.distinct_keys().size > 20000
+    for order, tiebreak in itertools.product(GREEDY_ORDERS, GREEDY_TIEBREAKS):
+        for c, a in ((1, 1), (3, 2), (4, 3)):
+            cfg = _cfg(c, a, seed=43, greedy_order=order, greedy_tiebreak=tiebreak)
+            got = [greedy_with_stats(graph, cfg)[0] for _ in greedy_engines()]
+            assert got[0].n_selected > 0
+            assert np.array_equal(got[0].indptr, got[1].indptr)
+            assert np.array_equal(got[0].targets, got[1].targets)
 
 
 # --------------------------------------------------------------- partition
@@ -416,11 +464,12 @@ def _pin_graphs():
 
 
 @pytest.mark.parametrize("variant, c, a", sorted(_PIN_DIGESTS))
-def test_selection_bytes_pinned(variant, c, a, matching_engines):
+def test_selection_bytes_pinned(variant, c, a, matching_engines, greedy_engines):
     graphs = _pin_graphs()
     assert [g.has_parallel_edges() for g in graphs] == [False, False, True]
     solver, kw = _PIN_VARIANTS[variant]
-    for _ in matching_engines():
+    engines = greedy_engines if variant.startswith("greedy") else matching_engines
+    for _ in engines():
         h = hashlib.sha256()
         counters = []
         for g in graphs:
@@ -488,13 +537,14 @@ def test_solve_unknown_algo():
     ],
     ids=["sampling", "greedy-input-order", "greedy-random-permutation", "partition"],
 )
-def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters):
+def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters, greedy_engines):
     g = build_graph(l, r, [])
     cfg = _cfg(2, 1, **kw)
-    sub, stats = runner(g, cfg)
-    assert (sub.l, sub.r, sub.n_selected) == (l, r, 0)
-    assert validate(g, sub, cfg.params) == []
-    assert (stats.edges_touched, stats.peak_aux) == counters(l)
+    for _ in greedy_engines():
+        sub, stats = runner(g, cfg)
+        assert (sub.l, sub.r, sub.n_selected) == (l, r, 0)
+        assert validate(g, sub, cfg.params) == []
+        assert (stats.edges_touched, stats.peak_aux) == counters(l)
 
 
 def test_solve_edgeless_ratio_is_one():
