@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import _csr
-from .matching import Matching
+from .matching import Matching, _augment
 
 
 def _scratch(sizes: list[int], dtype: type) -> list[np.ndarray]:
@@ -64,14 +64,15 @@ def match_layered(
     2. Alive pass, backward over the kept layers: at ``found`` the vertices
        with a free neighbour, at each layer below those with an entry whose
        owner is alive one layer deeper.
-    3. The list DFS from the alive free roots, in the same root and
-       adjacency order, which pushes only alive vertices.  Its scans are the
-       entries its arc pointers passed.
-    4. Dead closure, forward over the kept layers.  The list DFS would also
-       walk every dead free root, and every dead next-layer owner of an entry
-       it read; a dead vertex has only dead next-layer owners, so it walks
-       everything those seeds reach, each vertex once and in full.  Those
-       vertices are marked in numpy and counted at their full degrees.
+    3. The shared walk, ``matching._augment``, from the alive free roots in
+       the same root and adjacency order; it enters only alive vertices.
+    4. Dead closure, forward over the kept layers.  The list engine's walk
+       would also enter every dead free root, and every dead next-layer
+       owner of an entry it read; a dead vertex has only dead next-layer
+       owners, so it walks everything those seeds reach, each vertex once
+       and in full.  Those vertices are marked in numpy and counted at their
+       full degrees.  Every other vertex read as far as its arc pointer
+       moved, ``arc - ip[:-1]``.
 
     Positions, owners and layers are int32.  Every array is a view of
     scratch allocated once per call outside the malloc heap (``_scratch``),
@@ -94,8 +95,8 @@ def match_layered(
     # Per left vertex: degree; the frontiers, layer after layer, the roots
     # first; where its entries start in its layer; the rank of its first
     # entry as an owner; how many of its entries the DFS reads; BFS layer;
-    # the DFS's arc pointer, layer and walk; partner.
-    deg, order, entry, first, limit, dist, arc, lvl, path, ml = _scratch([n_left] * 10, i32)
+    # the DFS's arc pointer and layer; partner.
+    deg, order, entry, first, limit, dist, arc, lvl, ml = _scratch([n_left] * 9, i32)
     has_edges, alive = _scratch([n_left] * 2, bool)
     ip, mr = _scratch([n_left + 1, n_right], i32)
     ip[:], source[:], targets[:] = _csr(keys, n_left, n_right)
@@ -105,11 +106,9 @@ def match_layered(
     arc[:] = ip[:-1]
     ml.fill(-1)
     mr.fill(-1)
-    # The DFS reads and writes its state through memoryviews of the scratch:
+    # The walk reads and writes its state through memoryviews of the scratch:
     # Python ints in and out, and nothing of the walk left on the heap.
-    flat, cuts, ptr, level, walk, match_l, match_r = map(
-        memoryview, (targets, ip, arc, lvl, path, ml, mr)
-    )
+    flat, cuts, ptr, level, match_l, match_r = map(memoryview, (targets, ip, arc, lvl, ml, mr))
     size = 0
     phases = 0
     scans = 0
@@ -185,58 +184,22 @@ def match_layered(
             hit &= np.equal(_take(dist, o, ta), k + 1, out=mb[: o.size])
             alive[_keep(hit, src[e0:e1], ta)] = True
 
-        # 3. DFS over alive vertices; a level of -1 never equals a layer + 1.
+        # 3. The shared walk; a level of -1 never equals a layer + 1.
         lvl.fill(-1)
         np.putmask(lvl, alive, dist)
         live = _take(alive, roots, ma)
-        walked = 0
-        for root in memoryview(_keep(live, roots, ta)):
-            stack = [root]
-            walk[walked] = root
-            walked += 1
-            while stack:
-                u = stack[-1]
-                du = level[u]
-                at = ptr[u]
-                stop = cuts[u + 1]
-                while at < stop:
-                    v = flat[at]
-                    at += 1
-                    w = match_r[v]
-                    if w < 0:
-                        if du == found:
-                            ptr[u] = at
-                            for x in stack:
-                                y = flat[ptr[x] - 1]
-                                match_l[x] = y
-                                match_r[y] = x
-                            size += 1
-                            stack.clear()
-                            break
-                    elif level[w] == du + 1:
-                        ptr[u] = at
-                        stack.append(w)
-                        walk[walked] = w
-                        walked += 1
-                        break
-                else:
-                    ptr[u] = at
-                    level[u] = -1
-                    stack.pop()
+        size += _augment(
+            memoryview(_keep(live, roots, ta)), flat, cuts, ptr, level, match_l, match_r, found
+        )
 
-        # 4. Dead closure.  A walked vertex read the entries its arc pointer
+        # 4. Dead closure.  Each vertex read the entries its arc pointer
         # passed, a reached dead vertex all of them: ``limit`` counts them,
         # and their sum is the DFS's scans.  The owners of those entries are
         # still the kept ones, as a dead vertex's partner never flips.
-        limit.fill(0)
+        np.subtract(arc, ip[:-1], out=limit)
+        arc[:] = ip[:-1]  # rewound for the next phase
         seed = _keep(np.logical_not(live, out=live), roots, ta)
         limit[seed] = _take(deg, seed, tb)
-        wv = path[:walked]
-        start = _take(ip, wv, tc)
-        read = _take(arc, wv, tb)
-        read -= start
-        limit[wv] = read
-        arc[wv] = start  # rewound for the next phase
         for k in range(found):
             e0, e1 = layers[k]
             s = src[e0:e1]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import BipartiteGraph, _distinct_sorted
+from .graph import BipartiteGraph, _by_target, _distinct_sorted
 
 
 def greedy_waves(
@@ -28,7 +28,8 @@ def greedy_waves(
     """Ascending ``u*r + v`` keys of greedy's selection.
 
     ``perm`` is the target processing order, ``None`` for input order; the
-    engine runs on target ranks and maps them back at the end.  Targets with
+    engine runs on target ranks and maps them back at the end, so it reads
+    the loop's by-target view, ``graph._by_target``, at ``perm``.  Targets with
     fewer than ``a`` distinct sources are dropped up front, as no budget can
     cover them.
 
@@ -45,22 +46,15 @@ def greedy_waves(
        for are the next wave.
     """
     l, r = graph.l, graph.r
-    keys = graph.distinct_keys()
     deg = graph.distinct_in_degrees()
-    u = keys // r
-    v = u * r
-    np.subtract(keys, v, out=v)
-    coverable = deg >= a
-    keep = coverable[v]
+    u, v = np.divmod(graph.distinct_keys(), r)
+    keep = (deg >= a)[v]
     if not keep.all():
         u, v = u[keep], v[keep]
     del keep
-    t_deg = np.where(coverable, deg, 0)  # sources of each kept target
-    del coverable
     if perm is not None:
         rank = np.empty(r, dtype=np.int64)
         rank[perm] = np.arange(r, dtype=np.int64)
-        t_deg = t_deg[perm]
         # Each source's targets in rank order.
         by_s = u * r
         by_s += rank[v]
@@ -72,16 +66,14 @@ def greedy_waves(
 
     # By source: its targets, v[ptr[u]:end[u]] still undecided.
     n_targets = np.bincount(u, minlength=l)
+    del u
     end = np.add.accumulate(n_targets)
     ptr = end - n_targets
     # By target: its sources, ascending, in by_t[t_off[t]:t_off[t] + t_deg[t]].
-    by_t = v * l
-    by_t += u
-    del u
-    by_t.sort()
-    by_t %= l
-    t_off = np.zeros(r, dtype=np.int64)
-    np.add.accumulate(t_deg[:-1], out=t_off[1:])
+    # Decoded only once the by-source temporaries are gone: the decode holds
+    # two edge-sized arrays of its own, and the call's peak memory is here.
+    t_off, by_t = _by_target(graph)
+    t_off, t_deg = (t_off[:-1], deg) if perm is None else (t_off[perm], deg[perm])
     missing = t_deg.copy()
 
     used = np.zeros(l, dtype=np.int64)

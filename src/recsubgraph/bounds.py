@@ -1,4 +1,4 @@
-"""Closed-form coverage bounds and the cheap instance upper bound.
+"""Closed-form coverage bounds, the cheap instance upper bound and the score.
 
 Everything here is a plain formula evaluation: expected-coverage lower bounds
 for the sampling and greedy strategies, the worst-case approximation ratio of
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams
+from .graph import BipartiteGraph, ProblemParams, RecSubgraph, _count_covered
 
 __all__ = [
     "sampling_lower_bound",
@@ -158,3 +158,13 @@ def upper_bound_estimate(graph: BipartiteGraph, params: ProblemParams) -> int:
     budget = (graph.l * params.c) // params.a
     eligible = int(np.count_nonzero(graph.distinct_in_degrees() >= params.a))
     return int(min(budget, eligible))
+
+
+def _score(
+    graph: BipartiteGraph, sel: RecSubgraph, params: ProblemParams
+) -> tuple[int, int, float]:
+    """``(covered, bound, ratio)`` of a valid ``sel`` against the cheap upper
+    bound; with a bound of 0 nothing is coverable, and the ratio is 1."""
+    covered = _count_covered(sel, params.a)
+    bound = upper_bound_estimate(graph, params)
+    return covered, bound, 1.0 if bound == 0 else covered / bound

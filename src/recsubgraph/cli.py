@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .bounds import (
     _check_point,
+    _score,
     concentration_bound,
     greedy_expected_bound,
     required_ck,
     sampling_approx_ratio,
     sampling_lower_bound,
-    upper_bound_estimate,
 )
 from .experiment import (
     MODELS,
@@ -32,7 +32,7 @@ from .experiment import (
     run_experiment,
 )
 from .generate import MODEL_PARAMS, generate_instance
-from .graph import GraphError, ProblemParams, coverage, simplify
+from .graph import GraphError, ProblemParams, SubgraphValidationError, simplify, validate
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
 from .oracle import OracleSizeError, exact_opt
@@ -105,10 +105,12 @@ def _cmd_solve(args) -> int:
 def _cmd_eval(args) -> int:
     graph = read_edge_list(args.graph)
     sel = read_subgraph(args.subgraph)
-    covered = coverage(graph, sel, args.a)
     c = args.c if args.c is not None else int(sel.out_degrees().max(initial=1))
-    bound = upper_bound_estimate(graph, ProblemParams(c=c, a=args.a))
-    ratio = 1.0 if bound == 0 else covered / bound
+    # No cap check: ``--c`` scores the bound and need not bind the selection.
+    problems = validate(graph, sel)
+    if problems:
+        raise SubgraphValidationError(problems[0])
+    covered, bound, ratio = _score(graph, sel, ProblemParams(c=c, a=args.a))
     print(f"covered={covered} upper_bound={bound} ratio={ratio:.6f}")
     return 0
 

@@ -129,7 +129,6 @@ class ExperimentRow:
     ratio: float | None
     elapsed_ms: float | None
     skip_reason: str | None = None
-    flagged: bool = False  # covered exceeded the upper bound (never expected)
 
     def csv_line(self) -> str:
         meas = (
@@ -219,8 +218,7 @@ def run_experiment(
                     continue
                 config = SolverConfig(params=params, seed=seed, epsilon=spec.epsilon)
                 _, report = solve(graph, algo, config)
-                flagged = report.covered > report.upper_bound
-                if flagged:
+                if report.covered > report.upper_bound:  # never expected
                     warnings.warn(
                         f"coverage {report.covered} exceeds upper bound "
                         f"{report.upper_bound} at c={c}, a={a}, {algo}",
@@ -233,7 +231,6 @@ def run_experiment(
                         upper_bound=report.upper_bound,
                         ratio=report.ratio,
                         elapsed_ms=report.elapsed_ms if spec.measure_time else 0.0,
-                        flagged=flagged,
                     )
                 )
     return rows, aggregate_rows(rows)

@@ -6,8 +6,9 @@ candidate links per source, and a target counts as covered once it receives at
 least ``a`` distinct selected links.
 
 Adjacency is stored once, as flat CSR-style arrays sorted by source, so
-solvers scan it without per-vertex allocations; a solver that needs another
-layout decodes it from the edge keys itself.
+solvers scan it without per-vertex allocations.  The one other layout,
+each target's distinct sources, is decoded from the edge keys on demand by
+``_by_target``.
 """
 from __future__ import annotations
 
@@ -325,6 +326,24 @@ def _csr(keys: np.ndarray, n_left: int, n_right: int) -> tuple[np.ndarray, np.nd
     indptr = np.zeros(n_left + 1, dtype=np.int64)
     np.add.accumulate(np.bincount(left, minlength=n_left), out=indptr[1:])
     return indptr, left, right
+
+
+def _by_target(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, sources)``: ``sources[offsets[v]:offsets[v+1]]`` are the
+    distinct candidate sources of target ``v``, ascending.
+
+    The offsets are running sums of :meth:`BipartiteGraph.distinct_in_degrees`;
+    the re-keying runs in place, so the call holds two edge-sized arrays at most.
+    """
+    u, sources = np.divmod(graph.distinct_keys(), graph.r)
+    sources *= graph.l
+    sources += u
+    del u
+    sources.sort()
+    sources %= graph.l
+    offsets = np.zeros(graph.r + 1, dtype=np.int64)
+    np.add.accumulate(graph.distinct_in_degrees(), out=offsets[1:])
+    return offsets, sources
 
 
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:

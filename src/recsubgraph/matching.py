@@ -6,25 +6,25 @@ shorter than 2·alpha+1 is within a factor 1 - 1/alpha of maximum, the cap
 trades quality for time in a controlled way.  ``max_path_len=1`` degenerates
 to a maximal matching.
 
-``_match`` is the one matching core.  It has two phase engines whose output
-is identical, down to the partner of every vertex, the phase count and the
-scan count:
+``_match`` is the one matching core.  Each phase builds BFS layers, then
+runs the one augmenting walk, ``_augment``, a Python DFS along them.  Its two
+phase engines differ only in how they build the layers, and give the same
+partner for every vertex, the same phases and the same scans:
 
-* the list engine, for graphs with fewer than ``_LAYERED_MIN`` left
-  vertices: each phase is a Python BFS and a Python DFS over adjacency lists;
-* the layered engine, for larger graphs: a numpy BFS keeps each layer, a
-  backward numpy pass marks the *alive* vertices (those with a layered path
-  to a free right vertex), and the Python DFS walks only alive vertices.
+* the list engine, below ``_LAYERED_MIN`` left vertices: a Python BFS over
+  adjacency lists;
+* the layered engine, from there on: a numpy BFS that keeps each layer and a
+  backward numpy pass that marks the *alive* vertices (those with a layered
+  path to a free right vertex); the walk starts from and enters only those.
 
 A *dead* vertex lies on no shortest augmenting path, so no edge into or out
-of it flips during the phase.  When the list DFS reaches one, it scans all of
-its entries, finds nothing and never enters it again.  The layered engine
-skips those walks and adds, in numpy, the full degree of every dead vertex
-the list DFS would have reached, so ``scans`` does not change.
+of it flips during the phase.  When the list engine's walk reaches one, it
+scans all of its entries, finds nothing and never enters it again.  The
+layered engine skips those walks and adds, in numpy, the full degree of every
+dead vertex the list engine would have walked, so ``scans`` does not change.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,29 +87,27 @@ def _match(
         return match_layered(keys, n_left, n_right, depth_cap)
     indptr, _, right = _csr(keys, n_left, n_right)
     cuts = indptr.tolist()
-    targets = right.tolist()
-    adj = [targets[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    flat = right.tolist()
+    adj = [flat[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    first_arcs = sum(cuts[:-1])  # where the arc pointers start, summed
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     size = 0
-    dist = [_INF] * n_left
     phases = 0
     scans = 0
 
     while True:
         # BFS from every free left vertex; find the shallowest layer that
-        # reaches a free right vertex.
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
+        # reaches a free right vertex.  The queue keeps every vertex it took,
+        # layer after layer, and -1 marks a vertex in no layer.
+        queue = [u for u in range(n_left) if match_l[u] < 0]
+        roots = queue[:]
+        level = [-1] * n_left
+        for u in roots:
+            level[u] = 0
         found = _INF
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
+        for u in queue:
+            du = level[u]
             if du >= found or du > depth_cap:
                 continue
             for v in adj[u]:
@@ -118,46 +116,62 @@ def _match(
                 if w < 0:
                     if found == _INF:
                         found = du
-                elif dist[w] == _INF:
-                    dist[w] = du + 1
+                elif level[w] < 0:
+                    level[w] = du + 1
                     queue.append(w)
         if found == _INF or found > depth_cap:
             break
         phases += 1
-
-        # Depth-first augmentation along shortest layers only, one arc pointer
-        # per left vertex so each edge is tried at most once per phase.  The
-        # stack is the path: each vertex on it left along adj[u][ptr[u] - 1].
-        ptr = [0] * n_left
-        for root in range(n_left):
-            if match_l[root] >= 0:
-                continue
-            stack = [root]
-            while stack:
-                u = stack[-1]
-                du = dist[u]
-                nbrs = adj[u]
-                while ptr[u] < len(nbrs):
-                    v = nbrs[ptr[u]]
-                    ptr[u] += 1
-                    scans += 1
-                    w = match_r[v]
-                    if w < 0:
-                        if du == found:  # complete only at the shortest layer
-                            for x in stack:
-                                y = adj[x][ptr[x] - 1]
-                                match_l[x] = y
-                                match_r[y] = x
-                            size += 1
-                            stack.clear()
-                            break
-                    elif dist[w] == du + 1 and dist[w] <= found:
-                        stack.append(w)
-                        break
-                else:
-                    dist[u] = _INF  # dead end for the rest of this phase
-                    stack.pop()
+        # The last layer, one past ``found``, leads to no shortest path.
+        while level[queue[-1]] > found:
+            level[queue.pop()] = -1
+        ptr = cuts[:-1]
+        size += _augment(roots, flat, cuts, ptr, level, match_l, match_r, found)
+        scans += sum(ptr) - first_arcs
     return Matching(match_l, match_r, size, phases), scans
+
+
+def _augment(roots, flat, cuts, ptr, level, match_l, match_r, found: int) -> int:
+    """One phase's augmenting walk; returns the number of paths it flips.
+
+    A DFS from each root in turn goes from ``u`` to the partner ``w`` of a
+    neighbour when ``level[w] == level[u] + 1``, and ends at a free neighbour
+    of a vertex at level ``found``.  Arc pointer ``ptr[u]`` reads each entry
+    of ``flat[cuts[u]:cuts[u+1]]`` once per phase, so the scans are how far
+    the pointers moved.  The stack is the path, each vertex on it left along
+    ``flat[ptr[u] - 1]``; a vertex out of entries drops to level -1.
+    """
+    paths = 0
+    for root in roots:
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            du = level[u]
+            at = ptr[u]
+            stop = cuts[u + 1]
+            while at < stop:
+                v = flat[at]
+                at += 1
+                w = match_r[v]
+                if w < 0:
+                    if du == found:  # complete only at the shortest layer
+                        ptr[u] = at
+                        for x in stack:
+                            y = flat[ptr[x] - 1]
+                            match_l[x] = y
+                            match_r[y] = x
+                        paths += 1
+                        stack.clear()
+                        break
+                elif level[w] == du + 1:
+                    ptr[u] = at
+                    stack.append(w)
+                    break
+            else:
+                ptr[u] = at
+                level[u] = -1
+                stack.pop()
+    return paths
 
 
 def hopcroft_karp(graph: BipartiteGraph) -> Matching:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, _csr
+from .graph import BipartiteGraph, ProblemParams, _by_target
 from .matching import _match
 
 __all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
@@ -88,11 +88,9 @@ def exact_opt(
             f"({SIZE_GUARD}); pass force=True to insist"
         )
     c, a = params.c, params.a
-    # Parallel candidates give no extra link.
-    sources: list[list[int]] = [[] for _ in range(graph.r)]
-    _, eu, ev = _csr(graph.distinct_keys(), graph.l, graph.r)
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        sources[v].append(u)
+    # Distinct sources only: parallel candidates give no extra link.
+    offsets, flat = (x.tolist() for x in _by_target(graph))
+    sources = [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
     cands = [v for v in range(graph.r) if len(sources[v]) >= a]
     served = _served(sources, cands, graph.l, c, a)
     lo = served.count(a)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import upper_bound_estimate
+from .bounds import _score
 from .generate import (
     STREAM_GREEDY,
     STREAM_PARTITION,
@@ -37,7 +37,7 @@ from .graph import (
     ProblemParams,
     RecSubgraph,
     SubgraphValidationError,
-    _count_covered,
+    _by_target,
     _csr,
     _distinct_sorted,
     validate,
@@ -194,7 +194,7 @@ def greedy_with_stats(
         return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
 
     order = range(graph.r) if perm is None else perm.tolist()
-    offsets, sources = _by_target(graph)
+    offsets, sources = (x.tolist() for x in _by_target(graph))
     used = [0] * graph.l  # budget spent per source — the whole persistent state
     out_u: list[int] = []
     out_v: list[int] = []
@@ -216,24 +216,6 @@ def greedy_with_stats(
         np.asarray(out_v, dtype=np.int64),
     )
     return sel, stats
-
-
-def _by_target(graph: BipartiteGraph) -> tuple[list[int], list[int]]:
-    """``(offsets, sources)``: ``sources[offsets[v]:offsets[v+1]]`` are the
-    distinct candidate sources of target ``v``, ascending.
-
-    Returned as lists for greedy's Python loop.  The re-keying runs in place
-    and the arrays are dropped before ``tolist``: freed pages stay resident
-    while the lists fill, so each array still held then adds to the peak RSS.
-    """
-    u, keys = np.divmod(graph.distinct_keys(), graph.r)
-    keys *= graph.l
-    keys += u
-    del u
-    keys.sort()
-    offsets, _, sources = _csr(keys, graph.r, graph.l)
-    del keys, _
-    return offsets.tolist(), sources.tolist()
 
 
 # -- partition ----------------------------------------------------------------
@@ -332,9 +314,7 @@ def solve(
     """Run one strategy and measure it.
 
     Times the solver call only (not validation or scoring), validates the
-    selection once as an internal guard, and scores coverage against the cheap
-    upper bound.  When the bound is 0 nothing is coverable, so an (inevitably)
-    empty selection scores ratio 1.
+    selection once as an internal guard, and scores it with ``bounds._score``.
     """
     if algo not in _WITH_STATS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -345,9 +325,7 @@ def solve(
     problems = validate(graph, sel, config.params)
     if problems:
         raise SubgraphValidationError(f"{algo} produced an invalid selection: {problems[0]}")
-    covered = _count_covered(sel, config.params.a)
-    bound = upper_bound_estimate(graph, config.params)
-    ratio = 1.0 if bound == 0 else covered / bound
+    covered, bound, ratio = _score(graph, sel, config.params)
     report = CoverageReport(
         covered=covered,
         upper_bound=bound,

@@ -1,7 +1,9 @@
 """Graph container, selection container, validation, and coverage."""
+from itertools import accumulate
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recsubgraph import (
@@ -15,6 +17,7 @@ from recsubgraph import (
     simplify,
     validate,
 )
+from recsubgraph.graph import _by_target
 
 
 def test_single_edge_counts():
@@ -81,6 +84,36 @@ def test_one_key_sort_matches_lexsort_and_unique(pack):
     ).tolist()
     assert simplify(g).edge_list() == distinct_pairs
     assert g.has_parallel_edges() == (len(distinct_pairs) < len(edges))
+
+
+@st.composite
+def multigraph_with_parallels(draw):
+    """Sides from 0 up, with some drawn edges repeated."""
+    l = draw(st.integers(0, 6))
+    r = draw(st.integers(0, 6))
+    if l == 0 or r == 0:
+        return l, r, []
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, r - 1)), max_size=30)
+    )
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return l, r, edges + repeats
+
+
+@given(multigraph_with_parallels())
+@example((0, 3, []))
+@example((3, 0, []))
+@example((0, 0, []))
+@settings(max_examples=200)
+def test_by_target_matches_dict_of_sets(pack):
+    l, r, edges = pack
+    sources: dict[int, set[int]] = {v: set() for v in range(r)}
+    for u, v in edges:
+        sources[v].add(u)
+    offsets, flat = _by_target(build_graph(l, r, edges))
+    assert offsets.tolist() == [0, *accumulate(len(sources[v]) for v in range(r))]
+    got = [flat[offsets[v] : offsets[v + 1]].tolist() for v in range(r)]
+    assert got == [sorted(sources[v]) for v in range(r)]
 
 
 def test_arrays_immutable():

@@ -1,11 +1,15 @@
-"""Every exported name has a caller outside the tests.
+"""Every exported name has a caller outside the tests, and small work leaves
+the large-graph engines unimported.
 
 A name counts as used when it appears in the package's own modules (other
 than ``__init__.py``), a demo, a benchmark script or the README.  Its own
 ``def``/``class``/assignment line and quoted ``__all__`` entries do not
 count, so an export that only tests reach fails here.
 """
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import recsubgraph
@@ -37,3 +41,38 @@ def test_every_export_has_a_caller_outside_tests():
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert unused == []
+
+
+# Solves every algorithm and a matching on a tiny graph after importing the
+# CLI, then prints which engines it imported and whether they still exist.
+_SMALL_WORK = """
+import importlib.util, sys
+import recsubgraph.cli
+from recsubgraph import ALGORITHMS, ProblemParams, SolverConfig, build_graph, hopcroft_karp, solve
+g = build_graph(3, 4, [(0, 0), (0, 1), (1, 1), (1, 1), (2, 3)])
+for algo in ALGORITHMS:
+    solve(g, algo, SolverConfig(ProblemParams(c=2, a=1)))
+hopcroft_karp(g)
+engines = ["recsubgraph._layered", "recsubgraph._waves"]
+print([name for name in engines if name in sys.modules])
+print([importlib.util.find_spec(name) is not None for name in engines])
+"""
+
+
+def test_small_work_leaves_large_graph_engines_unimported():
+    # The layered matching and the greedy waves are imported on first use.
+    # A process that writes no bytecode compiles every module it imports, so
+    # an engine imported by small work would cost every such process.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SMALL_WORK],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[True, True]"]
