@@ -26,9 +26,7 @@ def main():
     # target 0 first and spends source 0 on it; target 1 is then unreachable.
     g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
     params = ProblemParams(c=1, a=1)
-    sub, _ = greedy_with_stats(
-        g, SolverConfig(params=params, greedy_tiebreak="input-order")
-    )
+    sub, _ = greedy_with_stats(g, SolverConfig(params=params))
     print("adversarial instance, c=1, a=1")
     print(f"  greedy picks {sub.edge_list()} -> coverage "
           f"{coverage(g, sub, 1)}")

@@ -1,11 +1,12 @@
 """The wave engine of ``solvers.greedy_with_stats``, for large graphs.
 
-``greedy_waves`` returns exactly the selection of greedy's target loop, with
-whole waves of targets decided by one round of numpy calls each.
+``greedy_waves`` returns exactly the selection of greedy's target loop (input
+order, least-spent sources first, ties by index), with whole waves of targets
+decided by one round of numpy calls each.
 
 A target's decision reads and writes only the budgets of its own sources, so
 two targets that share no source can be decided together.  Each source keeps
-a pointer to its first target not yet decided, in processing order.  A target
+a pointer to its first target not yet decided, in index order.  A target
 is *ready* once every source of it points at it or is full: then every target
 before it that could change those budgets is decided, and no other ready
 target shares a non-full source with it.  A wave decides every ready target
@@ -22,14 +23,10 @@ import numpy as np
 from .graph import BipartiteGraph, _by_target, _distinct_sorted
 
 
-def greedy_waves(
-    graph: BipartiteGraph, c: int, a: int, perm: np.ndarray | None, by_capacity: bool
-) -> np.ndarray:
+def greedy_waves(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
     """Ascending ``u*r + v`` keys of greedy's selection.
 
-    ``perm`` is the target processing order, ``None`` for input order; the
-    engine runs on target ranks and maps them back at the end, so it reads
-    the loop's by-target view, ``graph._by_target``, at ``perm``.  Targets with
+    It reads the loop's by-target view, ``graph._by_target``.  Targets with
     fewer than ``a`` distinct sources are dropped up front, as no budget can
     cover them.
 
@@ -38,8 +35,7 @@ def greedy_waves(
     1. Gather each ready target's sources and keep the spare ones
        (``used < c``), the loop's test.
     2. A target with at least ``a`` spare sources takes the first ``a`` by
-       ``(used, u)``, or by ``u`` alone under the input-order tiebreak, and
-       adds them to ``used``.
+       ``(used, u)`` and adds them to ``used``.
     3. Each spare source advances one target; one that has just filled
        passes all of its remaining targets.  ``missing[t]`` counts the
        sources of ``t`` still behind it, and the targets it drops to zero
@@ -52,29 +48,17 @@ def greedy_waves(
     if not keep.all():
         u, v = u[keep], v[keep]
     del keep
-    if perm is not None:
-        rank = np.empty(r, dtype=np.int64)
-        rank[perm] = np.arange(r, dtype=np.int64)
-        # Each source's targets in rank order.
-        by_s = u * r
-        by_s += rank[v]
-        del rank
-        by_s.sort()
-        u = by_s // r
-        v = by_s - u * r
-        del by_s
 
     # By source: its targets, v[ptr[u]:end[u]] still undecided.
     n_targets = np.bincount(u, minlength=l)
     del u
     end = np.add.accumulate(n_targets)
     ptr = end - n_targets
-    # By target: its sources, ascending, in by_t[t_off[t]:t_off[t] + t_deg[t]].
+    # By target: its sources, ascending, in by_t[t_off[t]:t_off[t + 1]].
     # Decoded only once the by-source temporaries are gone: the decode holds
     # two edge-sized arrays of its own, and the call's peak memory is here.
     t_off, by_t = _by_target(graph)
-    t_off, t_deg = (t_off[:-1], deg) if perm is None else (t_off[perm], deg[perm])
-    missing = t_deg.copy()
+    missing = deg.copy()
 
     used = np.zeros(l, dtype=np.int64)
     out_u = [np.empty(0, dtype=np.int64)]
@@ -91,7 +75,7 @@ def greedy_waves(
         del ready
 
         # 1. Each target's spare sources, ascending, grouped by wave position.
-        counts = t_deg[wave]
+        counts = deg[wave]
         group = np.repeat(np.arange(wave.size, dtype=np.int64), counts)
         src = by_t[_segments(t_off[wave], counts)]
         spare = used[src] < c
@@ -102,13 +86,12 @@ def greedy_waves(
         taken = n_spare[group] >= a
         pick_src, pick_group = src[taken], group[taken]
         del taken
-        if by_capacity:
-            # Stable, so equal budgets keep index order; the key stays below
-            # r * (r + 1), as no budget passes the number of targets.
-            spent = used[pick_src]
-            key = pick_group * (int(spent.max(initial=0)) + 1) + spent
-            pick_src = pick_src[np.argsort(key, kind="stable")]
-            del spent, key
+        # Stable, so equal budgets keep index order; the key stays below
+        # r * (r + 1), as no budget passes the number of targets.
+        spent = used[pick_src]
+        key = pick_group * (int(spent.max(initial=0)) + 1) + spent
+        pick_src = pick_src[np.argsort(key, kind="stable")]
+        del spent, key
         n_taken = np.where(n_spare >= a, n_spare, 0)
         first = np.add.accumulate(n_taken) - n_taken
         rank_in = np.arange(pick_src.size, dtype=np.int64) - first[pick_group]
@@ -124,11 +107,8 @@ def greedy_waves(
         steps = np.where(full, left, np.minimum(left, 1))
         arrive = v[_segments(ptr[src], steps)]
 
-    sel_v = np.concatenate(out_t)
-    if perm is not None:
-        sel_v = perm[sel_v]
     sel = np.concatenate(out_u) * r
-    sel += sel_v
+    sel += np.concatenate(out_t)
     sel.sort()
     return sel
 

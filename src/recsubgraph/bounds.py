@@ -27,12 +27,13 @@ __all__ = [
 def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> None:
     """Reject a parameter point the formulas are not defined at.
 
-    ``c`` may be fractional; the formulas are continuous in it.
+    ``c`` may be fractional; the formulas are continuous in it.  Each test
+    is written so that NaN fails it.
     """
-    if l < 0 or r < 1:
+    if not (l >= 0 and r >= 1):
         raise ValueError(f"need l >= 0 and r >= 1, got l={l}, r={r}")
-    if c < 1 or a < 1:
-        raise ValueError(f"c and a must be >= 1, got c={c}, a={a}")
+    if not (math.inf > c >= 1 and a >= 1):
+        raise ValueError(f"c must be finite, and c and a >= 1, got c={c}, a={a}")
     if p is not None and not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
 
@@ -61,7 +62,7 @@ def sampling_approx_ratio(ck: float) -> float:
     ``(1 - exp(-ck)) / min(ck, 1)``.  Minimised at ``ck == 1`` where it equals
     ``1 - 1/e``; never below it.
     """
-    if ck <= 0.0:
+    if not ck > 0.0:
         raise ValueError(f"ck must be > 0, got {ck}")
     return (1.0 - math.exp(-ck)) / min(ck, 1.0)
 
@@ -140,8 +141,8 @@ def concentration_bound(*, r: int, ck: float) -> tuple[float, float]:
     computed as ``exp(x * (1 - ln 4))`` and underflows to 0.0 for large
     ``r``, which is the honest answer.
     """
-    if ck <= 0.0:
-        raise ValueError(f"needs ck > 0, got {ck}")
+    if not (r >= 1 and ck > 0.0):
+        raise ValueError(f"needs r >= 1 and ck > 0, got r={r}, ck={ck}")
     threshold = r * (1.0 - 2.0 * math.exp(-ck))
     exponent = r * (1.0 - math.exp(-ck)) * (1.0 - math.log(4.0))
     prob = math.exp(exponent) if exponent > -745.0 else 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,9 +37,12 @@ from .graph import GraphError, ProblemParams, SubgraphValidationError, simplify,
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
 from .oracle import OracleSizeError, exact_opt
-from .solvers import ALGORITHMS, GREEDY_ORDERS, GREEDY_TIEBREAKS, ConfigError, SolverConfig, solve
+from .solvers import ALGORITHMS, ConfigError, SolverConfig, solve
 
 __all__ = ["main"]
+
+# Most rows ``bounds approx-ratio`` prints; a longer table is refused.
+_APPROX_RATIO_MAX_ROWS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +92,6 @@ def _cmd_solve(args) -> int:
         params=ProblemParams(c=args.c, a=args.a),
         seed=args.seed,
         epsilon=args.epsilon,
-        greedy_order=args.greedy_order,
-        greedy_tiebreak=args.greedy_tiebreak,
     )
     sel, report = solve(graph, args.algo, config)
     if args.out is not None:
@@ -130,9 +132,16 @@ def _cmd_bounds(args) -> int:
             print(f"{a} {required_ck(a, args.target):.6f}")
         return 0
     if args.table == "approx-ratio":
+        if not all(math.isfinite(x) and x > 0 for x in (args.ck_min, args.ck_max, args.step)):
+            raise ConfigError("--ck-min, --ck-max and --step must be finite and > 0")
+        span = (args.ck_max - args.ck_min) / args.step
+        if not 0 <= span <= _APPROX_RATIO_MAX_ROWS - 1:
+            raise ConfigError(
+                f"need --ck-min <= --ck-max and a table of at most {_APPROX_RATIO_MAX_ROWS} "
+                f"rows, got {span:.3g} steps"
+            )
         print("# ck ratio")
-        steps = int(round((args.ck_max - args.ck_min) / args.step))
-        for i in range(steps + 1):
+        for i in range(int(round(span)) + 1):
             ck = args.ck_min + i * args.step
             print(f"{ck:.6g} {sampling_approx_ratio(ck):.10f}")
         return 0
@@ -175,6 +184,9 @@ def _cmd_experiment(args) -> int:
     data: dict = {}
     if args.spec is not None:
         data = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            print(f"error: {args.spec}: a spec file must hold a JSON object", file=sys.stderr)
+            return 2
     overrides = {
         "model": args.model,
         "l": args.l,
@@ -249,10 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--greedy-order", choices=GREEDY_ORDERS,
-                   default=SolverConfig.greedy_order)
-    p.add_argument("--greedy-tiebreak", choices=GREEDY_TIEBREAKS,
-                   default=SolverConfig.greedy_tiebreak)
     p.add_argument("-o", "--out", type=Path, help="write the selection here")
     p.set_defaults(func=_cmd_solve)
 
@@ -273,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=int, default=5)
     p.add_argument("--ck-min", type=float, default=0.01)
     p.add_argument("--ck-max", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=0.01,
+                   help=f"ck spacing; the table may hold at most {_APPROX_RATIO_MAX_ROWS} rows")
     p.add_argument("--l", type=int)
     p.add_argument("--r", type=int)
     p.add_argument("--c", type=int)

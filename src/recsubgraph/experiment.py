@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .generate import MODEL_PARAMS, _check_model_params, generate_instance
@@ -68,18 +68,19 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not self.sweep:
-            raise ValueError("sweep must name at least one (c, a) cell")
+        if not isinstance(self.sweep, tuple) or not self.sweep:
+            raise ValueError(f"sweep must be a non-empty tuple of (c, a) cells, got {self.sweep!r}")
         for cell in self.sweep:
-            c, a = cell
-            ProblemParams(c=int(c), a=int(a))
-        if not self.algos:
-            raise ValueError("need at least one algorithm")
+            if not isinstance(cell, tuple) or len(cell) != 2:
+                raise ValueError(f"a sweep cell must be a (c, a) pair, got {cell!r}")
+            ProblemParams(*cell)
+        if not isinstance(self.algos, tuple) or not self.algos:
+            raise ValueError(f"algos must be a non-empty tuple, got {self.algos!r}")
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.model == "file":
             if not self.path:
                 raise ValueError("file model needs path")
@@ -96,16 +97,30 @@ class ExperimentSpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentSpec":
-        """Build from a JSON-style dict; ``c_range``+``a`` expands to a sweep."""
+        """Build from a JSON-style dict; ``c_range``+``a`` expands to a sweep.
+
+        Raises ``ValueError`` unless ``data`` is a dict of the spec's fields,
+        with ``c_range`` (and optionally ``a``) in place of ``sweep``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a spec must be a mapping, got {type(data).__name__}")
         data = dict(data)
-        if "sweep" in data:
-            data["sweep"] = tuple((int(c), int(a)) for c, a in data["sweep"])
-        elif "c_range" in data:
-            lo, hi = data.pop("c_range")
-            a = int(data.pop("a", 1))
-            data["sweep"] = tuple((c, a) for c in range(int(lo), int(hi) + 1))
-        if "algos" in data:
-            data["algos"] = tuple(data["algos"])
+        if "c_range" in data and "sweep" not in data:
+            c_range, a = data.pop("c_range"), data.pop("a", 1)
+            if not isinstance(c_range, list | tuple) or len(c_range) != 2:
+                raise ValueError(f"c_range must be a [c_min, c_max] pair, got {c_range!r}")
+            for c in c_range:
+                ProblemParams(c=c, a=a)
+            data["sweep"] = tuple((c, a) for c in range(c_range[0], c_range[1] + 1))
+        for key in ("sweep", "algos"):  # JSON arrays to tuples
+            if isinstance(data.get(key), list):
+                data[key] = tuple(tuple(x) if isinstance(x, list) else x for x in data[key])
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown or unused spec keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"spec needs {', '.join(missing)}")
         return cls(**data)
 
 

@@ -33,7 +33,6 @@ __all__ = [
 # Role words for Philox stream separation (second 64-bit key word).
 STREAM_GENERATE = 1
 STREAM_SAMPLING = 2
-STREAM_GREEDY = 3
 STREAM_PARTITION = 4
 
 

@@ -3,11 +3,13 @@ and window matching.
 
 * ``sampling``   — every source keeps a uniform ``c``-subset of its candidates;
   one pass over the edges, constant auxiliary state per source.
-* ``greedy``     — targets are processed in order; a target is covered the
-  moment ``a`` sources with spare budget point at it.  One counter per source.
-  It has two engines with identical output: a Python loop over the targets,
-  and, from ``_WAVES_MIN_EDGES`` distinct edges, ``_waves.greedy_waves``,
-  which decides in numpy each wave of targets that share no source.
+* ``greedy``     — targets are processed in input order; a target is covered
+  the moment ``a`` sources with spare budget point at it, and takes the ``a``
+  that have spent least (ties by index).  One counter per source, no
+  randomness.  It has two engines with identical output: a Python loop over
+  the targets and, from ``_WAVES_MIN_EDGES`` distinct edges,
+  ``_waves.greedy_waves``, which decides in numpy each wave of targets that
+  share no source.
 * ``partition``  — targets are arranged into ``c`` overlapping index windows,
   every candidate edge is dropped into one window it is eligible for, and each
   window is solved as a depth-capped matching; the union of the ``c``
@@ -25,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _score
-from .generate import (
-    STREAM_GREEDY,
-    STREAM_PARTITION,
-    STREAM_SAMPLING,
-    philox_stream,
-)
+from .generate import STREAM_PARTITION, STREAM_SAMPLING, philox_stream
 from .graph import (
     BipartiteGraph,
     CoverageReport,
@@ -57,9 +54,6 @@ __all__ = [
 
 ALGORITHMS = ("sampling", "greedy", "partition")
 
-GREEDY_ORDERS = ("input-order", "random-permutation")
-GREEDY_TIEBREAKS = ("most-capacity-first", "input-order")
-
 # Distinct edge count from which greedy decides its targets in waves.  Below
 # it the per-wave numpy calls cost more than the Python loop they replace:
 # at 50 000 edges the waves took 0.8-1.3x the loop's time, at 75 000 they
@@ -75,27 +69,18 @@ class ConfigError(ValueError):
 class SolverConfig:
     """Shared solver knobs.
 
-    ``epsilon`` only matters to the partition strategy (depth cap of its
-    window matchings).  ``greedy_order`` picks the target processing order;
-    ``greedy_tiebreak`` picks which sources serve a coverable target — by
-    default the ones with the most remaining budget (ties by index), which
-    keeps future options open; ``input-order`` keeps plain candidate order
-    and reproduces the classic adversarial instances.
+    ``seed`` keys the random streams of sampling and partition; greedy is
+    deterministic and ignores it.  ``epsilon`` only matters to the partition
+    strategy (depth cap of its window matchings).
     """
 
     params: ProblemParams
     seed: int = 0
     epsilon: float = 0.1
-    greedy_order: str = "input-order"
-    greedy_tiebreak: str = "most-capacity-first"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.greedy_order not in GREEDY_ORDERS:
-            raise ConfigError(f"unknown greedy_order {self.greedy_order!r}")
-        if self.greedy_tiebreak not in GREEDY_TIEBREAKS:
-            raise ConfigError(f"unknown greedy_tiebreak {self.greedy_tiebreak!r}")
 
 
 @dataclass
@@ -166,11 +151,13 @@ def _stable_by_source(graph: BipartiteGraph, order: np.ndarray) -> np.ndarray:
 def greedy_with_stats(
     graph: BipartiteGraph, config: SolverConfig
 ) -> tuple[RecSubgraph, SolveStats]:
-    """One pass over targets, covering each as soon as ``a`` budgets allow.
+    """One pass over targets in input order, covering each as soon as ``a``
+    budgets allow.
 
     A target with at least ``a`` distinct candidate sources that still have
-    spare budget gets exactly ``a`` links; anything less leaves it untouched,
-    so selected in-degrees are always 0 or ``a``.
+    spare budget gets exactly ``a`` links, to the spare sources that have
+    spent least so far, ties by index; anything less leaves it untouched, so
+    selected in-degrees are always 0 or ``a``.  ``config.seed`` plays no part.
 
     Graphs with fewer than ``_WAVES_MIN_EDGES`` distinct edges run the pass
     as a Python loop, one target at a time.  Larger ones run it in
@@ -180,29 +167,24 @@ def greedy_with_stats(
     """
     c = config.params.c
     a = config.params.a
-    perm = None
-    if config.greedy_order == "random-permutation":
-        perm = philox_stream(config.seed, STREAM_GREEDY).permutation(graph.r)
-    by_capacity = config.greedy_tiebreak == "most-capacity-first"
     stats = SolveStats(edges_touched=graph.m, peak_aux=graph.l)
     if graph.distinct_keys().size >= _WAVES_MIN_EDGES:
         # Imported on first use, like the layered matching engine: a process
         # that never solves a large graph need not compile it.
         from ._waves import greedy_waves
 
-        keys = greedy_waves(graph, c, a, perm, by_capacity)
+        keys = greedy_waves(graph, c, a)
         return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
 
-    order = range(graph.r) if perm is None else perm.tolist()
     offsets, sources = (x.tolist() for x in _by_target(graph))
     used = [0] * graph.l  # budget spent per source — the whole persistent state
     out_u: list[int] = []
     out_v: list[int] = []
-    for v in order:
+    for v in range(graph.r):
         spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
         if len(spare) < a:
             continue
-        if by_capacity and len(spare) > a:
+        if len(spare) > a:
             # Stable on an ascending list, so equal budgets keep index order.
             spare.sort(key=used.__getitem__)
         for u in spare[:a]:

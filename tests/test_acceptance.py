@@ -161,7 +161,7 @@ def test_criterion_5_greedy_worst_case_instance():
     start = time.perf_counter()
     g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
     params = ProblemParams(c=1, a=1)
-    config = SolverConfig(params=params, greedy_tiebreak="input-order")
+    config = SolverConfig(params=params)
     sub, _ = greedy_with_stats(g, config)
     got = coverage(g, sub, 1)
     opt = exact_opt(g, params)

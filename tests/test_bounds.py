@@ -207,6 +207,27 @@ def test_concentration_rejects_nonpositive_ck():
         concentration_bound(r=10, ck=0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: concentration_bound(r=-10, ck=1.0),
+        lambda: concentration_bound(r=10, ck=math.nan),
+        lambda: sampling_lower_bound(l=10, r=10, c=math.nan, a=1),
+        lambda: sampling_lower_bound(l=10, r=10, c=math.inf, a=2),
+        lambda: greedy_expected_bound(l=10, r=10, c=math.nan, a=1, p=0.5),
+        lambda: sampling_approx_ratio(math.nan),
+    ],
+    ids=[
+        "concentration-r-negative", "concentration-ck-nan", "sampling-c-nan",
+        "sampling-c-inf", "greedy-c-nan", "approx-ratio-nan",
+    ],
+)
+def test_bounds_reject_nan_and_out_of_range_points(call):
+    # Each of these once returned a plausible number instead of raising.
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------- upper bound cap
 
 

@@ -70,8 +70,11 @@ def test_gen_missing_params_exits_1(tmp_path):
          "--algo", "greedy", "--c", "1"],
         ["oracle", "--graph", "g.txt", "--c", "1", "--a", "1", "--bogus"],
         [],
+        ["solve", "--model", "fixed-degree", "--l", "5", "--r", "5", "--d", "2",
+         "--algo", "greedy", "--c", "1", "--a", "1", "--greedy-order", "input-order"],
     ],
-    ids=["malformed-value", "missing-required-flag", "unknown-flag", "no-verb"],
+    ids=["malformed-value", "missing-required-flag", "unknown-flag", "no-verb",
+         "removed-greedy-flag"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -361,25 +364,88 @@ def test_bad_spec_json_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_experiment_with_unprunable_budget_keeps_stderr_clean(tmp_path):
-    # c=11 exceeds every source degree and only partition runs: nothing may warn.
+def _run_cli(argv, cwd, timeout):
+    """Run the CLI in a fresh interpreter on the working tree's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    proc = subprocess.run(
+    return subprocess.run(
+        [sys.executable, "-m", "recsubgraph.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def test_experiment_with_unprunable_budget_keeps_stderr_clean(tmp_path):
+    # c=11 exceeds every source degree and only partition runs: nothing may warn.
+    proc = _run_cli(
         [
-            sys.executable, "-m", "recsubgraph.cli", "experiment",
+            "experiment",
             "--model", "erdos-renyi", "--l", "3", "--r", "40", "--p", "0.3",
             "--c-min", "11", "--c-max", "11", "--a", "2", "--algos", "partition",
             "--trials", "3", "--base-seed", "0", "--no-timing", "--csv", "out.csv",
         ],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
+        tmp_path,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert (tmp_path / "out.csv").exists()
+
+
+# A tiny valid spec; each edge case below breaks one thing about it.
+_SPEC = {"model": "fixed-degree", "l": 4, "r": 4, "d": 2, "sweep": [[1, 1]], "trials": 1}
+_SOLVE = ["solve", "--model", "fixed-degree", "--l", "4", "--r", "4", "--d", "2",
+          "--algo", "partition", "--c", "1", "--a", "1"]
+_EDGE_CASES = {
+    "approx-ratio-step-0": (["bounds", "approx-ratio", "--step", "0"], None, 1),
+    "approx-ratio-step-negative": (["bounds", "approx-ratio", "--step", "-0.5"], None, 1),
+    "approx-ratio-step-1e-300": (["bounds", "approx-ratio", "--step", "1e-300"], None, 1),
+    "approx-ratio-ck-max-inf": (["bounds", "approx-ratio", "--ck-max", "inf"], None, 1),
+    "approx-ratio-ck-min-nan": (["bounds", "approx-ratio", "--ck-min", "nan"], None, 1),
+    "approx-ratio-ck-min-0": (["bounds", "approx-ratio", "--ck-min", "0"], None, 1),
+    "approx-ratio-reversed": (
+        ["bounds", "approx-ratio", "--ck-min", "2", "--ck-max", "1"], None, 1
+    ),
+    "spec-top-level-list": (["experiment", "--spec", "spec.json"], [], 2),
+    "spec-unknown-key": (["experiment", "--spec", "spec.json"], {**_SPEC, "bogus": 1}, 1),
+    "spec-sweep-int": (["experiment", "--spec", "spec.json"], {**_SPEC, "sweep": 5}, 1),
+    "spec-trials-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "trials": "3"}, 1),
+    "spec-c-range-int": (
+        ["experiment", "--spec", "spec.json"],
+        {k: v for k, v in _SPEC.items() if k != "sweep"} | {"c_range": 5},
+        1,
+    ),
+    "experiment-without-model": (["experiment"], None, 1),
+    "solve-epsilon-nan": ([*_SOLVE, "--epsilon", "nan"], None, 1),
+    "solve-p-nan": (
+        ["solve", "--model", "erdos-renyi", "--l", "4", "--r", "4", "--p", "nan",
+         "--algo", "greedy", "--c", "1", "--a", "1"],
+        None,
+        1,
+    ),
+    "solve-seed-negative": ([*_SOLVE, "--seed", "-1"], None, 1),
+    "solve-d-0": (
+        ["solve", "--model", "fixed-degree", "--l", "4", "--r", "4", "--d", "0",
+         "--algo", "greedy", "--c", "1", "--a", "1"],
+        None,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, spec, code", _EDGE_CASES.values(), ids=_EDGE_CASES)
+def test_edge_values_exit_with_one_error_line(tmp_path, argv, spec, code):
+    # Each is refused before anything is printed or allocated: one error
+    # line on stderr, no traceback, and well within the timeout.
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+    proc = _run_cli(argv, tmp_path, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert proc.stdout == ""

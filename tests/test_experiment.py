@@ -150,6 +150,32 @@ def test_spec_from_mapping_with_c_range():
     assert spec.sweep == ((1, 2), (2, 2), (3, 2), (4, 2))
 
 
+_MAPPING = {"model": "fixed-degree", "l": 10, "r": 10, "d": 3, "sweep": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {**_MAPPING, "bogus": 1},
+        {**_MAPPING, "sweep": 5},
+        {**_MAPPING, "sweep": [[1.5, 1]]},
+        {**_MAPPING, "trials": "3"},
+        {**_MAPPING, "a": 2},
+        {k: v for k, v in _MAPPING.items() if k != "sweep"} | {"c_range": 5},
+        {k: v for k, v in _MAPPING.items() if k != "sweep"} | {"c_range": [1, 2.5]},
+        {k: v for k, v in _MAPPING.items() if k != "model"},
+    ],
+    ids=[
+        "list", "unknown-key", "sweep-int", "fractional-c", "trials-string",
+        "a-with-sweep", "c-range-int", "c-range-fractional", "no-model",
+    ],
+)
+def test_spec_from_mapping_rejects_wrong_shapes(data):
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_mapping(data)
+
+
 def test_spec_from_json_round_trip(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({

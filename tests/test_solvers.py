@@ -29,8 +29,7 @@ from recsubgraph import (
     validate,
 )
 from recsubgraph import matching, solvers
-from recsubgraph.generate import STREAM_GREEDY, STREAM_SAMPLING, philox_stream
-from recsubgraph.solvers import GREEDY_ORDERS, GREEDY_TIEBREAKS
+from recsubgraph.generate import STREAM_SAMPLING, philox_stream
 from conftest import random_simple_graph
 
 
@@ -173,13 +172,6 @@ def test_greedy_covered_targets_get_exactly_a():
         assert set(indeg.tolist()) <= {0, a}
 
 
-def test_greedy_input_order_tiebreak():
-    # Capacity ties broken by source index when asked for input order.
-    g = build_graph(3, 2, [(0, 0), (1, 0), (2, 0), (2, 1)])
-    sub, _ = greedy_with_stats(g, _cfg(1, 2, greedy_tiebreak="input-order"))
-    assert sorted(sub.edge_list()) == [(0, 0), (1, 0)]
-
-
 def test_greedy_capacity_tiebreak_prefers_fresh_sources():
     # v=0 first burns capacity of u=0; at v=1 the fresh source u=1 is
     # preferred over the partly used u=0.
@@ -187,14 +179,6 @@ def test_greedy_capacity_tiebreak_prefers_fresh_sources():
     sub, _ = greedy_with_stats(g, _cfg(2, 1))
     assert (1, 1) in sub.edge_list()
     assert (0, 1) not in sub.edge_list()
-
-
-def test_greedy_random_permutation_is_seeded():
-    g = gen_fixed_degree(FixedDegreeSpec(l=60, r=60, d=4, seed=0))
-    kw = dict(greedy_order="random-permutation")
-    a = greedy_with_stats(g, _cfg(2, 2, seed=1, **kw))[0].edge_list()
-    b = greedy_with_stats(g, _cfg(2, 2, seed=1, **kw))[0].edge_list()
-    assert a == b
 
 
 def test_greedy_meets_expected_bound():
@@ -228,16 +212,15 @@ def test_greedy_indegrees_zero_or_a(seed):
     assert set(indeg.tolist()) <= {0, a}
 
 
-def _greedy_reference(l, edges, c, a, order, by_capacity):
+def _greedy_reference(l, r, edges, c, a):
     """Greedy as its docstring states it, one target at a time."""
     used = [0] * l
     picks = []
-    for v in order:
+    for v in range(r):
         spare = sorted({u for u, w in edges if w == v and used[u] < c})
         if len(spare) < a:
             continue
-        if by_capacity:
-            spare.sort(key=lambda u: (used[u], u))
+        spare.sort(key=lambda u: (used[u], u))
         for u in spare[:a]:
             used[u] += 1
             picks.append((u, v))
@@ -248,7 +231,7 @@ def _greedy_reference(l, edges, c, a, order, by_capacity):
 def _greedy_case(draw):
     # Few sources, at least one edge per target on average, and a < c most
     # of the time: a target then often has more than a spare sources with
-    # different spent budgets, where most-capacity-first and index order part
+    # different spent budgets, where least-spent-first and index order part
     # ways.
     l = draw(st.integers(1, 5))
     r = draw(st.integers(1, 16))
@@ -260,25 +243,15 @@ def _greedy_case(draw):
     return l, r, edges, draw(st.integers(1, 5)), draw(st.integers(1, 3))
 
 
-@given(
-    _greedy_case(),
-    st.sampled_from(GREEDY_ORDERS),
-    st.sampled_from(GREEDY_TIEBREAKS),
-    st.integers(0, 2**32 - 1),
-)
+@given(_greedy_case(), st.integers(0, 2**32 - 1))
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-def test_greedy_matches_reference(greedy_engines, case, order, tiebreak, seed):
+def test_greedy_matches_reference(greedy_engines, case, seed):
     l, r, edges, c, a = case
     g = build_graph(l, r, edges)
-    cfg = _cfg(c, a, seed=seed, greedy_order=order, greedy_tiebreak=tiebreak)
-    if order == "random-permutation":
-        targets = philox_stream(seed, STREAM_GREEDY).permutation(r).tolist()
-    else:
-        targets = range(r)
-    by_capacity = tiebreak == "most-capacity-first"
-    expected = _greedy_reference(l, edges, c, a, targets, by_capacity)
+    cfg = _cfg(c, a, seed=seed)  # greedy ignores the seed; the reference has none
+    expected = _greedy_reference(l, r, edges, c, a)
     for _ in greedy_engines():
         sub, stats = greedy_with_stats(g, cfg)
         assert sub.edge_list() == expected
@@ -299,13 +272,11 @@ def test_greedy_engines_agree_at_scale(make, spec, greedy_engines):
     # targets in bulk: the waves must still reproduce the loop bit for bit.
     graph = make(spec)
     assert graph.distinct_keys().size > 20000
-    for order, tiebreak in itertools.product(GREEDY_ORDERS, GREEDY_TIEBREAKS):
-        for c, a in ((1, 1), (3, 2), (4, 3)):
-            cfg = _cfg(c, a, seed=43, greedy_order=order, greedy_tiebreak=tiebreak)
-            got = [greedy_with_stats(graph, cfg)[0] for _ in greedy_engines()]
-            assert got[0].n_selected > 0
-            assert np.array_equal(got[0].indptr, got[1].indptr)
-            assert np.array_equal(got[0].targets, got[1].targets)
+    for c, a in ((1, 1), (3, 2), (4, 3)):
+        got = [greedy_with_stats(graph, _cfg(c, a))[0] for _ in greedy_engines()]
+        assert got[0].n_selected > 0
+        assert np.array_equal(got[0].indptr, got[1].indptr)
+        assert np.array_equal(got[0].targets, got[1].targets)
 
 
 # --------------------------------------------------------------- partition
@@ -399,22 +370,7 @@ def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, 
 _PIN_INSTANCES = [(30, 400, 5, 0), (200, 300, 3, 5), (40, 25, 6, 1)]
 _PIN_VARIANTS = {
     "sampling": (sampling_with_stats, {}),
-    "greedy-input-capacity": (
-        greedy_with_stats,
-        dict(greedy_order="input-order", greedy_tiebreak="most-capacity-first"),
-    ),
-    "greedy-input-input": (
-        greedy_with_stats,
-        dict(greedy_order="input-order", greedy_tiebreak="input-order"),
-    ),
-    "greedy-random-capacity": (
-        greedy_with_stats,
-        dict(greedy_order="random-permutation", greedy_tiebreak="most-capacity-first"),
-    ),
-    "greedy-random-input": (
-        greedy_with_stats,
-        dict(greedy_order="random-permutation", greedy_tiebreak="input-order"),
-    ),
+    "greedy-input-capacity": (greedy_with_stats, {}),
     "partition-eps0.1": (partition_with_stats, dict(epsilon=0.1)),
     "partition-eps1.0": (partition_with_stats, dict(epsilon=1.0)),
 }
@@ -426,15 +382,6 @@ _PIN_DIGESTS = {
     ("greedy-input-capacity", 1, 1): "9b3b6f958c08dacc386980226bc92e3987ee4f7f1ce7d48270a00140ffa08d80",
     ("greedy-input-capacity", 3, 1): "938c1c567ba18324e7d01d8b75d2c322f6577bae352b355d9aa957e35c2cd62a",
     ("greedy-input-capacity", 3, 2): "9dd3d9d18eedeb45b5cf7aa2e0d5998d81b7b8e236e37faf76688670af5ea910",
-    ("greedy-input-input", 1, 1): "9b3b6f958c08dacc386980226bc92e3987ee4f7f1ce7d48270a00140ffa08d80",
-    ("greedy-input-input", 3, 1): "0d4bf342f0fee9011a7b87ace6126c9e68e0d8cb4788971038b383367a794257",
-    ("greedy-input-input", 3, 2): "e010d12c065a66efbba4fe54fe72def50fb2249070d8bed8957b293fe3f3e272",
-    ("greedy-random-capacity", 1, 1): "3679457103a95a8100bb90caec3496c75bce42b2c66911eea42c7b33d8b987c0",
-    ("greedy-random-capacity", 3, 1): "0c06e450fdefc5c99da12580dd230328487570a1695f8e2936c7c0f5971d89a8",
-    ("greedy-random-capacity", 3, 2): "89ee6f5d8d4964f7880b8d818987c03827f5ae72ef33a1ee78cc755a576e62b1",
-    ("greedy-random-input", 1, 1): "3679457103a95a8100bb90caec3496c75bce42b2c66911eea42c7b33d8b987c0",
-    ("greedy-random-input", 3, 1): "b2ef2619c28fd783f1357e39e4805ecec5b7e1d48b8eff3c2933d50f44752d4d",
-    ("greedy-random-input", 3, 2): "bb3022657dd84b237eedde423dcbfe258002dccf66534301899686666880031b",
     ("partition-eps0.1", 1, 1): "a035d6ee066e68194e05794abd508e3906cdf78bd63cce02cd6a74307c81504c",
     ("partition-eps0.1", 3, 1): "93e00b07009ddd6c20e55294f50b57066d64be59b401c513f230a54a230668d8",
     ("partition-eps0.1", 3, 2): "00cb7006da58512d8f553f88d95d8eab126051651e39a8271f35c366ea6d31b7",
@@ -537,11 +484,10 @@ def test_solve_unknown_algo():
     "runner, kw, counters",
     [
         (sampling_with_stats, {}, lambda l: (0, 0)),
-        (greedy_with_stats, {"greedy_order": "input-order"}, lambda l: (0, l)),
-        (greedy_with_stats, {"greedy_order": "random-permutation"}, lambda l: (0, l)),
+        (greedy_with_stats, {}, lambda l: (0, l)),
         (partition_with_stats, {}, lambda l: (0, 0)),
     ],
-    ids=["sampling", "greedy-input-order", "greedy-random-permutation", "partition"],
+    ids=["sampling", "greedy-input-order", "partition"],
 )
 def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters, greedy_engines):
     g = build_graph(l, r, [])
