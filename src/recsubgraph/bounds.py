@@ -8,6 +8,7 @@ evaluated in log space so the formulas stay finite at desk-to-web scales.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,9 +39,18 @@ def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> No
         raise ValueError(f"p must be in [0, 1], got {p}")
 
 
-def _power_sum(x: float, a: int) -> float:
-    """``1 + x + ... + x^(a-1)``; the a-term sum is exact at x == 1."""
-    return math.fsum(x**i for i in range(a))
+def _log_power_sum(x: float, a: int) -> float:
+    """``ln(1 + x + ... + x^(a-1))`` for ``x > 0``; exactly ``ln a`` at x == 1.
+
+    The sum is factored around its largest term, so no term overflows, and
+    it ends at the first term that underflows to 0.
+    """
+    if x == 1.0:
+        return math.log(a)
+    lead = 0.0
+    if x > 1.0:
+        lead, x = (a - 1) * math.log(x), 1.0 / x
+    return lead + math.log(math.fsum(itertools.takewhile(bool, (x**i for i in range(a)))))
 
 
 def sampling_lower_bound(*, l: int, r: int, c: float, a: int) -> float:
@@ -48,13 +58,18 @@ def sampling_lower_bound(*, l: int, r: int, c: float, a: int) -> float:
 
     ``r * (1 - exp(-ck + (a-1)/r) * (1 + ck + ... + ck^(a-1)))``, clamped to
     ``[0, r]``.  At ``ck == 1`` the sum is the continuous extension ``a``.
+    The factor is evaluated in log space, and it is at least 1 — so the bound
+    is 0 — whenever ``a - 1 >= ck * r``, which needs no sum at all.
     """
     _check_point(l, r, c, a)
     ck = c * l / r
-    if ck <= 0.0:
+    ln_factor = -ck + (a - 1) / r
+    if ck <= 0.0 or ln_factor >= 0.0:
         return 0.0
-    value = r * (1.0 - math.exp(-ck + (a - 1) / r) * _power_sum(ck, a))
-    return min(float(r), max(0.0, value))
+    ln_factor += _log_power_sum(ck, a)
+    if ln_factor >= 0.0:
+        return 0.0
+    return min(float(r), r * (1.0 - math.exp(ln_factor)))
 
 
 def sampling_approx_ratio(ck: float) -> float:
@@ -80,7 +95,7 @@ def required_ck(a: int, target: float) -> float:
         raise ValueError(f"target must be in (0, 1), got {target}")
 
     def f(x: float) -> float:
-        return 1.0 - math.exp(-x) * _power_sum(x, a) - target
+        return 1.0 - math.exp(-x + _log_power_sum(x, a)) - target
 
     lo = 1e-12
     hi = 1.0

@@ -127,9 +127,10 @@ def _require_flags(args, *names: str) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.table == "required-ck":
-        print("# a required_ck")
-        for a in range(args.a_min, args.a_max + 1):
-            print(f"{a} {required_ck(a, args.target):.6f}")
+        # Every row before any is printed: a failing row leaves stdout empty.
+        a_values = range(args.a_min, args.a_max + 1)
+        rows = [f"{a} {required_ck(a, args.target):.6f}" for a in a_values]
+        print("# a required_ck", *rows, sep="\n")
         return 0
     if args.table == "approx-ratio":
         if not all(math.isfinite(x) and x > 0 for x in (args.ck_min, args.ck_max, args.step)):

@@ -81,6 +81,15 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        for name, want, kind in (
+            *((name, int, "an integer") for name in ("l", "r", "d", "base_seed")),
+            *((name, int | float, "a real number") for name in ("p", "epsilon")),
+        ):
+            value = getattr(self, name)
+            if value is None and name not in ("base_seed", "epsilon"):
+                continue  # the model check below says which ones it needs
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.model == "file":
             if not self.path:
                 raise ValueError("file model needs path")

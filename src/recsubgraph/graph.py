@@ -248,8 +248,10 @@ def validate(
         for u, v in zip(su[bad].tolist(), sv[bad].tolist()):
             out.append(f"target out of range ({u},{v})")
         su, sv = su[~bad], sv[~bad]
+    # Sources ascend and each source's targets do not decrease (the
+    # constructor checks both), so with every target in range the keys
+    # already ascend and a duplicate pick sits next to its twin.
     keys = su * graph.r + sv
-    keys.sort()
     distinct = _distinct_sorted(keys)
     if distinct.size < keys.size:
         for key in _distinct_sorted(keys[1:][keys[1:] == keys[:-1]]).tolist():

@@ -112,37 +112,36 @@ def sampling_with_stats(
     without replacement from its candidate list.  Parallel candidates can
     collide on the same target; the duplicate picks are wasted (dropped), as
     the sampling analysis assumes.
+
+    One stable int64 sort ranks each source's candidates by the top
+    ``min(53, 63 - max(l - 1, 1).bit_length())`` bits of their keys: at least
+    32, all 53 for ``l <= 1024``.  Keys that agree in those bits keep edge order.
     """
     c = config.params.c
-    m = graph.m
+    deg = graph.left_degrees
     rng = philox_stream(config.seed, STREAM_SAMPLING)
-    keys = rng.random(m)
-    # Sort by key, then stably by source, so each source's segment comes out
-    # in key order.  Equal float64 keys of one source (rare at 53 random
-    # bits) keep argsort's unstable tie order rather than edge order.
-    order = np.argsort(keys)
-    del keys
-    order = _stable_by_source(graph, order)
-    rank = np.arange(m, dtype=np.int64) - np.repeat(
-        graph.indptr_l[:-1], graph.left_degrees
-    )
-    picks = _distinct_sorted(np.sort(graph.edge_keys()[order[rank < c]]))
-    stats = SolveStats(edges_touched=m, peak_aux=min(c, int(graph.left_degrees.max(initial=0))))
+    order = _by_source_then_key(graph.edge_u, rng.random(graph.m), graph.l)
+    # The first min(degree, c) sorted positions of every source.
+    take = np.minimum(deg, c)
+    skip = graph.indptr_l[:-1] + take - np.cumsum(take)  # segment start - output start
+    pos = np.arange(int(take.sum()), dtype=np.int64) + np.repeat(skip, take)
+    picks = _distinct_sorted(np.sort(graph.edge_keys()[order[pos]]))
+    stats = SolveStats(edges_touched=graph.m, peak_aux=min(c, int(deg.max(initial=0))))
     return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
 
 
-def _stable_by_source(graph: BipartiteGraph, order: np.ndarray) -> np.ndarray:
-    """``order`` stably sorted by ``graph.edge_u[order]``.
+def _by_source_then_key(edge_u: np.ndarray, keys: np.ndarray, l: int) -> np.ndarray:
+    """Stable argsort of ``edge_u << shift | top key bits``; overwrites ``keys``.
 
-    LSD radix passes over the 16-bit digits of the source, because numpy
-    runs a stable argsort of ``uint16`` as a radix sort and one of ``int64``
-    as a timsort.  One pass covers ``l <= 2**16``, two cover every side
-    below ``2**31``.
+    Philox ``keys`` are multiples of ``2**-53``, so a power-of-two scale and a
+    truncation keep exactly their top ``min(53, shift)`` bits; ``edge_u < l``.
     """
-    for shift in range(0, max(graph.l - 1, 1).bit_length(), 16):
-        digit = (graph.edge_u[order] >> shift).astype(np.uint16)  # low 16 bits
-        order = order[np.argsort(digit, kind="stable")]
-    return order
+    shift = 63 - max(l - 1, 1).bit_length()
+    keys *= 2.0 ** min(53, shift)
+    rank_key = keys.astype(np.int64)
+    del keys
+    rank_key |= edge_u << shift
+    return np.argsort(rank_key, kind="stable")
 
 
 # -- greedy -------------------------------------------------------------------

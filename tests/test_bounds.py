@@ -1,5 +1,6 @@
 """Closed-form guarantees: pinned values, limits, and cross-checks."""
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from recsubgraph import (
     sampling_lower_bound,
     upper_bound_estimate,
 )
+from recsubgraph import bounds
 
 
 # Roots of 1 - e^{-x} (1 + x + ... + x^{a-1}) = 0.95, computed independently
@@ -58,6 +60,25 @@ def test_sampling_lower_bound_never_above_r():
         for ck_mult in (1, 5, 50):
             got = sampling_lower_bound(l=r * ck_mult, r=r, c=1, a=1)
             assert 0.0 <= got <= r
+
+
+def test_sampling_lower_bound_stays_finite_for_huge_a():
+    # exp(-ck + (a-1)/r) overflowed a double once (a-1)/r passed about 709.
+    assert sampling_lower_bound(l=10, r=10, c=1, a=10**8) == 0.0
+    # ck**(a-1) overflowed once it passed about 1e308: here 1e357, while the
+    # factor exp(-1000 + 119/7) * (1 + ... + 1000**119) stays near e**-161.
+    r = 7
+    assert sampling_lower_bound(l=1000 * r, r=r, c=1, a=120) == pytest.approx(r, abs=1e-9)
+    # A factor near e**2946, whose exponential would overflow: the bound is 0.
+    assert sampling_lower_bound(l=1000, r=1, c=1, a=500) == 0.0
+
+
+@pytest.mark.parametrize("x", [0.25, 1.0, 1.5, 40.0, 1e3])
+@pytest.mark.parametrize("a", [1, 2, 7, 300])
+def test_log_power_sum_matches_exact_arithmetic(x, a):
+    exact = sum(Fraction(x) ** i for i in range(a))
+    want = math.log(exact.numerator) - math.log(exact.denominator)
+    assert bounds._log_power_sum(x, a) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 # ------------------------------------------------------------- approx ratio

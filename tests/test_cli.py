@@ -246,6 +246,13 @@ def test_bounds_sampling_and_greedy(capsys):
     assert 0.0 <= got <= 300.0
 
 
+def test_bounds_sampling_with_huge_a_prints_zero(capsys):
+    assert main([
+        "bounds", "sampling", "--l", "10", "--r", "10", "--c", "1", "--a", "100000000",
+    ]) == 0
+    assert capsys.readouterr().out == "0.000000\n"
+
+
 def test_bounds_concentration(capsys):
     assert main([
         "bounds", "concentration", "--l", "1000", "--r", "1000", "--c", "3", "--a", "1",
@@ -411,10 +418,13 @@ _EDGE_CASES = {
     "approx-ratio-reversed": (
         ["bounds", "approx-ratio", "--ck-min", "2", "--ck-max", "1"], None, 1
     ),
+    "required-ck-a-max-huge": (["bounds", "required-ck", "--a-max", "100000000"], None, 1),
     "spec-top-level-list": (["experiment", "--spec", "spec.json"], [], 2),
     "spec-unknown-key": (["experiment", "--spec", "spec.json"], {**_SPEC, "bogus": 1}, 1),
     "spec-sweep-int": (["experiment", "--spec", "spec.json"], {**_SPEC, "sweep": 5}, 1),
     "spec-trials-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "trials": "3"}, 1),
+    "spec-l-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "l": "5"}, 1),
+    "spec-epsilon-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "epsilon": "x"}, 1),
     "spec-c-range-int": (
         ["experiment", "--spec", "spec.json"],
         {k: v for k, v in _SPEC.items() if k != "sweep"} | {"c_range": 5},

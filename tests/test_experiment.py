@@ -165,10 +165,19 @@ _MAPPING = {"model": "fixed-degree", "l": 10, "r": 10, "d": 3, "sweep": [[1, 1]]
         {k: v for k, v in _MAPPING.items() if k != "sweep"} | {"c_range": 5},
         {k: v for k, v in _MAPPING.items() if k != "sweep"} | {"c_range": [1, 2.5]},
         {k: v for k, v in _MAPPING.items() if k != "model"},
+        {**_MAPPING, "l": "5"},
+        {**_MAPPING, "r": 10.0},
+        {**_MAPPING, "d": True},
+        {**_MAPPING, "base_seed": None},
+        {**_MAPPING, "epsilon": "x"},
+        {**_MAPPING, "epsilon": False},
+        {**_MAPPING, "model": "erdos-renyi", "d": None, "p": "0.5"},
     ],
     ids=[
         "list", "unknown-key", "sweep-int", "fractional-c", "trials-string",
         "a-with-sweep", "c-range-int", "c-range-fractional", "no-model",
+        "l-string", "r-float", "d-bool", "base-seed-null", "epsilon-string",
+        "epsilon-bool", "p-string",
     ],
 )
 def test_spec_from_mapping_rejects_wrong_shapes(data):

@@ -119,10 +119,11 @@ def test_sampling_deterministic():
     assert a != c
 
 
-@pytest.mark.parametrize("l", [2**16, 2**16 + 1, 200_000])
+@pytest.mark.parametrize("l", [2**16, 2**16 + 1, 200_000, 2**20 + 1])
 def test_sampling_sorts_wide_source_ranges(l):
-    # Sources on both sides of 2**16, sharing low 16-bit digits, so the
-    # second radix pass decides their order whenever it runs.
+    # Sources on both sides of 2**16 that share their low 16 bits, so a sort
+    # that dropped the high bits of the source would mix their candidates.
+    # At l = 2**20 + 1 the sort keeps 42 key bits, below the 53 drawn.
     rng = np.random.default_rng(l)
     low = rng.integers(0, 2**16, size=300)
     us = np.concatenate([low, (low + 2**16) % l, rng.integers(0, l, size=600)])
@@ -138,6 +139,42 @@ def test_sampling_sorts_wide_source_ranges(l):
     kept = order[rank < c]
     expected = sorted(set(zip(g.edge_u[kept].tolist(), g.edge_v[kept].tolist())))
     assert sub.edge_list() == expected
+
+
+def _rank_order(edge_u, keys53, l):
+    """``solvers._by_source_then_key`` on 53-bit integer keys."""
+    keys = np.asarray(keys53, dtype=np.float64) * 2.0**-53
+    return solvers._by_source_then_key(np.asarray(edge_u, dtype=np.int64), keys, l).tolist()
+
+
+def test_rank_order_keeps_edge_order_on_ties_at_widest_sides():
+    # l = 2**31 - 1 leaves 32 bits for the key: keys that agree in their top
+    # 32 of 53 bits tie and keep edge order, whatever their low 21 bits say.
+    l = 2**31 - 1
+    high = 0x1234_5678 << 21
+    assert _rank_order([7, 7, 7], [high + 5, high + 3, high], l) == [0, 1, 2]
+    assert _rank_order([7, 7], [high, high + 2**21 - 1], l) == [0, 1]
+
+
+def test_rank_order_follows_the_key_within_each_source():
+    l = 2**31 - 1
+    # One bit apart at bit 21, the lowest bit the sort keeps.
+    assert _rank_order([3, 3], [2**21, 0], l) == [1, 0]
+    # Sources at both ends of the range: each keeps its own segment,
+    # ranked by key, even when a smaller source has larger keys.
+    us = [0, 0, 0, l - 2, l - 2, l - 1, l - 1]
+    ks = [2**53 - 1, 0, 2**52, 2**40, 1 << 21, 2**53 - 2**21, 0]
+    assert _rank_order(us, ks, l) == [1, 2, 0, 4, 3, 6, 5]
+
+
+def test_rank_order_matches_lexsort_on_random_segments():
+    rng = np.random.default_rng(0)
+    l = 2**31 - 1
+    us = np.sort(rng.choice([0, 1, 2**20, 2**30, l - 1], size=400))
+    ks = rng.integers(0, 2**53, size=400)
+    ks[::7] = ks[0]  # exact ties across and within sources
+    want = np.lexsort((np.arange(400), ks >> 21, us)).tolist()
+    assert _rank_order(us, ks, l) == want
 
 
 # ------------------------------------------------------------------ greedy
