@@ -100,9 +100,9 @@ def required_ck(a: int, target: float) -> float:
     lo = 1e-12
     hi = 1.0
     while f(hi) < 0.0:
+        if hi >= 1024.0:
+            raise ValueError(f"no density up to {hi:g} reaches target {target} at a={a}")
         hi *= 2.0
-        if hi > 1e3:
-            raise ValueError(f"no density below 1e3 reaches target {target} at a={a}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)

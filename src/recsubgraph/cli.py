@@ -2,8 +2,8 @@
 
 Verbs: ``gen`` (write a random instance), ``solve`` (run one strategy),
 ``eval`` (score a stored selection), ``bounds`` (formula tables),
-``oracle`` (exact optimum for small instances), ``matching`` (debug view of
-the matching core), and ``experiment`` (seeded sweeps to CSV/plot data).
+``oracle`` (exact optimum), ``matching`` (debug view of the matching
+core), and ``experiment`` (seeded sweeps to CSV/plot data).
 
 Exit codes: 0 on success, 1 for validation/configuration problems (usage
 errors included), 2 for file problems.
@@ -127,6 +127,8 @@ def _require_flags(args, *names: str) -> None:
 
 def _cmd_bounds(args) -> int:
     if args.table == "required-ck":
+        if args.a_min > args.a_max:
+            raise ConfigError("need --a-min <= --a-max")
         # Every row before any is printed: a failing row leaves stdout empty.
         a_values = range(args.a_min, args.a_max + 1)
         rows = [f"{a} {required_ck(a, args.target):.6f}" for a in a_values]
@@ -166,7 +168,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     graph = read_edge_list(args.graph)
-    value = exact_opt(graph, ProblemParams(c=args.c, a=args.a), force=args.force)
+    value = exact_opt(graph, ProblemParams(c=args.c, a=args.a))
     print(f"exact_opt={value}")
     return 0
 
@@ -291,12 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("oracle", help="exact optimum (small instances only)")
+    p = sub.add_parser("oracle", help="exact optimum (refuses huge subset searches)")
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--force", action="store_true",
-                   help="run past the size guard anyway")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("matching", help="matching-core debug view")

@@ -141,6 +141,14 @@ def test_required_ck_inverts_the_bound():
         assert frac == pytest.approx(0.9, abs=1e-6)
 
 
+def test_required_ck_brackets_up_to_1024():
+    # The a=83 root is near 515, past the bracket's 512 step.
+    x = required_ck(83, 0.95)
+    assert abs(1.0 - math.exp(-x + bounds._log_power_sum(x, 83)) - 0.95) < 1e-10
+    with pytest.raises(ValueError, match="no density up to 1024 reaches target 0.95 at a=149"):
+        required_ck(149, 0.95)
+
+
 def test_required_ck_validates_target():
     with pytest.raises(ValueError):
         required_ck(1, 0.0)

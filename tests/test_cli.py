@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from recsubgraph import CSV_HEADER, read_edge_list, read_subgraph, write_edge_list
+from recsubgraph import CSV_HEADER, hopcroft_karp, read_edge_list, read_subgraph, write_edge_list
 from recsubgraph.cli import main
 from conftest import chain_graph
 
@@ -72,9 +72,10 @@ def test_gen_missing_params_exits_1(tmp_path):
         [],
         ["solve", "--model", "fixed-degree", "--l", "5", "--r", "5", "--d", "2",
          "--algo", "greedy", "--c", "1", "--a", "1", "--greedy-order", "input-order"],
+        ["oracle", "--graph", "g.txt", "--c", "1", "--a", "1", "--force"],
     ],
     ids=["malformed-value", "missing-required-flag", "unknown-flag", "no-verb",
-         "removed-greedy-flag"],
+         "removed-greedy-flag", "removed-oracle-force"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -276,27 +277,32 @@ def test_oracle_small_graph(tmp_path, capsys):
 
 
 def test_oracle_size_guard_exits_1(tmp_path, capsys):
+    # An open bracket whose subset search exceeds 2**20 subsets is refused.
+    gpath = tmp_path / "open.txt"
+    assert main([
+        "gen", "fixed-degree", "--l", "500", "--r", "2000", "--d", "20", "--seed", "1",
+        "-o", str(gpath),
+    ]) == 0
+    capsys.readouterr()
+    code = main(["oracle", "--graph", str(gpath), "--c", "2", "--a", "2"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    # At a=1 the bracket closes: answered at any size, with no override.
     gpath = tmp_path / "g.txt"
     assert main([
         "gen", "fixed-degree", "--l", "30", "--r", "10", "--d", "2",
         "-o", str(gpath),
     ]) == 0
     capsys.readouterr()
-    code = main(["oracle", "--graph", str(gpath), "--c", "1", "--a", "1"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
-    assert main([
-        "oracle", "--graph", str(gpath), "--c", "1", "--a", "1", "--force",
-    ]) == 0
-    assert "exact_opt=" in capsys.readouterr().out
+    assert main(["oracle", "--graph", str(gpath), "--c", "1", "--a", "1"]) == 0
+    want = hopcroft_karp(read_edge_list(gpath)).size
+    assert capsys.readouterr().out == f"exact_opt={want}\n"
 
 
 def test_oracle_long_augmenting_path_exits_0(tmp_path, capsys):
     gpath = tmp_path / "chain.txt"
     write_edge_list(chain_graph(600), gpath)
-    assert main([
-        "oracle", "--graph", str(gpath), "--c", "1", "--a", "1", "--force",
-    ]) == 0
+    assert main(["oracle", "--graph", str(gpath), "--c", "1", "--a", "1"]) == 0
     assert capsys.readouterr().out == "exact_opt=600\n"
 
 
@@ -419,6 +425,7 @@ _EDGE_CASES = {
         ["bounds", "approx-ratio", "--ck-min", "2", "--ck-max", "1"], None, 1
     ),
     "required-ck-a-max-huge": (["bounds", "required-ck", "--a-max", "100000000"], None, 1),
+    "required-ck-reversed": (["bounds", "required-ck", "--a-min", "3", "--a-max", "2"], None, 1),
     "spec-top-level-list": (["experiment", "--spec", "spec.json"], [], 2),
     "spec-unknown-key": (["experiment", "--spec", "spec.json"], {**_SPEC, "bogus": 1}, 1),
     "spec-sweep-int": (["experiment", "--spec", "spec.json"], {**_SPEC, "sweep": 5}, 1),

@@ -3,12 +3,14 @@
 The cross-checks compare against exhaustive enumeration and against
 networkx's max-flow on the budgeted network.
 """
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from recsubgraph import (
+    ErdosRenyiSpec,
     FixedDegreeSpec,
     OracleSizeError,
     ProblemParams,
@@ -16,11 +18,15 @@ from recsubgraph import (
     build_graph,
     coverage,
     exact_opt,
+    gen_erdos_renyi,
     gen_fixed_degree,
     hopcroft_karp,
     solve,
     upper_bound_estimate,
 )
+from recsubgraph import oracle
+from recsubgraph.graph import _by_target
+from recsubgraph.matching import _match
 from conftest import chain_graph, enumerate_opt, random_simple_graph
 
 
@@ -118,13 +124,83 @@ def test_parallel_edges_do_not_double_count():
     assert exact_opt(g, ProblemParams(c=2, a=2)) == 0
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    # An open bracket (lo 319, hi 500) over 1925 candidates: far more than
+    # 2**SIZE_GUARD subsets, refused before the search starts.
+    g = gen_fixed_degree(FixedDegreeSpec(l=500, r=2000, d=20, seed=1))
+    with pytest.raises(OracleSizeError, match=r"2\*\*20 subsets"):
+        exact_opt(g, ProblemParams(c=2, a=2))
+    # At a=1 the bracket always closes, so size alone is never refused.
     g = gen_fixed_degree(FixedDegreeSpec(l=25, r=10, d=2, seed=0))
-    with pytest.raises(OracleSizeError):
-        exact_opt(g, ProblemParams(c=1, a=1))
-    # force bypasses the guard; a=1 keeps it cheap even at l=25.
-    got = exact_opt(g, ProblemParams(c=1, a=1), force=True)
-    assert got == hopcroft_karp(g).size
+    assert exact_opt(g, ProblemParams(c=1, a=1)) == hopcroft_karp(g).size
+    # 6 candidates, bracket 1..3: sizes 3 and 2 make 20 + 15 = 35 subsets,
+    # over 2**5 and within 2**6.
+    g = gen_fixed_degree(FixedDegreeSpec(l=6, r=10, d=3, seed=4))
+    monkeypatch.setattr(oracle, "SIZE_GUARD", 5)
+    with pytest.raises(OracleSizeError, match=r"1\.\.3"):
+        exact_opt(g, ProblemParams(c=1, a=2))
+    monkeypatch.setattr(oracle, "SIZE_GUARD", 6)
+    assert exact_opt(g, ProblemParams(c=1, a=2)) == 3
+
+
+@pytest.mark.parametrize(
+    "gen, spec, c, a, opt",
+    [
+        (gen_erdos_renyi, ErdosRenyiSpec(l=2000, r=2000, p=2e-3, seed=1), 1, 1, 1953),
+        (gen_erdos_renyi, ErdosRenyiSpec(l=2000, r=2000, p=2e-3, seed=1), 3, 2, 1821),
+        (gen_fixed_degree, FixedDegreeSpec(l=500, r=2000, d=20, seed=1), 1, 1, 500),
+    ],
+    ids=["er-1-1", "er-3-2", "fd-1-1"],
+)
+def test_closed_bracket_bounds_every_strategy_at_scale(gen, spec, c, a, opt):
+    # Far past any subset search: one matching decides the optimum here.
+    g = gen(spec)
+    params = ProblemParams(c=c, a=a)
+    assert exact_opt(g, params) == opt
+    for algo in ("sampling", "greedy", "partition"):
+        _, report = solve(g, algo, SolverConfig(params=params, seed=1))
+        assert report.covered <= opt, algo
+        if algo == "greedy":
+            assert report.covered >= math.ceil(opt / (a + 1))
+
+
+def _served_reference(graph, targets, c, a):
+    """Per-target links from the split graph, built and counted in plain Python."""
+    sources = [sorted({u for u, v in graph.edge_list() if v == t}) for t in range(graph.r)]
+    m = sum(len(sources[v]) for v in targets)
+    copies = a * len(targets)
+    n_right = m + graph.l * c
+    adj = []
+    e = 0
+    for v in targets:
+        adj += [list(range(e, e + len(sources[v])))] * a
+        e += len(sources[v])
+    e = 0
+    for v in targets:
+        for u in sources[v]:
+            adj.append([e] + [m + u * c + i for i in range(c)])
+            e += 1
+    keys = np.array([x * n_right + y for x, row in enumerate(adj) for y in row], dtype=np.int64)
+    match_l = _match(keys, copies + m, n_right)[0].match_l
+    held = [match_l[j] for j in range(copies)]
+    linked = [x >= 0 and match_l[copies + x] >= 0 for x in held]
+    return [sum(linked[k * a:(k + 1) * a]) for k in range(len(targets))]
+
+
+def test_served_matches_python_split_graph(rng):
+    graphs = [build_graph(0, 3, []), build_graph(3, 0, [])]
+    for _ in range(150):
+        l, r = (int(x) for x in rng.integers(1, 7, size=2))
+        n = int(rng.integers(13))
+        graphs.append(build_graph(l, r, zip(rng.integers(l, size=n), rng.integers(r, size=n))))
+    assert any(g.has_parallel_edges() for g in graphs)
+    for g in graphs:
+        c = int(rng.integers(1, 4))
+        a = int(rng.integers(1, 4))
+        offsets, sources = _by_target(g)
+        for targets in (np.flatnonzero(rng.random(g.r) < 0.6), np.arange(0)):
+            got = oracle._served(offsets, sources, targets, g.l, c, a).tolist()
+            assert got == _served_reference(g, targets.tolist(), c, a), (g.edge_list(), c, a)
 
 
 def test_bmatching_counts_saturated_flow():
@@ -139,4 +215,4 @@ def test_bmatching_counts_saturated_flow():
 
 def test_long_augmenting_path_does_not_recurse():
     g = chain_graph(600)
-    assert exact_opt(g, ProblemParams(c=1, a=1), force=True) == 600
+    assert exact_opt(g, ProblemParams(c=1, a=1)) == 600
