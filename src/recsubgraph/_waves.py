@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import BipartiteGraph, _by_target, _distinct_sorted
+from .graph import BipartiteGraph, _by_target, _distinct_sorted, _segments
 
 
 def greedy_waves(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
@@ -111,11 +111,3 @@ def greedy_waves(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
     sel += np.concatenate(out_t)
     sel.sort()
     return sel
-
-
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
-    ends = np.add.accumulate(lengths)
-    idx = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-    idx += np.repeat(starts - ends + lengths, lengths)
-    return idx

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, RecSubgraph, _count_covered
+from .graph import BipartiteGraph, ProblemParams, RecSubgraph, _check_int, _count_covered
 
 __all__ = [
     "sampling_lower_bound",
@@ -28,13 +28,14 @@ __all__ = [
 def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> None:
     """Reject a parameter point the formulas are not defined at.
 
-    ``c`` may be fractional; the formulas are continuous in it.  Each test
-    is written so that NaN fails it.
+    ``c`` may be fractional; the formulas are continuous in it, but ``a``
+    must be an integer.  Each test is written so that NaN fails it.
     """
     if not (l >= 0 and r >= 1):
         raise ValueError(f"need l >= 0 and r >= 1, got l={l}, r={r}")
-    if not (math.inf > c >= 1 and a >= 1):
-        raise ValueError(f"c must be finite, and c and a >= 1, got c={c}, a={a}")
+    if not math.inf > c >= 1:
+        raise ValueError(f"c must be finite and >= 1, got c={c}")
+    _check_int("a", a, 1, None, ValueError)
     if p is not None and not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
 
@@ -89,8 +90,7 @@ def required_ck(a: int, target: float) -> float:
     limit of :func:`sampling_lower_bound` divided by r) by bisection to
     ``|f(x)| < 1e-10``.
     """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    _check_int("a", a, 1, None, ValueError)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
 

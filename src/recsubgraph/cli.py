@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bounds import (
@@ -53,11 +54,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", type=Path, help="read the instance from a file")
-    parser.add_argument(
-        "--model", choices=tuple(MODEL_PARAMS), help="or generate one"
-    )
+def _add_size_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l", type=int)
     parser.add_argument("--r", type=int)
     parser.add_argument("--d", type=int, help="fixed-degree draws per source")
@@ -190,22 +187,11 @@ def _cmd_experiment(args) -> int:
         if not isinstance(data, dict):
             print(f"error: {args.spec}: a spec file must hold a JSON object", file=sys.stderr)
             return 2
-    overrides = {
-        "model": args.model,
-        "l": args.l,
-        "r": args.r,
-        "d": args.d,
-        "p": args.p,
-        "path": str(args.graph) if args.graph is not None else None,
-        "trials": args.trials,
-        "base_seed": args.base_seed,
-        "epsilon": args.epsilon,
-    }
-    for key, value in overrides.items():
+    # Each flag's dest is the spec field it sets (``--graph`` sets ``path``).
+    for field in fields(ExperimentSpec):
+        value = getattr(args, field.name, None)
         if value is not None:
-            data[key] = value
-    if args.algos is not None:
-        data["algos"] = tuple(args.algos.split(","))
+            data[field.name] = value
     if args.c_min is not None or args.c_max is not None:
         if None in (args.c_min, args.c_max):
             raise ConfigError("--c-min and --c-max go together")
@@ -218,9 +204,7 @@ def _cmd_experiment(args) -> int:
         data["sweep"] = [
             [int(x) for x in cell.split(",")] for cell in args.pairs.split()
         ]
-    if args.no_timing:
-        data["measure_time"] = False
-    if args.graph is not None and "model" not in data:
+    if args.path is not None and "model" not in data:
         data["model"] = "file"
     spec = ExperimentSpec.from_mapping(data)
     rows, aggregates = run_experiment(spec)
@@ -249,16 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("model", choices=tuple(MODEL_PARAMS))
-    p.add_argument("--l", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=float)
+    _add_size_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", type=Path, required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve", help="run one strategy on an instance")
-    _add_model_flags(p)
+    p.add_argument("--graph", type=Path, help="read the instance from a file")
+    p.add_argument("--model", choices=tuple(MODEL_PARAMS), help="or generate one")
+    _add_size_flags(p)
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
@@ -307,20 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="seeded sweep to CSV / plot data")
     p.add_argument("--spec", type=Path, help="JSON spec file (flags override it)")
     p.add_argument("--model", choices=MODELS)
-    p.add_argument("--graph", type=Path, help="instance file for the file model")
-    p.add_argument("--l", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--p", type=float)
+    p.add_argument("--graph", dest="path", metavar="GRAPH",
+                   help="instance file for the file model")
+    _add_size_flags(p)
     p.add_argument("--c-min", type=int)
     p.add_argument("--c-max", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--pairs", help="explicit cells, e.g. '1,1 2,1 4,2'")
-    p.add_argument("--algos", help="comma-separated subset of: " + ",".join(ALGORITHMS))
+    p.add_argument("--algos", type=lambda text: tuple(text.split(",")),
+                   help="comma-separated subset of: " + ",".join(ALGORITHMS))
     p.add_argument("--trials", type=int)
     p.add_argument("--base-seed", type=int)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--no-timing", action="store_true",
+    p.add_argument("--no-timing", dest="measure_time", action="store_false", default=None,
                    help="write elapsed_ms as 0.0 for byte-reproducible CSV")
     p.add_argument("--csv", type=Path)
     p.add_argument("--plot", type=Path)

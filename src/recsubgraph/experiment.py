@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .generate import MODEL_PARAMS, _check_model_params, generate_instance
-from .graph import ProblemParams
+from .graph import ProblemParams, _check_int
 from .io import read_edge_list
 from .solvers import ALGORITHMS, SolverConfig, solve
 
@@ -79,8 +79,7 @@ class ExperimentSpec:
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        _check_int("trials", self.trials, 1, None, ValueError)
         for name, want, kind in (
             *((name, int, "an integer") for name in ("l", "r", "d", "base_seed")),
             *((name, int | float, "a real number") for name in ("p", "epsilon")),
@@ -136,8 +135,8 @@ class ExperimentSpec:
 @dataclass
 class ExperimentRow:
     """One solve.  ``skip_reason`` marks cells that cannot run (kept in the
-    row stream so the record is complete; their measurement fields are empty
-    in CSV)."""
+    row stream so the record is complete; their measurement fields stay
+    ``None``, empty in CSV)."""
 
     model: str
     l: int
@@ -148,37 +147,16 @@ class ExperimentRow:
     algo: str
     trial: int
     seed: int
-    covered: int | None
-    upper_bound: int | None
-    ratio: float | None
-    elapsed_ms: float | None
+    covered: int | None = None
+    upper_bound: int | None = None
+    ratio: float | None = None
+    elapsed_ms: float | None = None
     skip_reason: str | None = None
 
     def csv_line(self) -> str:
-        meas = (
-            ("", "", "", "")
-            if self.skip_reason is not None
-            else (
-                str(self.covered),
-                str(self.upper_bound),
-                repr(self.ratio),
-                repr(self.elapsed_ms),
-            )
-        )
-        return ",".join(
-            (
-                self.model,
-                str(self.l),
-                str(self.r),
-                self.d_or_p,
-                str(self.c),
-                str(self.a),
-                self.algo,
-                str(self.trial),
-                str(self.seed),
-                *meas,
-            )
-        )
+        """Every field before ``skip_reason``, the last, in ``CSV_HEADER`` order."""
+        values = (getattr(self, f.name) for f in fields(self)[:-1])
+        return ",".join("" if x is None else str(x) for x in values)
 
 
 @dataclass
@@ -190,10 +168,8 @@ class CellAggregate:
     algo: str
     n: int
     mean_ratio: float
-    std_ratio: float
     stderr_ratio: float
     mean_covered: float
-    mean_elapsed_ms: float
 
 
 def run_experiment(
@@ -217,28 +193,12 @@ def run_experiment(
         for c, a in spec.sweep:
             params = ProblemParams(c=c, a=a)
             for algo in spec.algos:
-                base = dict(
-                    model=spec.model,
-                    l=graph.l,
-                    r=graph.r,
-                    d_or_p=spec.d_or_p,
-                    c=c,
-                    a=a,
-                    algo=algo,
-                    trial=trial,
-                    seed=seed,
+                row = ExperimentRow(
+                    spec.model, graph.l, graph.r, spec.d_or_p, c, a, algo, trial, seed
                 )
+                rows.append(row)
                 if algo == "partition" and a > c:
-                    rows.append(
-                        ExperimentRow(
-                            **base,
-                            covered=None,
-                            upper_bound=None,
-                            ratio=None,
-                            elapsed_ms=None,
-                            skip_reason="partition requires a <= c",
-                        )
-                    )
+                    row.skip_reason = "partition requires a <= c"
                     continue
                 config = SolverConfig(params=params, seed=seed, epsilon=spec.epsilon)
                 _, report = solve(graph, algo, config)
@@ -248,49 +208,29 @@ def run_experiment(
                         f"{report.upper_bound} at c={c}, a={a}, {algo}",
                         stacklevel=2,
                     )
-                rows.append(
-                    ExperimentRow(
-                        **base,
-                        covered=report.covered,
-                        upper_bound=report.upper_bound,
-                        ratio=report.ratio,
-                        elapsed_ms=report.elapsed_ms if spec.measure_time else 0.0,
-                    )
-                )
+                row.covered = report.covered
+                row.upper_bound = report.upper_bound
+                row.ratio = report.ratio
+                row.elapsed_ms = report.elapsed_ms if spec.measure_time else 0.0
     return rows, aggregate_rows(rows)
 
 
 def aggregate_rows(rows: list[ExperimentRow]) -> list[CellAggregate]:
-    """Mean / sample stddev / stderr of ratio per cell (skipped rows excluded)."""
+    """Mean and stderr of ratio, and mean coverage, per (c, a, algo) cell.
+
+    Cells come in the order of their first row; skipped rows are excluded.
+    """
     cells: dict[tuple[int, int, str], list[ExperimentRow]] = {}
-    order: list[tuple[int, int, str]] = []
     for row in rows:
-        if row.skip_reason is not None:
-            continue
-        key = (row.c, row.a, row.algo)
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(row)
+        if row.skip_reason is None:
+            cells.setdefault((row.c, row.a, row.algo), []).append(row)
     out = []
-    for key in order:
-        got = cells[key]
+    for (c, a, algo), got in cells.items():
         ratios = [row.ratio for row in got]
         n = len(got)
-        std = statistics.stdev(ratios) if n > 1 else 0.0
-        out.append(
-            CellAggregate(
-                c=key[0],
-                a=key[1],
-                algo=key[2],
-                n=n,
-                mean_ratio=statistics.fmean(ratios),
-                std_ratio=std,
-                stderr_ratio=std / math.sqrt(n) if n else 0.0,
-                mean_covered=statistics.fmean(row.covered for row in got),
-                mean_elapsed_ms=statistics.fmean(row.elapsed_ms for row in got),
-            )
-        )
+        stderr = statistics.stdev(ratios) / math.sqrt(n) if n > 1 else 0.0
+        mean_covered = statistics.fmean(row.covered for row in got)
+        out.append(CellAggregate(c, a, algo, n, statistics.fmean(ratios), stderr, mean_covered))
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, _check_side_limit
+from .graph import BipartiteGraph, _check_int, _check_side_limit
 
 __all__ = [
     "FixedDegreeSpec",
@@ -37,9 +37,8 @@ STREAM_PARTITION = 4
 
 
 def philox_stream(seed: int, role: int) -> np.random.Generator:
-    """A Philox generator keyed by ``(seed, role)``; ``seed`` must fit in 64 bits."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    """A Philox generator keyed by ``(seed, role)``; ``seed`` must fit in 64 bits
+    (the specs and ``SolverConfig`` check it)."""
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
     )
@@ -55,12 +54,9 @@ class FixedDegreeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_int("r", self.r, 1, None, ValueError)
+        _check_int("d", self.d, 1, None, ValueError)
+        _check_int("seed", self.seed, 0, 1 << 64, ValueError)
         _check_side_limit(self.l, self.r, ValueError)  # before anything is drawn
 
 
@@ -74,11 +70,10 @@ class ErdosRenyiSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.l < 0 or self.r < 0:
-            raise ValueError(f"side sizes must be >= 0, got l={self.l}, r={self.r}")
         _check_side_limit(self.l, self.r, ValueError)  # before anything is drawn
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if isinstance(self.p, bool) or not isinstance(self.p, int | float) or not 0 <= self.p <= 1:
+            raise ValueError(f"p must be a real number in [0, 1], got {self.p!r}")
+        _check_int("seed", self.seed, 0, 1 << 64, ValueError)
 
 
 def gen_fixed_degree(spec: FixedDegreeSpec) -> BipartiteGraph:

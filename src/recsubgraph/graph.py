@@ -45,9 +45,8 @@ class ProblemParams:
     a: int
 
     def __post_init__(self) -> None:
-        for name, value in (("c", self.c), ("a", self.a)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_int("c", self.c, 1, None, ValueError)
+        _check_int("a", self.a, 1, None, ValueError)
 
 
 class BipartiteGraph:
@@ -74,8 +73,8 @@ class BipartiteGraph:
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
         keys = _pair_keys(l, r, edge_u, edge_v, GraphError)
         indptr_l, eu, ev = _csr(keys, l, r)
-        self.l = int(l)
-        self.r = int(r)
+        self.l = l
+        self.r = r
         self.m = int(eu.size)
         self.edge_u = eu
         self.edge_v = ev
@@ -123,10 +122,10 @@ class BipartiteGraph:
 
 
 def build_graph(l: int, r: int, edges) -> BipartiteGraph:
-    """Build a :class:`BipartiteGraph` from an iterable of ``(u, v)`` pairs."""
+    """Build a :class:`BipartiteGraph` from an iterable of integer ``(u, v)`` pairs."""
     pairs = list(edges)
     if pairs:
-        arr = np.asarray(pairs, dtype=np.int64)
+        arr = np.asarray(pairs)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edges must be (u, v) pairs")
         return BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
@@ -147,10 +146,9 @@ class RecSubgraph:
     __slots__ = ("l", "r", "indptr", "targets")
 
     def __init__(self, l: int, r: int, indptr, targets) -> None:
-        if l < 0 or r < 0:
-            raise ValueError(f"side sizes must be >= 0, got l={l}, r={r}")
-        self.l = int(l)
-        self.r = int(r)
+        _check_side_limit(l, r, ValueError)
+        self.l = l
+        self.r = r
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.targets = np.ascontiguousarray(targets, dtype=np.int64)
         ptr = self.indptr
@@ -269,10 +267,10 @@ def coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int) -> int:
     """Number of targets receiving at least ``a`` distinct selected links.
 
     The selection is validated against ``graph`` first; an invalid selection
-    raises :class:`SubgraphValidationError` naming the first violation.
+    raises :class:`SubgraphValidationError` naming the first violation, and
+    an ``a`` that is not an ``int`` >= 1 raises ``ValueError``.
     """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    _check_int("a", a, 1, None, ValueError)
     problems = validate(graph, sub, None)
     if problems:
         raise SubgraphValidationError(problems[0])
@@ -284,8 +282,26 @@ def _count_covered(sub: RecSubgraph, a: int) -> int:
     return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))
 
 
+def _check_int(
+    name: str, value, lo: int, hi: int | None, error: type[ValueError], kind: str = "an integer"
+) -> None:
+    """Raise ``error`` unless ``value`` is an ``int``, not a ``bool``, with
+    ``lo <= value`` and, unless ``hi`` is None, ``value < hi``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < lo
+        or (hi is not None and value >= hi)
+    ):
+        limit = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise error(f"{name} must be {kind} {limit}, got {value!r}")
+
+
 def _check_side_limit(l: int, r: int, error: type[ValueError]) -> None:
-    """Raise ``error`` unless both sides are below ``2**31``, so ``u*r + v`` fits int64."""
+    """Raise ``error`` unless both sides are integers in ``[0, 2**31)``, so
+    ``u*r + v`` fits int64."""
+    _check_int("l", l, 0, None, error)
+    _check_int("r", r, 0, None, error)
     if l >= 1 << 31 or r >= 1 << 31:
         raise error(
             f"side sizes must be < 2**31 (so l*r < 2**63 fits int64 edge keys), got l={l}, r={r}"
@@ -296,15 +312,18 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
     """Ascending ``u*r + v`` keys of the pairs ``(edge_u[i], edge_v[i])``.
 
     Raises ``error`` naming the first pair outside ``[0,l)×[0,r)``, whose key
-    would alias another pair's.
+    would alias another pair's, and for endpoints that are not integers (an
+    empty array of any dtype is fine).
     """
-    if l < 0 or r < 0:
-        raise error(f"side sizes must be >= 0, got l={l}, r={r}")
     _check_side_limit(l, r, error)
-    eu = np.ascontiguousarray(edge_u, dtype=np.int64)
-    ev = np.ascontiguousarray(edge_v, dtype=np.int64)
+    eu = np.ascontiguousarray(edge_u)
+    ev = np.ascontiguousarray(edge_v)
     if eu.ndim != 1 or eu.shape != ev.shape:
         raise error("edge endpoint arrays must be 1-D and equal length")
+    if eu.size and (eu.dtype.kind not in "iu" or ev.dtype.kind not in "iu"):
+        raise error(f"edge endpoints must be integers, got {eu.dtype} and {ev.dtype} arrays")
+    eu = eu.astype(np.int64, copy=False)
+    ev = ev.astype(np.int64, copy=False)
     bad = np.flatnonzero((eu < 0) | (eu >= l) | (ev < 0) | (ev >= r))
     if bad.size:
         i = int(bad[0])
@@ -328,6 +347,14 @@ def _csr(keys: np.ndarray, n_left: int, n_right: int) -> tuple[np.ndarray, np.nd
     indptr = np.zeros(n_left + 1, dtype=np.int64)
     np.add.accumulate(np.bincount(left, minlength=n_left), out=indptr[1:])
     return indptr, left, right
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
+    ends = np.add.accumulate(lengths)
+    idx = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    idx += np.repeat(starts - ends + lengths, lengths)
+    return idx
 
 
 def _by_target(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, _csr
+from .graph import BipartiteGraph, _check_int, _csr
 
 __all__ = ["Matching", "hopcroft_karp", "bounded_matching"]
 
@@ -185,11 +185,7 @@ def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     ``max_path_len`` must be an odd ``int`` >= 1 (augmenting paths have odd
     length); anything else, a ``bool`` included, raises ``ValueError``.
     """
-    if (
-        isinstance(max_path_len, bool)
-        or not isinstance(max_path_len, int)
-        or max_path_len < 1
-        or max_path_len % 2 == 0
-    ):
+    _check_int("max_path_len", max_path_len, 1, None, ValueError, "an odd integer")
+    if max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be an odd integer >= 1, got {max_path_len!r}")
     return _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)[0]

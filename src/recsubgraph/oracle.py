@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, _by_target
+from .graph import BipartiteGraph, ProblemParams, _by_target, _segments
 from .matching import _match
 
 __all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
@@ -54,7 +54,7 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     row_deg = np.repeat(deg, a)
     row_base = np.arange(copies) * n_right + np.repeat(start, a) - (np.cumsum(row_deg) - row_deg)
     copy_keys = np.repeat(row_base, row_deg) + np.arange(a * m)
-    edge_u = sources[np.repeat(first - start, deg) + e]
+    edge_u = sources[_segments(first, deg)]
     y_row = (copies + e) * n_right
     y_keys = np.column_stack((y_row + e, (y_row + m + edge_u * c)[:, None] + np.arange(c)))
     keys = np.concatenate((copy_keys, y_keys.ravel()))

@@ -35,8 +35,10 @@ from .graph import (
     RecSubgraph,
     SubgraphValidationError,
     _by_target,
+    _check_int,
     _csr,
     _distinct_sorted,
+    _segments,
     validate,
 )
 from .matching import _match
@@ -70,7 +72,7 @@ class SolverConfig:
     """Shared solver knobs.
 
     ``seed`` keys the random streams of sampling and partition; greedy is
-    deterministic and ignores it.  ``epsilon`` only matters to the partition
+    deterministic and ignores it.  It must be an ``int`` in ``[0, 2**64)``.  ``epsilon`` only matters to the partition
     strategy (depth cap of its window matchings).
     """
 
@@ -79,6 +81,7 @@ class SolverConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        _check_int("seed", self.seed, 0, 1 << 64, ConfigError)
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
 
@@ -122,9 +125,7 @@ def sampling_with_stats(
     rng = philox_stream(config.seed, STREAM_SAMPLING)
     order = _by_source_then_key(graph.edge_u, rng.random(graph.m), graph.l)
     # The first min(degree, c) sorted positions of every source.
-    take = np.minimum(deg, c)
-    skip = graph.indptr_l[:-1] + take - np.cumsum(take)  # segment start - output start
-    pos = np.arange(int(take.sum()), dtype=np.int64) + np.repeat(skip, take)
+    pos = _segments(graph.indptr_l[:-1], np.minimum(deg, c))
     picks = _distinct_sorted(np.sort(graph.edge_keys()[order[pos]]))
     stats = SolveStats(edges_touched=graph.m, peak_aux=min(c, int(deg.max(initial=0))))
     return RecSubgraph._from_keys(graph.l, graph.r, picks), stats

@@ -245,10 +245,15 @@ def test_concentration_rejects_nonpositive_ck():
         lambda: sampling_lower_bound(l=10, r=10, c=math.inf, a=2),
         lambda: greedy_expected_bound(l=10, r=10, c=math.nan, a=1, p=0.5),
         lambda: sampling_approx_ratio(math.nan),
+        lambda: sampling_lower_bound(l=10, r=10, c=1, a=1.5),
+        lambda: greedy_expected_bound(l=100, r=10, c=3, a=2.5, p=0.1),
+        lambda: required_ck(1.5, 0.9),
+        lambda: required_ck(True, 0.9),
     ],
     ids=[
         "concentration-r-negative", "concentration-ck-nan", "sampling-c-nan",
-        "sampling-c-inf", "greedy-c-nan", "approx-ratio-nan",
+        "sampling-c-inf", "greedy-c-nan", "approx-ratio-nan", "sampling-a-fractional",
+        "greedy-a-fractional", "required-ck-a-fractional", "required-ck-a-bool",
     ],
 )
 def test_bounds_reject_nan_and_out_of_range_points(call):

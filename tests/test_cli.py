@@ -1,4 +1,6 @@
 """End-to-end command-line flows and exit codes."""
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from recsubgraph import CSV_HEADER, hopcroft_karp, read_edge_list, read_subgraph, write_edge_list
+from recsubgraph import (
+    CSV_HEADER,
+    ExperimentRow,
+    hopcroft_karp,
+    read_edge_list,
+    read_subgraph,
+    write_edge_list,
+)
 from recsubgraph.cli import main
 from conftest import chain_graph
 
@@ -368,6 +377,33 @@ def test_experiment_csv_bytes_reproducible(tmp_path):
     assert main(args + ["--csv", str(p1)]) == 0
     assert main(args + ["--csv", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_experiment_output_bytes_pinned(tmp_path, capsys):
+    # A partition cell skipped at (c=1, a=2) and two a values, so two plot
+    # files.  The digests pin the CSV, plot and summary bytes of the sweep.
+    assert CSV_HEADER.split(",") == [
+        f.name for f in dataclasses.fields(ExperimentRow) if f.name != "skip_reason"
+    ]
+    code = main([
+        "experiment", "--model", "erdos-renyi", "--l", "30", "--r", "30",
+        "--p", "0.15", "--pairs", "1,1 2,1 1,2 2,2",
+        "--algos", "sampling,greedy,partition", "--trials", "2", "--base-seed", "5",
+        "--no-timing", "--csv", str(tmp_path / "rows.csv"),
+        "--plot", str(tmp_path / "plot.dat"),
+    ])
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in sorted(p.name for p in tmp_path.iterdir())
+    }
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == {
+        "plot.a1.dat": "e4ade144bea1b416603c560879a7ffde311af872d12c2388a9c5d15cffa64090",
+        "plot.a2.dat": "6d97b48622a24ef6ef1f14f89e68220b8f6ccdb23f014c96063c295e57201bda",
+        "rows.csv": "22d23ed0236a109debee91dbbcbf8997abdaad8b84876c6d9bcf6e77d4fa0dd5",
+        "stdout": "4d560d8b76670cb948cb6a46763ce9b1c1d8fce7c52b20e65c8adeab04c4de3d",
+    }
 
 
 def test_bad_spec_json_exits_2(tmp_path, capsys):

@@ -60,6 +60,31 @@ def test_spec_validation():
             ErdosRenyiSpec(l=l, r=r, p=0.5)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FixedDegreeSpec(3, 3, 2.5),
+        lambda: FixedDegreeSpec(3.0, 3, 2),
+        lambda: FixedDegreeSpec(3, 3, True),
+        lambda: FixedDegreeSpec(3, 3, 2, seed=1.5),
+        lambda: FixedDegreeSpec(3, 3, 2, seed=2**64),
+        lambda: ErdosRenyiSpec(2, 3, "x"),
+        lambda: ErdosRenyiSpec(2, 3, None),
+        lambda: ErdosRenyiSpec(2, 3.5, 0.5),
+        lambda: ErdosRenyiSpec(2, 3, 0.5, seed=-1),
+    ],
+    ids=[
+        "fd-d-float", "fd-l-float", "fd-d-bool", "fd-seed-float", "fd-seed-2**64",
+        "er-p-string", "er-p-none", "er-r-float", "er-seed-negative",
+    ],
+)
+def test_spec_fields_must_have_their_types(make):
+    # Each once passed the spec, then failed later with a TypeError or drew
+    # a graph from a truncated value.
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_erdos_renyi_edge_cases():
     assert gen_erdos_renyi(ErdosRenyiSpec(l=5, r=7, p=0.0, seed=1)).m == 0
     g = gen_erdos_renyi(ErdosRenyiSpec(l=5, r=7, p=1.0, seed=1))

@@ -41,6 +41,35 @@ def test_out_of_range_endpoint_named():
         build_graph(2, 2, [(-1, 0)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BipartiteGraph(2, 3, [0.7], [0]),
+        lambda: BipartiteGraph(2, 3, np.array([0]), np.array([1.0])),
+        lambda: BipartiteGraph(2, 3, np.array([True]), np.array([0])),
+        lambda: build_graph(2, 3, [(0.5, 1.9)]),
+        lambda: build_graph(2.0, 3, [(0, 1)]),
+        lambda: BipartiteGraph(2, True, [0], [0]),
+    ],
+    ids=["float-u", "float-v", "bool-u", "float-pair", "float-side", "bool-side"],
+)
+def test_graph_refuses_non_integer_endpoints_and_sides(build):
+    # Each of these once built a graph from truncated or cast values.
+    with pytest.raises(GraphError):
+        build()
+
+
+def test_non_integer_picks_refused_and_empty_input_accepted():
+    with pytest.raises(ValueError, match="must be integers"):
+        RecSubgraph.from_edges(2, 3, [1.9], [2.2])  # once picked (1, 2)
+    # An empty list is a float64 array; it is still an empty edge set.
+    assert build_graph(2, 3, []).m == 0
+    assert BipartiteGraph(2, 3, [], []).m == 0
+    assert RecSubgraph.from_edges(2, 3, [], []).n_selected == 0
+    unsigned = np.array([1], dtype=np.uint32)
+    assert BipartiteGraph(2, 3, unsigned, unsigned).edge_list() == [(1, 1)]
+
+
 def test_parallel_edges_kept_and_flagged():
     g = build_graph(1, 2, [(0, 1), (0, 1), (0, 0)])
     assert g.m == 3
@@ -129,6 +158,8 @@ def test_params_validation():
         ProblemParams(c=1, a=0)
     with pytest.raises(ValueError):
         ProblemParams(c=True, a=1)
+    with pytest.raises(ValueError, match="a must be an integer >= 1, got 1.5"):
+        ProblemParams(c=1, a=1.5)
 
 
 def test_coverage_single_edge():
@@ -142,6 +173,14 @@ def test_coverage_two_sources_one_target():
     g = build_graph(2, 1, [(0, 0), (1, 0)])
     h = RecSubgraph.from_edges(2, 1, [0, 1], [0, 0])
     assert coverage(g, h, 2) == 1
+
+
+@pytest.mark.parametrize("a", [1.5, True, 0, "1"])
+def test_coverage_refuses_a_that_is_not_a_positive_integer(a):
+    g = build_graph(1, 1, [(0, 0)])
+    h = RecSubgraph.from_edges(1, 1, [0], [0])
+    with pytest.raises(ValueError, match="a must be an integer >= 1"):
+        coverage(g, h, a)
 
 
 def test_coverage_rejects_invalid_selection():

@@ -566,6 +566,13 @@ def test_solve_every_algo_valid_on_many_instances(rng):
             assert report.covered <= report.upper_bound or report.upper_bound == 0
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, "3", None])
+def test_solver_seed_must_be_a_64_bit_integer(seed):
+    # seed=1.5 once gave the selection of seed 1.
+    with pytest.raises(ConfigError, match="seed must be an integer in"):
+        SolverConfig(params=ProblemParams(c=1, a=1), seed=seed)
+
+
 def test_solve_epsilon_validation():
     with pytest.raises(ConfigError):
         SolverConfig(params=ProblemParams(c=1, a=1), epsilon=0.0)
