@@ -28,11 +28,11 @@ __all__ = [
 def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> None:
     """Reject a parameter point the formulas are not defined at.
 
-    ``c`` may be fractional; the formulas are continuous in it, but ``a``
-    must be an integer.  Each test is written so that NaN fails it.
+    ``c`` may be fractional; the formulas are continuous in it, but ``l``,
+    ``r`` and ``a`` must be integers.  Each test is written so that NaN fails it.
     """
-    if not (l >= 0 and r >= 1):
-        raise ValueError(f"need l >= 0 and r >= 1, got l={l}, r={r}")
+    _check_int("l", l, 0, None, ValueError)
+    _check_int("r", r, 1, None, ValueError)
     if not math.inf > c >= 1:
         raise ValueError(f"c must be finite and >= 1, got c={c}")
     _check_int("a", a, 1, None, ValueError)
@@ -156,8 +156,9 @@ def concentration_bound(*, r: int, ck: float) -> tuple[float, float]:
     computed as ``exp(x * (1 - ln 4))`` and underflows to 0.0 for large
     ``r``, which is the honest answer.
     """
-    if not (r >= 1 and ck > 0.0):
-        raise ValueError(f"needs r >= 1 and ck > 0, got r={r}, ck={ck}")
+    _check_int("r", r, 1, None, ValueError)
+    if not ck > 0.0:
+        raise ValueError(f"needs ck > 0, got ck={ck}")
     threshold = r * (1.0 - 2.0 * math.exp(-ck))
     exponent = r * (1.0 - math.exp(-ck)) * (1.0 - math.log(4.0))
     prob = math.exp(exponent) if exponent > -745.0 else 0.0

@@ -139,8 +139,8 @@ class RecSubgraph:
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
     sorted ascending.  Construction does not deduplicate — :func:`validate`
     reports duplicate picks as violations.  The raw constructor checks only
-    the offsets and the order of each source's picks, so targets out of range
-    reach :func:`validate` too.
+    that offsets and targets are integers, the offsets and the order of each
+    source's picks, so targets out of range reach :func:`validate` too.
     """
 
     __slots__ = ("l", "r", "indptr", "targets")
@@ -149,8 +149,15 @@ class RecSubgraph:
         _check_side_limit(l, r, ValueError)
         self.l = l
         self.r = r
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.targets = np.ascontiguousarray(targets, dtype=np.int64)
+        indptr = np.ascontiguousarray(indptr)
+        targets = np.ascontiguousarray(targets)
+        if indptr.dtype.kind not in "iu" or (targets.size and targets.dtype.kind not in "iu"):
+            raise ValueError(
+                f"selection offsets and targets must be integers, got {indptr.dtype} and "
+                f"{targets.dtype} arrays"
+            )
+        self.indptr = indptr.astype(np.int64, copy=False)
+        self.targets = targets.astype(np.int64, copy=False)
         ptr = self.indptr
         if ptr.shape != (self.l + 1,) or ptr[0] != 0 or ptr[-1] != self.targets.size:
             raise ValueError("inconsistent selection offsets")

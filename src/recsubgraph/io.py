@@ -12,16 +12,16 @@ sizes must be below ``2**31``.  Graph files are simple: duplicate edge lines
 are dropped with a warning.  Writers emit edges in canonical (u, v) order with
 a trailing newline, so identical graphs produce byte-identical files.
 
-Readers read a file once.  A file as the writers emit it (header first, then
-only digits, spaces, tabs and newlines) is parsed in one :func:`numpy.loadtxt`
-call.  Any other file, and any file whose parse gives the wrong count or an
-out-of-range endpoint, goes through a line loop over the same text.  The loop
-skips comments and blank lines and names the first malformed line in its
-:class:`EdgeListError`.
+Readers read a file once.  A writer-style file -- the header on the first
+line, then ``m`` lines of ``digits SPACE digits`` of at most 10 digits each,
+every line ended by a newline except perhaps the last -- is parsed in one
+:func:`numpy.fromstring` call.  Every other file (tabs, padding, blank lines,
+comments, signs) and any writer-style file with an out-of-range endpoint
+goes through a line loop over the same text, which returns the same arrays or
+names the first malformed line in its :class:`EdgeListError`.
 """
 from __future__ import annotations
 
-import io
 import warnings
 from pathlib import Path
 
@@ -48,12 +48,11 @@ class EdgeListError(ValueError):
 def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Header sides and the int64 endpoint arrays of the edge lines, in file order.
 
-    The file is read once.  A plain file -- header on the first line, a body
-    of only ASCII digits, spaces, tabs and newlines with at least one digit --
-    is parsed by one :func:`numpy.loadtxt` call, accepted when it yields ``m``
-    rows of two in-range endpoints.  Every other file goes through
-    :func:`_parse_lines`, which reads the same text line by line and raises
-    :class:`EdgeListError` naming the first bad line.
+    The file is read once.  A writer-style file (see the module docstring) is
+    parsed by :func:`_parse_plain` in one :func:`numpy.fromstring` call.  Every
+    other file, and a writer-style file with an out-of-range endpoint, goes
+    through :func:`_parse_lines`, which reads the same text line by line and
+    raises :class:`EdgeListError` naming the first bad line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -66,38 +65,34 @@ def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     return parsed if parsed is not None else _parse_lines(path, text, magic)
 
 
-# The only bytes a body may hold to reach loadtxt.  Signs, ``_``, ``.``, ``#``
-# and non-ASCII digits either parse differently under ``int()`` and loadtxt or
-# need the line loop's error message, so such bodies are left to the loop.
-_PLAIN_BODY_BYTES = b"0123456789 \t\n"
-
-
 def _parse_plain(text: str, magic: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
-    """:func:`_parse_lines`' result for a plain file in one numpy call, else None."""
+    """:func:`_parse_lines`' result for a writer-style file in one numpy call, else None."""
     head, _, body = text.partition("\n")
     tokens = head.split()
-    if len(tokens) != 4 or tokens[0] != magic:
-        return None
-    raw = body.encode()
-    # A body with no digit would make loadtxt warn "input contained no data".
-    if not body or body.isspace() or raw.translate(None, _PLAIN_BODY_BYTES):
+    if len(tokens) != 4 or tokens[0] != magic or not body:
         return None
     try:
         l, r, m = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        # BytesIO shares ``raw``; a StringIO would copy the body at 4 bytes a char.
-        edges = np.loadtxt(io.BytesIO(raw), dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:  # a non-integer header, a 1- or 3-token line, a value beyond int64
+    except ValueError:
         return None
-    # Check the lower bound too: numpy versions that still parse integers via a
-    # float (deprecated in 1.23) can turn an int64 overflow into a negative.
+    data = (body if body.endswith("\n") else body + "\n").encode()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # Writer-style: the non-digit bytes alternate space, newline (m of each),
+    # and every token has 1-10 digits, so int64 holds it.
+    seps = np.flatnonzero((raw < 48) | (raw > 57))
+    gaps = np.diff(seps, prepend=-1)
     if (
-        edges.shape != (m, 2)
-        or edges.min() < 0
-        or int(edges[:, 0].max()) >= l
-        or int(edges[:, 1].max()) >= r
+        seps.size != 2 * m
+        or (raw[seps[0::2]] != 32).any()
+        or (raw[seps[1::2]] != 10).any()
+        or gaps.min() < 2
+        or gaps.max() > 11
     ):
         return None
-    us, vs = np.ascontiguousarray(edges.T)
+    flat = np.fromstring(data, dtype=np.int64, sep=" ")
+    us, vs = flat[0::2].copy(), flat[1::2].copy()
+    if int(us.max()) >= l or int(vs.max()) >= r:
+        return None
     return l, r, us, vs
 
 
@@ -192,6 +187,6 @@ def write_subgraph(sub: RecSubgraph, path) -> None:
 
 
 def _write(path, magic: str, l: int, r: int, us: np.ndarray, vs: np.ndarray) -> None:
-    lines = [f"{magic} {l} {r} {us.size}"]
-    lines.extend(f"{u} {v}" for u, v in zip(us.tolist(), vs.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pairs = tuple(np.column_stack((us, vs)).ravel().tolist())
+    body = ("%d %d\n" * us.size) % pairs
+    Path(path).write_text(f"{magic} {l} {r} {us.size}\n{body}", encoding="utf-8")

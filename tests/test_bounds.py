@@ -287,3 +287,28 @@ def test_upper_bound_counts_distinct_sources():
 def test_upper_bound_empty():
     g = build_graph(3, 3, [])
     assert upper_bound_estimate(g, ProblemParams(c=2, a=1)) == 0
+
+
+@pytest.mark.parametrize(
+    ("call", "name"),
+    [
+        (lambda: sampling_lower_bound(l=10.5, r=10.5, c=1, a=1), "l"),
+        (lambda: sampling_lower_bound(l=10, r=10.0, c=1, a=1), "r"),
+        (lambda: sampling_lower_bound(l=True, r=10, c=1, a=1), "l"),
+        (lambda: sampling_lower_bound(l=10, r=0, c=1, a=1), "r"),
+        (lambda: greedy_expected_bound(l=100.5, r=10.5, c=3, a=2, p=0.1), "l"),
+        (lambda: greedy_expected_bound(l=100, r=True, c=3, a=2, p=0.1), "r"),
+        (lambda: greedy_expected_bound(l=-1, r=10, c=3, a=2, p=0.1), "l"),
+        (lambda: concentration_bound(r=10.5, ck=1.0), "r"),
+        (lambda: concentration_bound(r=True, ck=1.0), "r"),
+    ],
+    ids=[
+        "sampling-l-fractional", "sampling-r-float", "sampling-l-bool", "sampling-r-zero",
+        "greedy-l-fractional", "greedy-r-bool", "greedy-l-negative",
+        "concentration-r-fractional", "concentration-r-bool",
+    ],
+)
+def test_bounds_reject_non_integer_side_sizes(call, name):
+    # Fractional and bool side sizes once returned a number.
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= "):
+        call()

@@ -237,6 +237,28 @@ def test_selection_offsets_must_form_a_csr(l, r, indptr, targets):
         RecSubgraph(l, r, indptr, targets)
 
 
+@pytest.mark.parametrize(
+    "indptr, targets",
+    [
+        ([0, 1.7], [2.9]),  # once truncated to indptr [0 1], targets [2]
+        ([0, 1], [2.0]),
+        ([0.0, 1.0], [2]),
+        ([0, 1], [True]),
+        (np.array([0, 1], dtype=np.float32), np.array([2], dtype=np.int32)),
+    ],
+)
+def test_selection_arrays_must_be_integers(indptr, targets):
+    with pytest.raises(ValueError, match="offsets and targets must be integers"):
+        RecSubgraph(1, 3, indptr, targets)
+
+
+def test_selection_accepts_any_integer_dtype_and_empty_targets():
+    h = RecSubgraph(1, 3, np.array([0, 1], dtype=np.uint8), np.array([2], dtype=np.int16))
+    assert h.indptr.dtype == h.targets.dtype == np.int64
+    assert h.edge_list() == [(0, 2)]
+    assert RecSubgraph(2, 3, [0, 0, 0], []).n_selected == 0
+
+
 @st.composite
 def raw_selection(draw):
     """A candidate graph and a raw selection that may break every rule.

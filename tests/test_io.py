@@ -1,17 +1,20 @@
 """Edge-list file format: parsing, errors, byte round-trips."""
+import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recsubgraph import io as rio
 from recsubgraph import (
     EdgeListError,
+    ErdosRenyiSpec,
     RecSubgraph,
     build_graph,
+    gen_erdos_renyi,
     read_edge_list,
     read_subgraph,
     write_edge_list,
@@ -108,6 +111,29 @@ def test_subgraph_round_trip(tmp_path):
     assert (back.l, back.r) == (4, 3)
 
 
+def test_writers_emit_canonical_bytes(tmp_path):
+    g = gen_erdos_renyi(ErdosRenyiSpec(l=1500, r=1200, p=0.004, seed=17))
+    picks = sorted(zip(g.edge_u.tolist(), g.edge_v.tolist()))[::3]
+    sub = RecSubgraph.from_edges(g.l, g.r, *map(list, zip(*picks)))
+    for path, write, obj, head, pairs in [
+        (tmp_path / "g.txt", write_edge_list, g, f"bipartite 1500 1200 {g.m}", g.edge_list()),
+        (tmp_path / "s.txt", write_subgraph, sub, f"recsubgraph 1500 1200 {len(picks)}", picks),
+    ]:
+        assert max(max(pair) for pair in pairs) >= 1000
+        write(obj, path)
+        want = "\n".join([head] + [f"{u} {v}" for u, v in sorted(pairs)]) + "\n"
+        assert path.read_bytes() == want.encode()
+    none = RecSubgraph(3, 4, [0, 0, 0, 0], [])
+    write_subgraph(none, tmp_path / "none.txt")
+    assert (tmp_path / "none.txt").read_bytes() == b"recsubgraph 3 4 0\n"
+    # A numpy deprecation of text-mode fromstring must fail here, not in the field.
+    with warnings.catch_warnings(), mock.patch.object(np, "fromstring", wraps=np.fromstring) as spy:
+        warnings.simplefilter("error")
+        assert read_edge_list(tmp_path / "g.txt").edge_list() == g.edge_list()
+        assert read_subgraph(tmp_path / "s.txt").edge_list() == picks
+    assert spy.call_count == 2
+
+
 def test_subgraph_rejects_duplicates(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("recsubgraph 2 2 2\n0 0\n0 0\n")
@@ -144,13 +170,17 @@ def test_empty_bodies_read_without_warning(tmp_path, read, magic):
             read(p)
 
 
-# Lines and tokens that a plain body must never pass on to np.loadtxt, plus
-# plain ones that the one-call parse must read as the line loop does.
+# Lines and tokens that a body must never pass on to np.fromstring, plus
+# writer-style ones that the one-call parse must read as the line loop does.
 _ODD_LINES = [
     "# note", "", " \t ", "7", "0 1 2", "0 0 # c", "0\t0", "  1   0  ", "00 0",
 ]
-_ODD_TOKENS = ["+1", "-1", "1_0", "\u0661", "99999999999999999999", "1.0", "x", "00"]
-_PLAIN_CHARS = set("0123456789 \t\n")
+_ODD_TOKENS = [
+    "+1", "-1", "1_0", "\u0661", "99999999999999999999", "1.0", "x", "00", "",
+    "0000000000", "00000000000",
+]
+# m lines of ``digits SPACE digits``, 1-10 digits a token, the last newline optional.
+_WRITER_BODY = re.compile(r"(?:[0-9]{1,10} [0-9]{1,10}\n)*[0-9]{1,10} [0-9]{1,10}\n?")
 
 
 @st.composite
@@ -197,25 +227,28 @@ def _outcome(parse):
 
 
 @given(edge_file_text())
+# Separator counts that fit m but lines that do not: one token, then three.
+@example(("bipartite", "bipartite 3 3 1\n0\n1\n"))
+@example(("recsubgraph", "recsubgraph 3 3 2\n0 1 2 0\n"))
 @settings(max_examples=400)
 def test_one_pass_parse_matches_line_loop(tmp_path_factory, case):
     magic, text = case
     path = tmp_path_factory.getbasetemp() / "differential.txt"
     path.write_bytes(text.encode("utf-8"))
-    loadtxt = np.loadtxt
+    fromstring = np.fromstring
     bodies = []
 
-    def plain_only_loadtxt(fh, *args, **kwargs):
-        bodies.append(fh.getvalue().decode("utf-8"))
-        assert set(bodies[-1]) <= _PLAIN_CHARS, f"loadtxt saw {bodies[-1]!r}"
-        return loadtxt(fh, *args, **kwargs)
+    def writer_style_only_fromstring(data, *args, **kwargs):
+        bodies.append(data.decode("utf-8"))
+        assert _WRITER_BODY.fullmatch(bodies[-1]), f"fromstring saw {bodies[-1]!r}"
+        return fromstring(data, *args, **kwargs)
 
-    with mock.patch.object(np, "loadtxt", plain_only_loadtxt):
+    with mock.patch.object(np, "fromstring", writer_style_only_fromstring):
         fast = _outcome(lambda: rio._parse(path, magic))
     with open(path, encoding="utf-8") as fh:
         loop = _outcome(lambda: rio._parse_lines(path, fh.read(), magic))
     assert fast == loop
     first, _, body = text.replace("\r\n", "\n").partition("\n")
-    if first.startswith(magic) and set(body) <= _PLAIN_CHARS and not isinstance(loop, str):
+    if first.startswith(magic) and _WRITER_BODY.fullmatch(body) and not isinstance(loop, str):
         # Writer-style files with edges take the one-call path.
-        assert bodies == ([body] if loop[2] else [])
+        assert bodies == [body if body.endswith("\n") else body + "\n"]
