@@ -15,6 +15,7 @@ output, regardless of platform.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,12 +37,34 @@ STREAM_SAMPLING = 2
 STREAM_PARTITION = 4
 
 
+@functools.cache
+def _key_words() -> type:
+    """The seed sequence type ``KeyWords(seed, role)``, whose two ``uint64``
+    words are ``[seed, role]``.
+
+    Made on first use, so importing this module does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyWords(ISeedSequence):
+        def __init__(self, seed: int, role: int) -> None:
+            self.words = (seed, role)
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.array(self.words, dtype=dtype)
+
+    return KeyWords
+
+
 def philox_stream(seed: int, role: int) -> np.random.Generator:
     """A Philox generator keyed by ``(seed, role)``; ``seed`` must fit in 64 bits
-    (the specs and ``SolverConfig`` check it)."""
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, role], dtype=np.uint64))
-    )
+    (the specs and ``SolverConfig`` check it).
+
+    Philox takes its key from two ``uint64`` words of its seed sequence, so
+    the state equals ``Philox(key=[seed, role])``'s.  Passing ``key=`` would
+    also draw OS entropy for a seed sequence that the key then replaces.
+    """
+    return np.random.Generator(np.random.Philox(_key_words()(seed, role)))
 
 
 @dataclass(frozen=True)

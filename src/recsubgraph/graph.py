@@ -140,12 +140,19 @@ class RecSubgraph:
     sorted ascending.  Construction does not deduplicate — :func:`validate`
     reports duplicate picks as violations.  The raw constructor checks only
     that offsets and targets are integers, the offsets and the order of each
-    source's picks, so targets out of range reach :func:`validate` too.
+    source's picks, so targets out of range reach :func:`validate` too.  It
+    copies what it is given, so the caller keeps its arrays writeable and
+    later writes to them do not reach the selection.
     """
 
     __slots__ = ("l", "r", "indptr", "targets")
 
     def __init__(self, l: int, r: int, indptr, targets) -> None:
+        self._adopt(l, r, np.array(indptr), np.array(targets))
+
+    def _adopt(self, l: int, r: int, indptr, targets) -> None:
+        """Check the selection and keep its arrays, read-only, without a copy
+        where they already are contiguous int64."""
         _check_side_limit(l, r, ValueError)
         self.l = l
         self.r = r
@@ -188,7 +195,9 @@ class RecSubgraph:
     def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "RecSubgraph":
         """Selection of ascending ``u*r + v`` keys; a repeated key is a duplicate pick."""
         indptr, _, targets = _csr(keys, l, r)
-        return cls(l, r, indptr, targets)
+        sel = cls.__new__(cls)
+        sel._adopt(l, r, indptr, targets)  # fresh arrays: nobody else holds them
+        return sel
 
     @property
     def n_selected(self) -> int:

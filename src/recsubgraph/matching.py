@@ -8,14 +8,18 @@ to a maximal matching.
 
 ``_match`` is the one matching core.  Each phase builds BFS layers, then
 runs the one augmenting walk, ``_augment``, a Python DFS along them.  Its two
-phase engines differ only in how they build the layers, and give the same
-partner for every vertex, the same phases and the same scans:
+phase engines differ in how they build the layers, and give the same partner
+for every vertex, the same phases and the same scans:
 
 * the list engine, below ``_LAYERED_MIN`` left vertices: a Python BFS over
   adjacency lists;
 * the layered engine, from there on: a numpy BFS that keeps each layer and a
   backward numpy pass that marks the *alive* vertices (those with a layered
   path to a free right vertex); the walk starts from and enters only those.
+  Its first phase's walk, a greedy pass over the roots, runs in numpy.
+  Partition hands the layered engine all its windows in one call: they share
+  one phase loop, one numpy gather per layer, while each window keeps its
+  own found layer, walk and scans, so each gets what ``_match`` gives it.
 
 A *dead* vertex lies on no shortest augmenting path, so no edge into or out
 of it flips during the phase.  When the list engine's walk reaches one, it
@@ -84,7 +88,8 @@ def _match(
         # graph need not compile it.
         from ._layered import match_layered
 
-        return match_layered(keys, n_left, n_right, depth_cap)
+        ml, mr, size, phases, scans = match_layered(keys, n_left, n_right, depth_cap, 1)
+        return Matching(ml.tolist(), mr.tolist(), size[0], phases[0]), scans[0]
     indptr, _, right = _csr(keys, n_left, n_right)
     cuts = indptr.tolist()
     flat = right.tolist()
@@ -110,8 +115,9 @@ def _match(
             du = level[u]
             if du >= found or du > depth_cap:
                 continue
-            for v in adj[u]:
-                scans += 1
+            row = adj[u]
+            scans += len(row)
+            for v in row:
                 w = match_r[v]
                 if w < 0:
                     if found == _INF:

@@ -41,6 +41,7 @@ from .graph import (
     _segments,
     validate,
 )
+from . import matching
 from .matching import _match
 
 __all__ = [
@@ -221,6 +222,11 @@ def partition_with_stats(
     positions of R' lie in no window, and edges to them are dropped along with
     the edges outside R'.  Whenever every position is covered, which includes
     every ``a == 1`` case, nothing more is dropped.
+
+    Windows of ``matching._LAYERED_MIN`` or more sources go to
+    ``_layered.match_layered`` in one call: they run in one phase loop, each
+    with its own found layer, and each gets the matching and scans that
+    ``_match`` gives it alone.  Smaller windows run one ``_match`` each.
     """
     c = config.params.c
     a = config.params.a
@@ -260,23 +266,31 @@ def partition_with_stats(
 
     max_path_len = 2 * math.ceil(c / config.epsilon) - 1
     # One key space for all windows: window i owns [i*l*wsize, (i+1)*l*wsize).
-    span = graph.l * wsize
     keys = _distinct_sorted(np.sort((ewin * graph.l + eu) * wsize + elocal))
-    cuts = np.searchsorted(keys, np.arange(c + 1, dtype=np.int64) * span).tolist()
-    out_u: list[np.ndarray] = []
-    out_v: list[np.ndarray] = []
-    scans = 0
-    for i in range(c):
-        window = keys[cuts[i] : cuts[i + 1]] - i * span
-        matching, sc = _match(window, graph.l, wsize, max_path_len)
-        scans += sc
-        ml_arr = np.asarray(matching.match_l, dtype=np.int64)
-        matched = np.flatnonzero(ml_arr >= 0)
-        out_u.append(matched)
-        out_v.append(sample[(starts[i] + ml_arr[matched]) % n_prime])
-    sel_keys = np.concatenate(out_u) * graph.r + np.concatenate(out_v)
+    # ml[i*l + u]: the partner of source u in window i, or -1.  The layered
+    # engine numbers window i's positions from i*wsize, the list engine from 0.
+    if graph.l >= matching._LAYERED_MIN and keys.size < 2**31 and c * graph.l < 2**31:
+        from ._layered import match_layered
+
+        depth_cap = (max_path_len - 1) // 2
+        ml, _, _, _, per_window = match_layered(keys, graph.l, wsize, depth_cap, c)
+        scans = sum(per_window)
+    else:
+        span = graph.l * wsize
+        cuts = np.searchsorted(keys, np.arange(c + 1, dtype=np.int64) * span).tolist()
+        partners: list[int] = []
+        scans = 0
+        for i in range(c):
+            window = keys[cuts[i] : cuts[i + 1]] - i * span
+            got, sc = _match(window, graph.l, wsize, max_path_len)
+            partners += got.match_l
+            scans += sc
+        ml = np.array(partners, dtype=np.int64)
+    matched = np.flatnonzero(ml >= 0)
+    win, u = np.divmod(matched, graph.l)
+    v = sample[(starts[win] + ml[matched] % wsize) % n_prime]
     # Parallel candidates can land the same (u, v) in two windows; keep one.
-    sel_keys = _distinct_sorted(np.sort(sel_keys))
+    sel_keys = _distinct_sorted(np.sort(u * graph.r + v))
     stats = SolveStats(edges_touched=graph.m + scans, peak_aux=int(eq.size))
     return RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats
 

@@ -16,6 +16,7 @@ from recsubgraph import (
     ErdosRenyiSpec,
     ExperimentSpec,
     FixedDegreeSpec,
+    OracleSizeError,
     ProblemParams,
     SolverConfig,
     bounded_matching,
@@ -217,6 +218,69 @@ def test_criterion_6_oracle_safety_net():
         f"<= exact optimum and greedy always >= ceil(opt/(a+1)) "
         f"(violation: {worst}); {elapsed:.1f}s < 60s",
     )
+
+
+def _highs_opt(graph, c: int, a: int) -> int:
+    """The optimum as an ILP solved by HiGHS, sharing no code with ``exact_opt``.
+
+    ``x_e`` in {0, 1} per distinct edge and ``y_v`` in {0, 1} per target, with
+    ``sum of x_e at u <= c`` per source and ``a*y_v <= sum of x_e at v`` per
+    target; the optimum is the largest ``sum of y_v``.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    keys = graph.distinct_keys()
+    m = keys.size
+    eu, ev = np.divmod(keys, graph.r)
+    edge = np.arange(m)
+    target = np.arange(graph.r)
+    per_source = sparse.csr_matrix((np.ones(m), (eu, edge)), shape=(graph.l, m + graph.r))
+    per_target = sparse.csr_matrix(
+        (
+            np.concatenate([-np.ones(m), np.full(graph.r, float(a))]),
+            (np.concatenate([ev, target]), np.concatenate([edge, m + target])),
+        ),
+        shape=(graph.r, m + graph.r),
+    )
+    res = optimize.milp(
+        np.concatenate([np.zeros(m), -np.ones(graph.r)]),
+        constraints=[
+            optimize.LinearConstraint(per_source, -np.inf, c),
+            optimize.LinearConstraint(per_target, -np.inf, 0),
+        ],
+        integrality=np.ones(m + graph.r),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert res.status == 0, res.message
+    return round(-res.fun)
+
+
+def test_criterion_6_exact_opt_agrees_with_highs():
+    # An independent exact check of the oracle that criterion 6 trusts.
+    rng = np.random.default_rng(6060)
+    for _ in range(60):
+        l, r = (int(x) for x in rng.integers(4, 13, size=2))
+        m = int(rng.integers(0, 3 * (l + r)))
+        # Drawn with replacement, so multigraphs with parallel edges occur.
+        g = build_graph(l, r, list(zip(rng.integers(0, l, m).tolist(), rng.integers(0, r, m).tolist())))
+        for c, a in ((1, 1), (2, 1), (2, 2), (3, 2)):
+            assert exact_opt(g, ProblemParams(c=c, a=a)) == _highs_opt(g, c, a), (g.edge_list(), c, a)
+
+
+@pytest.mark.parametrize("c, a", [(2, 2), (3, 2), (5, 2)])
+def test_criterion_6_strategies_against_highs_where_the_bracket_stays_open(c, a):
+    # exact_opt's bracket stays open on these cells and refuses the subset
+    # search; HiGHS gives the optimum in about a second a cell.
+    g = gen_fixed_degree(FixedDegreeSpec(l=500, r=2000, d=20, seed=1))
+    params = ProblemParams(c=c, a=a)
+    with pytest.raises(OracleSizeError):
+        exact_opt(g, params)
+    opt = _highs_opt(g, c, a)
+    for algo in ("sampling", "greedy", "partition"):
+        _, report = solve(g, algo, SolverConfig(params=params, seed=1))
+        assert report.covered <= opt, (algo, report.covered, opt)
+        if algo == "greedy":
+            assert report.covered >= -(-opt // (a + 1)), (report.covered, opt)
 
 
 # -------------------------------------------------------------- criterion 7

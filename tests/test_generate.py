@@ -10,7 +10,13 @@ from recsubgraph import (
     gen_erdos_renyi,
     gen_fixed_degree,
 )
-from recsubgraph.generate import STREAM_GENERATE, _gap_walk, philox_stream
+from recsubgraph.generate import (
+    STREAM_GENERATE,
+    STREAM_PARTITION,
+    STREAM_SAMPLING,
+    _gap_walk,
+    philox_stream,
+)
 
 
 def test_fixed_degree_exact_edge_count():
@@ -144,3 +150,24 @@ def test_erdos_renyi_gap_walk_stays_in_range_on_huge_sides(p):
         assert (np.diff(idx) > 0).all()
         if p == 1e-300:  # every gap saturates past total
             assert idx.size == 0
+
+
+def _flat_state(state: dict) -> list:
+    """A bit generator's ``.state`` as a comparable list (it holds arrays)."""
+    out = []
+    for key, value in sorted(state.items()):
+        if isinstance(value, dict):
+            out += [(key, item) for item in _flat_state(value)]
+        else:
+            out.append((key, np.asarray(value).tolist()))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("role", [STREAM_GENERATE, STREAM_SAMPLING, STREAM_PARTITION])
+def test_philox_stream_equals_the_keyed_philox(seed, role):
+    # The stream is Philox(key=[seed, role]), built without its entropy draw.
+    want = np.random.Generator(np.random.Philox(key=np.array([seed, role], dtype=np.uint64)))
+    got = philox_stream(seed, role)
+    assert _flat_state(got.bit_generator.state) == _flat_state(want.bit_generator.state)
+    assert np.array_equal(got.random(1000), want.random(1000))

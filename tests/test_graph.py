@@ -252,6 +252,18 @@ def test_selection_arrays_must_be_integers(indptr, targets):
         RecSubgraph(1, 3, indptr, targets)
 
 
+def test_selection_copies_the_callers_arrays():
+    indptr = np.array([0, 1], dtype=np.int64)
+    targets = np.array([2], dtype=np.int64)
+    h = RecSubgraph(1, 3, indptr, targets)
+    assert indptr.flags.writeable and targets.flags.writeable
+    targets[0] = 1
+    indptr[1] = 0
+    assert h.edge_list() == [(0, 2)]
+    assert h.indptr.tolist() == [0, 1]
+    assert not (h.indptr.flags.writeable or h.targets.flags.writeable)
+
+
 def test_selection_accepts_any_integer_dtype_and_empty_targets():
     h = RecSubgraph(1, 3, np.array([0, 1], dtype=np.uint8), np.array([2], dtype=np.int16))
     assert h.indptr.dtype == h.targets.dtype == np.int64

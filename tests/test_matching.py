@@ -4,24 +4,25 @@ Tests that take ``matching_engines`` check both of ``_match``'s phase
 engines, and ``test_engines_agree`` checks that they agree exactly.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from recsubgraph import (
     ErdosRenyiSpec,
     ProblemParams,
     SolverConfig,
+    _layered,
     bounded_matching,
     build_graph,
     gen_erdos_renyi,
     hopcroft_karp,
     matching,
     partition_with_stats,
-    solvers,
 )
-from conftest import brute_force_max_matching, random_simple_graph
+from conftest import brute_force_max_matching, chain_graph, partition_windows, random_simple_graph
 
 
 def test_identity_graph():
@@ -178,18 +179,116 @@ def test_engines_agree(matching_engines, g, cap):
 def test_engines_agree_on_a_partition_window(monkeypatch, matching_engines):
     # One window as partition hands it over, large enough that the layered
     # engine is the one that runs by default.
-    windows = []
-
-    def spy(keys, n_left, n_right, cap):
-        windows.append((keys, n_left, n_right, cap))
-        return real(keys, n_left, n_right, cap)
-
-    real = solvers._match
-    monkeypatch.setattr(solvers, "_match", spy)
     g = gen_erdos_renyi(ErdosRenyiSpec(l=3000, r=3000, p=8 / 3000, seed=301))
-    partition_with_stats(g, SolverConfig(params=ProblemParams(c=3, a=2), seed=301))
-    keys, n_left, n_right, cap = windows[0]
+    cfg = SolverConfig(params=ProblemParams(c=3, a=2), seed=301)
+    keys, n_left, n_right, cap, _ = partition_windows(monkeypatch, g, cfg)[0]
     assert n_left >= matching._LAYERED_MIN and keys.size > 5000
     listed, layered = _both_engines(matching_engines, keys, n_left, n_right, cap)
     assert listed[3] > 5  # enough phases to leave dead vertices behind
     assert listed == layered
+
+
+def _batched(windows, n_left, n_right, cap):
+    """One ``match_layered`` call over ``windows``, split back per window."""
+    span = n_left * n_right
+    keys = np.concatenate([k + i * span for i, k in enumerate(windows)])
+    depth_cap = math.inf if cap is None else (cap - 1) // 2
+    ml, mr, size, phases, scans = _layered.match_layered(keys, n_left, n_right, depth_cap, len(windows))
+    out = []
+    for i in range(len(windows)):
+        left = ml[i * n_left : (i + 1) * n_left].tolist()
+        right = mr[i * n_right : (i + 1) * n_right].tolist()
+        left = [v - i * n_right if v >= 0 else -1 for v in left]
+        right = [u - i * n_left if u >= 0 else -1 for u in right]
+        out.append((left, right, size[i], phases[i], scans[i]))
+    return out
+
+
+def _one_list_call_each(monkeypatch, windows, n_left, n_right, cap):
+    monkeypatch.setattr(matching, "_LAYERED_MIN", sys.maxsize)
+    out = []
+    for keys in windows:
+        got, scans = matching._match(keys, n_left, n_right, cap)
+        out.append((got.match_l, got.match_r, got.size, got.phases, scans))
+    return out
+
+
+@st.composite
+def _window_sets(draw):
+    """One to five graphs on the same sides, as partition's windows are."""
+    n_left = draw(st.integers(0, 14))
+    n_right = draw(st.integers(0, 14))
+    pairs = st.tuples(st.integers(0, max(n_left - 1, 0)), st.integers(0, max(n_right - 1, 0)))
+    edges = st.lists(pairs, max_size=60) if n_left and n_right else st.just([])
+    windows = draw(st.lists(edges, min_size=1, max_size=5))
+    return n_left, n_right, [build_graph(n_left, n_right, e).distinct_keys() for e in windows]
+
+
+# In the second phase window 2 finds a free vertex a layer before window 0
+# does.  Its free owners (-1) then sit among the entries the dead closure
+# reads for window 0, and counting one as a vertex changes window 2's scans.
+_EARLY_FINISH = (
+    5,
+    6,
+    [
+        np.array([2, 6, 8, 9, 12, 19, 26, 27, 28]),
+        np.array([0, 3, 7, 13, 15, 18, 22, 25, 27]),
+        np.array([0, 4, 8, 9, 10, 12, 13, 16, 17, 19, 28]),
+    ],
+)
+
+
+@given(ws=_window_sets(), cap=st.sampled_from([None, 1, 3, 5, 7]))
+@example(ws=_EARLY_FINISH, cap=None)
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_batched_windows_match_one_list_call_each(monkeypatch, ws, cap):
+    # Each window keeps its own found layer, walk and scans, so sharing the
+    # phase loop changes nothing any window would get alone.
+    n_left, n_right, windows = ws
+    want = _one_list_call_each(monkeypatch, windows, n_left, n_right, cap)
+    assert _batched(windows, n_left, n_right, cap) == want
+
+
+@pytest.mark.parametrize("cap", [None, 1, 3, 5, 7])
+def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
+    # A chain whose second phase needs a 17-edge augmenting path, a window
+    # with no edges, a window solved in its first phase, and one whose free
+    # roots reach nothing after it.  They leave the phase loop at different
+    # phases: the empty window first, the chain last when no cap stops it.
+    n = 9
+    windows = [
+        chain_graph(n).distinct_keys(),
+        np.zeros(0, dtype=np.int64),
+        build_graph(n, n, [(4, 2)]).distinct_keys(),
+        build_graph(n, n, [(0, 1), (3, 1), (5, 1)]).distinct_keys(),
+    ]
+    want = _one_list_call_each(monkeypatch, windows, n, n, cap)
+    assert _batched(windows, n, n, cap) == want
+    assert [w[3] for w in want] == [2 if cap is None else 1, 0, 1, 1]
+    assert _batched(windows[:1], n, n, cap) == want[:1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ca=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)]),
+    epsilon=st.sampled_from([0.1, 0.5, 1.0]),
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_partition_hand_over_keeps_selection_and_scans(monkeypatch, seed, ca, epsilon):
+    # With _LAYERED_MIN at 0 partition hands every window set over in one
+    # batched call; below it, one list-engine _match per window.
+    rng = np.random.default_rng(seed)
+    l, r = (int(x) for x in rng.integers(1, 40, size=2))
+    m = int(rng.integers(0, 4 * (l + r)))
+    g = build_graph(l, r, list(zip(rng.integers(0, l, m).tolist(), rng.integers(0, r, m).tolist())))
+    cfg = SolverConfig(params=ProblemParams(*ca), seed=seed, epsilon=epsilon)
+    out = []
+    for threshold in (sys.maxsize, 0):
+        monkeypatch.setattr(matching, "_LAYERED_MIN", threshold)
+        sel, stats = partition_with_stats(g, cfg)
+        out.append((sel.indptr.tolist(), sel.targets.tolist(), stats.edges_touched))
+    assert out[0] == out[1]

@@ -30,7 +30,7 @@ from recsubgraph import (
 )
 from recsubgraph import matching, solvers
 from recsubgraph.generate import STREAM_SAMPLING, philox_stream
-from conftest import random_simple_graph
+from conftest import partition_windows, random_simple_graph
 
 
 def _cfg(c, a, seed=0, **kw):
@@ -374,18 +374,9 @@ def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, 
     # A window whose cap exceeds every simple path is solved to a maximum
     # matching; the two sizes sit on either side of the layered threshold.
     nx = pytest.importorskip("networkx")
-    windows = []
-
-    def spy(keys, n_left, n_right, cap):
-        got = real(keys, n_left, n_right, cap)
-        windows.append((keys, n_left, n_right, cap, got[0].size))
-        return got
-
-    real = solvers._match
-    monkeypatch.setattr(solvers, "_match", spy)
     g = gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=3, seed=11))
     wsize = min(l, r, l * c // a)
-    partition_with_stats(g, _cfg(c, a, seed=5, epsilon=c / (wsize + 1)))
+    windows = partition_windows(monkeypatch, g, _cfg(c, a, seed=5, epsilon=c / (wsize + 1)))
     assert len(windows) == c
     for keys, n_left, n_right, cap, size in windows:
         assert (n_left, n_right) == (l, wsize)
