@@ -2,9 +2,11 @@
 
 Random bipartite graphs with edge probability p = a(ln l - ln ln l)/l sit
 right at the density where near-perfect coverage first becomes possible.
-The partition strategy splits its budget into a rounds of 1-recommendation
-passes; below we count how often it covers at least (1 - eps) of the best
-possible number of targets, for a few values of eps.
+The partition strategy lays out c windows over a random sample of the
+targets and solves each as one depth-capped matching (no augmenting path
+longer than 2*ceil(c/eps) - 1 edges); below we count how often it covers at
+least (1 - eps) of the best possible number of targets, for a few values of
+eps.
 """
 import math
 

@@ -75,8 +75,9 @@ def match_layered(
        stops there, and the window leaves the BFS.  The other windows go on:
        their next frontier is each owner no layer holds yet, in order of
        first occurrence, which is the list BFS's queue order.  Each layer's
-       entries are kept as (left endpoint, owner) pairs.  A window that
-       reaches no free vertex is done; its vertices never start a BFS again.
+       entries are kept with their position, left endpoint and owner.  A
+       window that reaches no free vertex is done; its vertices never start
+       a BFS again.
     2. Alive pass, backward over the kept layers: the vertices with a free
        neighbour (which sit at their window's ``found``) and those with an
        entry whose owner is alive one layer deeper.
@@ -89,9 +90,8 @@ def match_layered(
        would also enter every dead free root, and every dead next-layer
        owner of an entry it read; a dead vertex has only dead next-layer
        owners, so it walks everything those seeds reach, each vertex once
-       and in full.  Those vertices are marked in numpy and counted at their
-       full degrees.  Every other vertex read as far as its arc pointer
-       moved, ``arc - ip[:-1]``.
+       and in full.  Numpy moves their arc pointers to their ends, and each
+       vertex read as far as its arc pointer moved, ``arc - ip[:-1]``.
 
     Positions, owners and layers are int32.  Every array is a view of
     scratch allocated once per call outside the malloc heap (``_scratch``),
@@ -108,15 +108,18 @@ def match_layered(
     # Per adjacency position: its endpoints.  Per kept entry: its left
     # endpoint and the owner of its neighbour (-1 if free).
     source, targets, src, own = _scratch([m] * 4, i32)
-    # Scratch sized for the largest layer: ranks 0, 1, 2, ..., gathered
-    # positions, and four int and two bool temporaries.
+    # Ranks 0, 1, 2, ...; per kept entry, its adjacency position; and four
+    # int and two bool temporaries, sized for the largest layer.
     rank, pos, ta, tb, tc, td = _scratch([big] * 6, i32)
     ma, mb = _scratch([big] * 2, bool)
+    # Per kept entry: whether the BFS put its owner in the next layer, and
+    # after the alive pass, whether that owner is also dead.
+    (dead_next,) = _scratch([m], bool)
     # Per left vertex: degree; the frontiers, layer after layer, the roots
-    # first; where its entries start in its layer; the rank of its first
-    # entry as an owner; how many of its entries the DFS reads; BFS layer;
-    # the DFS's arc pointer and layer; partner.
-    deg, order, entry, first, limit, dist, arc, lvl, ml = _scratch([n_l] * 9, i32)
+    # first; the rank of its first entry as an owner; how many of its
+    # entries the DFS reads; BFS layer; the DFS's arc pointer and layer;
+    # partner.
+    deg, order, first, limit, dist, arc, lvl, ml = _scratch([n_l] * 8, i32)
     has_edges, alive = _scratch([n_l] * 2, bool)
     # Per right vertex: partner, and the first walk's smallest claimant.
     ip, mr, claim = _scratch([n_l + 1, windows * n_right, windows * n_right], i32)
@@ -147,6 +150,7 @@ def match_layered(
         roots = _keep(free, rank[:n_l], order)
         dist.fill(unseen)
         dist[roots] = 0
+        first.fill(unseen)  # a vertex is fresh in one layer at most
         frontier = roots
         layers: list[tuple[int, int]] = []  # entry range of each layer
         found = np.full(windows, -1)
@@ -155,21 +159,19 @@ def match_layered(
         k = 0
         while frontier.size and k <= depth_cap:
             nf = frontier.size
-            d = _take(deg, frontier, ta)
-            begin = np.add.accumulate(d, out=tb[:nf])
-            n_entries = int(begin[-1])
-            begin -= d
-            entry[frontier] = begin
+            # tb[:nf + 1]: where each vertex's entries start, then the layer's end.
+            tb[0] = 0
+            ends = np.add.accumulate(_take(deg, frontier, ta), out=tb[1 : nf + 1])
+            n_entries = int(ends[-1])
             e1 = e0 + n_entries
             layers.append((e0, e1))
             # Positions: rank in the layer plus the vertex's run offset,
             # spread over its run by a cumsum of the offset steps.
-            offset = _take(ip, frontier, tc)
-            offset -= begin
-            p = pos[:n_entries]
+            offset = _take(ip[1:], frontier, tc)
+            offset -= ends
+            p = pos[e0:e1]
             p.fill(0)
-            step = np.subtract(offset[1:], offset[:-1], out=ta[1:nf])
-            p[begin[1:]] = step
+            p[ends[:-1]] = np.subtract(offset[1:], offset[:-1], out=ta[1:nf])
             p[0] = offset[0]
             np.add.accumulate(p, out=p)
             p += rank[:n_entries]
@@ -178,7 +180,6 @@ def match_layered(
             hits: list[int] = []
             if o[o.argmin()] < 0:
                 # Window w's entries in this layer are [cut[w], cut[w + 1]).
-                tb[nf] = n_entries
                 cut = tb[np.floor_divide(frontier, n_left, out=tc[:nf]).searchsorted(wins)]
                 # The first entry with a free owner, in each window with one.
                 at = _keep(np.less(o, 0, out=ma[:n_entries]), rank[:n_entries], tb)
@@ -187,11 +188,12 @@ def match_layered(
                 lead[0] = True
                 np.not_equal(at_win[1:], at_win[:-1], out=lead[1:])
                 won = at_win[lead]
-                u = src[e0 + at[lead]]
+                at = at[lead]
+                u = src[e0 + at]
                 found[won] = k
-                # Such a window scans this layer up to its first vertex u
-                # with a free neighbour.
-                scans[won] += entry[u] + deg[u] - cut[won]
+                # Such a window scans this layer up to the last entry of its
+                # first vertex u with a free neighbour.
+                scans[won] += at - pos[e0 + at] + ip[u + 1] - cut[won]
                 searching = np.greater(cut[1:], cut[:-1])
                 searching[won] = False
                 if not searching.any():
@@ -202,12 +204,11 @@ def match_layered(
                 break
             # Unseen owners, each at its first occurrence, in the windows
             # that found no free vertex yet.
-            new = np.equal(_take(dist, o, ta), unseen, out=ma[:n_entries])
+            new = np.equal(_take(dist, o, ta), unseen, out=dead_next[e0:e1])
             for w in hits:
                 new[cut[w] : cut[w + 1]] = False
             fresh = _keep(new, o, tc)
             r = rank[: fresh.size]
-            first[fresh] = fresh.size
             np.minimum.at(first, fresh, r)
             lead = _take(first, fresh, ta)
             frontier = _keep(np.equal(lead, r, out=ma[: fresh.size]), fresh, order[f1:])
@@ -233,17 +234,23 @@ def match_layered(
         top = int(found.max())
         stops = set(found.tolist())  # the layers where some window found
 
-        # 2. Alive pass.  A free owner (-1) reads as vertex 0, and counts
-        # through its own test instead.
+        # 2. Alive pass.  At the deepest layer only free owners count; above
+        # it, owners the BFS put one layer deeper that are alive.  A free
+        # owner (-1) reads as vertex 0, and counts through its own test.
+        # What stays in ``dead_next`` are the dead owners one layer deeper.
         alive.fill(False)
-        for k in range(top, -1, -1):
+        e0, e1 = layers[top]
+        alive[_keep(np.less(own[e0:e1], 0, out=ma[: e1 - e0]), src[e0:e1], ta)] = True
+        for k in range(top - 1, -1, -1):
             e0, e1 = layers[k]
             o = own[e0:e1]
+            deeper = dead_next[e0:e1]
             hit = _take(alive, o, ma)
-            hit &= np.equal(_take(dist, o, ta), k + 1, out=mb[: o.size])
+            hit &= deeper
             if k in stops:
                 hit |= np.less(o, 0, out=mb[: o.size])
             alive[_keep(hit, src[e0:e1], ta)] = True
+            np.greater(deeper, hit, out=deeper)
 
         # 3. The walk.  When every window found at layer 0, which happens in
         # the first phase only, the walk goes no deeper than the roots: each
@@ -259,9 +266,7 @@ def match_layered(
             n0 = layers[0][1]
             s = src[:n0]
             free = np.less(own[:n0], 0, out=mb[:n0])
-            at = np.subtract(rank[:n0], _take(entry, s, ta), out=ta[:n0])
-            at += _take(ip, s, tb)
-            cand = _keep(free, at, pos)
+            cand = _keep(free, pos[:n0], td)
             picker = _keep(free, s, tc)
             arc[picker] = _take(ip[1:], picker, tb)  # read in full if it picks nothing
             rounds = 0
@@ -286,7 +291,7 @@ def match_layered(
                 arc[pu] = after
                 left = np.less(_take(ml, u, tc), 0, out=ma[:k])
                 left &= np.less(_take(mr, v, own), 0, out=mb[:k])
-                cand = _keep(left, cand, (pos, td)[rounds % 2])
+                cand = _keep(left, cand, (td, pos)[rounds % 2])
         else:
             # The shared walk, per window; a level of -1 never equals a layer + 1.
             lvl.fill(-1)
@@ -301,26 +306,20 @@ def match_layered(
                 start = _keep(live[at[w] : at[w + 1]], roots[at[w] : at[w + 1]], ta)
                 _augment(memoryview(start), flat, cuts, ptr, level, match_l, match_r, depth)
 
-        # 4. Dead closure.  Each vertex read the entries its arc pointer
-        # passed, a reached dead vertex all of them: ``limit`` counts them,
-        # and their sum is the DFS's scans.  The owners of those entries are
-        # still the kept ones, as a dead vertex's partner never flips.
-        np.subtract(arc, ip[:-1], out=limit)
-        arc[:] = ip[:-1]  # rewound for the next phase
+        # 4. Dead closure: a reached dead vertex reads all its entries.  The
+        # owners of those entries are still the kept ones, as a dead vertex's
+        # partner never flips.  ``limit`` counts the entries each vertex
+        # read, and their sum is the DFS's scans.
         seed = _keep(np.logical_not(live, out=live), roots, ta)
-        limit[seed] = _take(deg, seed, tb)
+        arc[seed] = _take(ip[1:], seed, tb)
         for k in range(top):
             e0, e1 = layers[k]
-            s = src[e0:e1]
-            o = own[e0:e1]
-            index = np.subtract(rank[: s.size], _take(entry, s, ta), out=ta[: s.size])
-            hit = np.less(index, _take(limit, s, tb), out=ma[: s.size])
-            hit &= np.equal(_take(dist, o, ta), k + 1, out=mb[: s.size])
-            hit &= np.logical_not(_take(alive, o, mb), out=mb[: s.size])
-            if k in stops:  # a free owner is no vertex to walk
-                hit &= np.greater_equal(o, 0, out=mb[: s.size])
-            seed = _keep(hit, o, tc)
-            limit[seed] = _take(deg, seed, ta)
+            hit = np.less(pos[e0:e1], _take(arc, src[e0:e1], ta), out=ma[: e1 - e0])
+            hit &= dead_next[e0:e1]
+            seed = _keep(hit, own[e0:e1], tc)
+            arc[seed] = _take(ip[1:], seed, ta)
+        np.subtract(arc, ip[:-1], out=limit)
+        arc[:] = ip[:-1]  # rewound for the next phase
         scans += limit.reshape(windows, n_left).sum(axis=1)
     matched = np.greater_equal(ml, 0, out=ma[:n_l]).reshape(windows, n_left)
     return ml, mr, np.count_nonzero(matched, axis=1).tolist(), phases.tolist(), scans.tolist()

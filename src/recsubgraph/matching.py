@@ -6,20 +6,21 @@ shorter than 2·alpha+1 is within a factor 1 - 1/alpha of maximum, the cap
 trades quality for time in a controlled way.  ``max_path_len=1`` degenerates
 to a maximal matching.
 
-``_match`` is the one matching core.  Each phase builds BFS layers, then
-runs the one augmenting walk, ``_augment``, a Python DFS along them.  Its two
-phase engines differ in how they build the layers, and give the same partner
-for every vertex, the same phases and the same scans:
+``_match`` is the one matching core.  It matches one graph, or several
+disjoint *windows* at once as partition hands them over, each as if alone.
+Each phase builds BFS layers, then runs the one augmenting walk,
+``_augment``, a Python DFS along them.  Its two phase engines differ in how
+they build the layers, and give the same partner for every vertex, the same
+phases and the same scans:
 
-* the list engine, below ``_LAYERED_MIN`` left vertices: a Python BFS over
-  adjacency lists;
+* the list engine, for window sets of fewer than ``_LAYERED_MIN`` sources in
+  all: a Python BFS over adjacency lists, one window after another;
 * the layered engine, from there on: a numpy BFS that keeps each layer and a
   backward numpy pass that marks the *alive* vertices (those with a layered
   path to a free right vertex); the walk starts from and enters only those.
-  Its first phase's walk, a greedy pass over the roots, runs in numpy.
-  Partition hands the layered engine all its windows in one call: they share
-  one phase loop, one numpy gather per layer, while each window keeps its
-  own found layer, walk and scans, so each gets what ``_match`` gives it.
+  Its first phase's walk, a greedy pass over the roots, runs in numpy.  The
+  windows share one phase loop, one numpy gather per layer, while each keeps
+  its own found layer, walk and scans.
 
 A *dead* vertex lies on no shortest augmenting path, so no edge into or out
 of it flips during the phase.  When the list engine's walk reaches one, it
@@ -39,12 +40,14 @@ __all__ = ["Matching", "hopcroft_karp", "bounded_matching"]
 
 _INF = float("inf")
 
-# Left-side size from which phases run layered in numpy.  Below it the
-# per-layer numpy calls cost more than the Python work they save: at 500 left
-# vertices the layered engine took 1.4-3.5x the list engine's time on every
-# window measured; at 1000 it was faster on fixed-degree windows and whole
-# graphs, and slower only on sparse Erdos-Renyi partition windows, which
-# cross over near 2500 (table in CHANGES.md).
+# Sources, over all windows of one call, from which phases run layered in
+# numpy.  Below it the per-layer numpy calls cost more than the Python work
+# they save.  On one window of 500 sources the layered engine took 1.4-3.5x
+# the list engine's time; at 1000 it was faster on fixed-degree windows and
+# whole graphs, and slower only on sparse Erdos-Renyi partition windows,
+# which cross over near 2500 (table in CHANGES.md).  On the sweep's window
+# sets (c windows of 500 sources) one layered call was faster in every
+# (c, a) cell but the sparse (2,2) and (3,2) ones (figures in CHANGES.md).
 _LAYERED_MIN = 1000
 
 
@@ -59,37 +62,53 @@ class Matching:
 
 
 def _match(
-    keys: np.ndarray,
-    n_left: int,
-    n_right: int,
-    max_path_len: int | None = None,
-) -> tuple[Matching, int]:
-    """Layered augmentation on the graph of ascending distinct ``u*n_right + v`` keys.
+    keys: np.ndarray, n_left: int, n_right: int, max_path_len: int | None = None, windows: int = 1
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """Layered augmentation on ``windows`` disjoint graphs, each as if alone.
 
-    Returns the matching and its number of edge scans.  With
-    ``max_path_len=None`` this is plain Hopcroft–Karp; otherwise augmentation
-    stops once the shortest augmenting path exceeds the cap.  Distinct keys
-    matter: parallel edges add nothing to a matching.
+    Window ``w`` owns left vertices ``w*n_left + u`` and right vertices
+    ``w*n_right + v``; ``keys`` are the ascending distinct
+    ``(w*n_left + u)*n_right + v`` (parallel edges add nothing to a
+    matching).  Returns every left and right vertex's partner (-1 when free),
+    the size, the most phases of any window and the scans of all.  With
+    ``max_path_len=None`` this is Hopcroft–Karp; otherwise augmentation stops
+    once the shortest augmenting path exceeds the cap.
 
     Each phase is a BFS from every free left vertex, which stops scanning
     after the first vertex of the shallowest layer that reaches a free right
-    vertex, and then a DFS from each free left vertex in index order along
+    vertex, then a DFS from each free left vertex in index order along
     shortest layers only.  A scan is one adjacency entry read by either.
-    With ``n_left >= _LAYERED_MIN`` the phases run in ``_layered.match_layered``,
-    which gives the same matching, phases and scans (see the module
-    docstring); below it they run here, on Python lists.
+    With ``windows * n_left >= _LAYERED_MIN`` all windows run in one
+    ``_layered.match_layered`` call, else one ``_list_match`` each.
     """
     # A path ending at a left vertex of BFS depth t has 2t+1 edges.
     depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
-    # Its positions are int32, so the layered engine takes < 2**31 edges.
-    if n_left >= _LAYERED_MIN and keys.size < 2**31:
+    # The layered engine's positions and vertices are int32.
+    if _LAYERED_MIN <= windows * n_left < 2**31 and keys.size < 2**31:
         # Imported on first use: the layered engine is most of this
         # package's matching code, and a process that never matches a large
-        # graph need not compile it.
+        # window set need not compile it.
         from ._layered import match_layered
 
-        ml, mr, size, phases, scans = match_layered(keys, n_left, n_right, depth_cap, 1)
-        return Matching(ml.tolist(), mr.tolist(), size[0], phases[0]), scans[0]
+        ml, mr, size, phases, scans = match_layered(keys, n_left, n_right, depth_cap, windows)
+        return ml, mr, sum(size), max(phases), sum(scans)
+    span = n_left * n_right
+    cuts = keys.searchsorted(np.arange(windows + 1) * span).tolist() if windows > 1 else [0, keys.size]
+    got = [
+        _list_match(keys[cuts[w] : cuts[w + 1]] - w * span, n_left, n_right, depth_cap)
+        for w in range(windows)
+    ]
+    match_l, match_r, size, phases, scans = zip(*got)
+    ml, mr = np.array(match_l, dtype=np.int64), np.array(match_r, dtype=np.int64)
+    if windows > 1:  # number window w's partners from w*n_right and w*n_left
+        w = np.arange(windows)[:, None]
+        ml += w * n_right * (ml >= 0)
+        mr += w * n_left * (mr >= 0)
+    return ml.ravel(), mr.ravel(), sum(size), max(phases), sum(scans)
+
+
+def _list_match(keys: np.ndarray, n_left: int, n_right: int, depth_cap: float) -> tuple:
+    """The list engine: ``_match``'s phases on one graph, on Python lists."""
     indptr, _, right = _csr(keys, n_left, n_right)
     cuts = indptr.tolist()
     flat = right.tolist()
@@ -134,7 +153,7 @@ def _match(
         ptr = cuts[:-1]
         size += _augment(roots, flat, cuts, ptr, level, match_l, match_r, found)
         scans += sum(ptr) - first_arcs
-    return Matching(match_l, match_r, size, phases), scans
+    return match_l, match_r, size, phases, scans
 
 
 def _augment(roots, flat, cuts, ptr, level, match_l, match_r, found: int) -> int:
@@ -182,7 +201,8 @@ def _augment(roots, flat, cuts, ptr, level, match_l, match_r, found: int) -> int
 
 def hopcroft_karp(graph: BipartiteGraph) -> Matching:
     """Maximum matching of ``graph`` (parallel edges ignored)."""
-    return _match(graph.distinct_keys(), graph.l, graph.r)[0]
+    ml, mr, size, phases, _ = _match(graph.distinct_keys(), graph.l, graph.r)
+    return Matching(ml.tolist(), mr.tolist(), size, phases)
 
 
 def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
@@ -194,4 +214,5 @@ def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     _check_int("max_path_len", max_path_len, 1, None, ValueError, "an odd integer")
     if max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be an odd integer >= 1, got {max_path_len!r}")
-    return _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)[0]
+    ml, mr, size, phases, _ = _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)
+    return Matching(ml.tolist(), mr.tolist(), size, phases)

@@ -58,7 +58,7 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     y_row = (copies + e) * n_right
     y_keys = np.column_stack((y_row + e, (y_row + m + edge_u * c)[:, None] + np.arange(c)))
     keys = np.concatenate((copy_keys, y_keys.ravel()))
-    match_l = np.array(_match(keys, copies + m, n_right)[0].match_l, dtype=np.int64)
+    match_l = _match(keys, copies + m, n_right)[0]
     # A copy of v may hold x_e while y_e stays free: a half-used edge, which
     # a maximum matching can keep and which gives no link.
     held = match_l[:copies]

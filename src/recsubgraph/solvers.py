@@ -41,7 +41,6 @@ from .graph import (
     _segments,
     validate,
 )
-from . import matching
 from .matching import _match
 
 __all__ = [
@@ -223,10 +222,8 @@ def partition_with_stats(
     the edges outside R'.  Whenever every position is covered, which includes
     every ``a == 1`` case, nothing more is dropped.
 
-    Windows of ``matching._LAYERED_MIN`` or more sources go to
-    ``_layered.match_layered`` in one call: they run in one phase loop, each
-    with its own found layer, and each gets the matching and scans that
-    ``_match`` gives it alone.  Smaller windows run one ``_match`` each.
+    All ``c`` windows go to ``matching._match`` in one call, which matches
+    each as if alone; their sources in all, ``c * l``, pick its engine.
     """
     c = config.params.c
     a = config.params.a
@@ -267,25 +264,8 @@ def partition_with_stats(
     max_path_len = 2 * math.ceil(c / config.epsilon) - 1
     # One key space for all windows: window i owns [i*l*wsize, (i+1)*l*wsize).
     keys = _distinct_sorted(np.sort((ewin * graph.l + eu) * wsize + elocal))
-    # ml[i*l + u]: the partner of source u in window i, or -1.  The layered
-    # engine numbers window i's positions from i*wsize, the list engine from 0.
-    if graph.l >= matching._LAYERED_MIN and keys.size < 2**31 and c * graph.l < 2**31:
-        from ._layered import match_layered
-
-        depth_cap = (max_path_len - 1) // 2
-        ml, _, _, _, per_window = match_layered(keys, graph.l, wsize, depth_cap, c)
-        scans = sum(per_window)
-    else:
-        span = graph.l * wsize
-        cuts = np.searchsorted(keys, np.arange(c + 1, dtype=np.int64) * span).tolist()
-        partners: list[int] = []
-        scans = 0
-        for i in range(c):
-            window = keys[cuts[i] : cuts[i + 1]] - i * span
-            got, sc = _match(window, graph.l, wsize, max_path_len)
-            partners += got.match_l
-            scans += sc
-        ml = np.array(partners, dtype=np.int64)
+    # ml[i*l + u]: the partner of source u in window i, numbered from i*wsize.
+    ml, _, _, _, scans = _match(keys, graph.l, wsize, max_path_len, c)
     matched = np.flatnonzero(ml >= 0)
     win, u = np.divmod(matched, graph.l)
     v = sample[(starts[win] + ml[matched] % wsize) % n_prime]

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from recsubgraph import BipartiteGraph, _layered, build_graph, matching, solvers
+from recsubgraph import BipartiteGraph, build_graph, matching, solvers
 
 
 def _neighborhoods(graph: BipartiteGraph) -> list[list[int]]:
@@ -89,9 +89,11 @@ def rng() -> np.random.Generator:
 def matching_engines(monkeypatch):
     """Run a loop body once on each of ``_match``'s two phase engines.
 
-    ``for engine in matching_engines(): ...`` first sends every graph to the
-    list engine, then every graph to the layered one, by moving the private
-    left-side threshold between them; ``engine`` names the one in force.
+    ``for engine in matching_engines(): ...`` first sends every window set
+    to the list engine, then every window set to the layered one, by moving
+    ``matching._LAYERED_MIN``, the private threshold on a window set's
+    sources in all (``windows * n_left``), between them; ``engine`` names the
+    one in force.
     """
 
     def engines():
@@ -106,31 +108,23 @@ def partition_windows(monkeypatch, graph, config) -> list[tuple]:
     """Run partition on ``graph`` and return the windows it matched.
 
     Each window is ``(keys, n_left, n_right, max_path_len, matching size)``,
-    keyed as ``_match`` takes it.  They are captured where partition hands
-    them over: one ``solvers._match`` call per window, or one
-    ``_layered.match_layered`` call for all of them, which is split here.
+    keyed as ``_match`` takes one window.  Partition hands all of them to one
+    ``solvers._match`` call, which is split here.
     """
     windows = []
 
-    def per_window(keys, n_left, n_right, cap):
-        got = real_match(keys, n_left, n_right, cap)
-        windows.append((keys, n_left, n_right, cap, got[0].size))
-        return got
-
-    def batched(keys, n_left, n_right, depth_cap, count):
-        got = real_layered(keys, n_left, n_right, depth_cap, count)
+    def split(keys, n_left, n_right, cap, count):
+        got = real_match(keys, n_left, n_right, cap, count)
         span = n_left * n_right
         cuts = np.searchsorted(keys, np.arange(count + 1) * span)
+        sizes = np.count_nonzero(got[0].reshape(count, n_left) >= 0, axis=1)
         for i in range(count):
-            window = keys[cuts[i] : cuts[i + 1]] - i * span
-            windows.append((window, n_left, n_right, 2 * depth_cap + 1, got[2][i]))
+            windows.append((keys[cuts[i] : cuts[i + 1]] - i * span, n_left, n_right, cap, sizes[i]))
         return got
 
     real_match = solvers._match
-    real_layered = _layered.match_layered
     with monkeypatch.context() as patch:
-        patch.setattr(solvers, "_match", per_window)
-        patch.setattr(_layered, "match_layered", batched)
+        patch.setattr(solvers, "_match", split)
         solvers.partition_with_stats(graph, config)
     return windows
 

@@ -12,12 +12,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from recsubgraph import (
     ErdosRenyiSpec,
+    FixedDegreeSpec,
     ProblemParams,
     SolverConfig,
     _layered,
     bounded_matching,
     build_graph,
     gen_erdos_renyi,
+    gen_fixed_degree,
     hopcroft_karp,
     matching,
     partition_with_stats,
@@ -151,8 +153,8 @@ def _both_engines(matching_engines, keys, n_left, n_right, cap):
     """``_match``'s full output on each engine, as comparable tuples."""
     out = []
     for _ in matching_engines():
-        got, scans = matching._match(keys, n_left, n_right, cap)
-        out.append((got.match_l, got.match_r, got.size, got.phases, scans))
+        ml, mr, size, phases, scans = matching._match(keys, n_left, n_right, cap)
+        out.append((ml.tolist(), mr.tolist(), size, phases, scans))
     return out
 
 
@@ -208,8 +210,8 @@ def _one_list_call_each(monkeypatch, windows, n_left, n_right, cap):
     monkeypatch.setattr(matching, "_LAYERED_MIN", sys.maxsize)
     out = []
     for keys in windows:
-        got, scans = matching._match(keys, n_left, n_right, cap)
-        out.append((got.match_l, got.match_r, got.size, got.phases, scans))
+        ml, mr, size, phases, scans = matching._match(keys, n_left, n_right, cap)
+        out.append((ml.tolist(), mr.tolist(), size, phases, scans))
     return out
 
 
@@ -270,6 +272,17 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
     assert _batched(windows[:1], n, n, cap) == want[:1]
 
 
+def _on_both_engines(monkeypatch, g, cfg):
+    """Partition's selection bytes and ``edges_touched``, first with every
+    window on the list engine, then with all of them in one batched call."""
+    out = []
+    for threshold in (sys.maxsize, 0):
+        monkeypatch.setattr(matching, "_LAYERED_MIN", threshold)
+        sel, stats = partition_with_stats(g, cfg)
+        out.append((sel.indptr.tobytes(), sel.targets.tobytes(), stats.edges_touched))
+    return out
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     ca=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)]),
@@ -279,16 +292,45 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 def test_partition_hand_over_keeps_selection_and_scans(monkeypatch, seed, ca, epsilon):
-    # With _LAYERED_MIN at 0 partition hands every window set over in one
-    # batched call; below it, one list-engine _match per window.
     rng = np.random.default_rng(seed)
     l, r = (int(x) for x in rng.integers(1, 40, size=2))
     m = int(rng.integers(0, 4 * (l + r)))
     g = build_graph(l, r, list(zip(rng.integers(0, l, m).tolist(), rng.integers(0, r, m).tolist())))
     cfg = SolverConfig(params=ProblemParams(*ca), seed=seed, epsilon=epsilon)
-    out = []
-    for threshold in (sys.maxsize, 0):
-        monkeypatch.setattr(matching, "_LAYERED_MIN", threshold)
-        sel, stats = partition_with_stats(g, cfg)
-        out.append((sel.indptr.tolist(), sel.targets.tolist(), stats.edges_touched))
-    assert out[0] == out[1]
+    listed, layered = _on_both_engines(monkeypatch, g, cfg)
+    assert listed == layered
+
+
+def test_partition_hand_over_with_thousands_of_windows(monkeypatch):
+    # 2000 windows over 40 targets and 60 edges: almost every window is
+    # empty, so most leave the batched phase loop at once, and the engine's
+    # per-window Python loops run 2000 times a phase.
+    g = gen_fixed_degree(FixedDegreeSpec(l=20, r=40, d=3, seed=0))
+    cfg = SolverConfig(params=ProblemParams(c=2000, a=1), seed=0)
+    assert len(partition_windows(monkeypatch, g, cfg)) == 2000
+    listed, layered = _on_both_engines(monkeypatch, g, cfg)
+    assert listed == layered
+
+
+@pytest.mark.parametrize("c, a", [(1, 1), (2, 2), (3, 2), (9, 1)])
+def test_partition_at_the_sweep_shape_dispatches_by_window_set_size(monkeypatch, c, a):
+    # The sweep's graph: 500 sources, so each window is below _LAYERED_MIN,
+    # but with c >= 2 the window set, c * l, is not.
+    g = gen_fixed_degree(FixedDegreeSpec(l=500, r=2000, d=20, seed=1))
+    cfg = SolverConfig(params=ProblemParams(c=c, a=a), seed=1)
+    listed, layered = _on_both_engines(monkeypatch, g, cfg)
+    assert listed == layered
+    monkeypatch.undo()
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(_layered, "match_layered", spy("layered", _layered.match_layered))
+    monkeypatch.setattr(matching, "_list_match", spy("list", matching._list_match))
+    assert partition_with_stats(g, cfg)[1].edges_touched == listed[2]
+    assert calls == (["list"] if c == 1 else ["layered"])

@@ -181,7 +181,7 @@ def _served_reference(graph, targets, c, a):
             adj.append([e] + [m + u * c + i for i in range(c)])
             e += 1
     keys = np.array([x * n_right + y for x, row in enumerate(adj) for y in row], dtype=np.int64)
-    match_l = _match(keys, copies + m, n_right)[0].match_l
+    match_l = _match(keys, copies + m, n_right)[0].tolist()
     held = [match_l[j] for j in range(copies)]
     linked = [x >= 0 and match_l[copies + x] >= 0 for x in held]
     return [sum(linked[k * a:(k + 1) * a]) for k in range(len(targets))]

@@ -369,10 +369,12 @@ def test_partition_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("l, r, c, a", [(60, 90, 3, 2), (1200, 1500, 2, 1)])
+@pytest.mark.parametrize("l, r, c, a", [(60, 90, 3, 2), (500, 700, 2, 1), (1200, 1500, 2, 1)])
 def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, r, c, a):
     # A window whose cap exceeds every simple path is solved to a maximum
-    # matching; the two sizes sit on either side of the layered threshold.
+    # matching.  The window sets sit on either side of the layered threshold,
+    # which counts their sources in all, c * l: the middle one's windows are
+    # each smaller than it.
     nx = pytest.importorskip("networkx")
     g = gen_fixed_degree(FixedDegreeSpec(l=l, r=r, d=3, seed=11))
     wsize = min(l, r, l * c // a)
@@ -380,7 +382,7 @@ def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, 
     assert len(windows) == c
     for keys, n_left, n_right, cap, size in windows:
         assert (n_left, n_right) == (l, wsize)
-        assert (n_left >= matching._LAYERED_MIN) == (l >= 1000)
+        assert (c * n_left >= matching._LAYERED_MIN) == (c * l >= 1000)
         assert cap >= 2 * min(n_left, n_right) + 1
         ref = nx.Graph()
         top = [("u", u) for u in range(n_left)]
