@@ -13,7 +13,14 @@ import math
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, RecSubgraph, _check_int, _count_covered
+from .graph import (
+    BipartiteGraph,
+    ProblemParams,
+    RecSubgraph,
+    _check_int,
+    _check_real,
+    _count_covered,
+)
 
 __all__ = [
     "sampling_lower_bound",
@@ -25,19 +32,19 @@ __all__ = [
 ]
 
 
-def _check_point(l: int, r: int, c: float, a: int, p: float | None = None) -> None:
+def _check_point(l: int, r: int, c: float, a: int) -> None:
     """Reject a parameter point the formulas are not defined at.
 
-    ``c`` may be fractional; the formulas are continuous in it, but ``l``,
-    ``r`` and ``a`` must be integers.  Each test is written so that NaN fails it.
+    ``c`` may be any real number (not a ``bool``); the formulas are continuous
+    in it, but ``l``, ``r`` and ``a`` must be integers.  Each test is written
+    so that NaN fails it.
     """
     _check_int("l", l, 0, None, ValueError)
     _check_int("r", r, 1, None, ValueError)
+    _check_real("c", c, ValueError)
     if not math.inf > c >= 1:
         raise ValueError(f"c must be finite and >= 1, got c={c}")
     _check_int("a", a, 1, None, ValueError)
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
 
 
 def _log_power_sum(x: float, a: int) -> float:
@@ -78,6 +85,7 @@ def sampling_approx_ratio(ck: float) -> float:
     ``(1 - exp(-ck)) / min(ck, 1)``.  Minimised at ``ck == 1`` where it equals
     ``1 - 1/e``; never below it.
     """
+    _check_real("ck", ck, ValueError)
     if not ck > 0.0:
         raise ValueError(f"ck must be > 0, got {ck}")
     return (1.0 - math.exp(-ck)) / min(ck, 1.0)
@@ -91,6 +99,7 @@ def required_ck(a: int, target: float) -> float:
     ``|f(x)| < 1e-10``.
     """
     _check_int("a", a, 1, None, ValueError)
+    _check_real("target", target, ValueError)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {target}")
 
@@ -130,7 +139,10 @@ def greedy_expected_bound(*, l: int, r: int, c: float, a: int, p: float) -> floa
     is evaluated in closed form in log space, so no r-term loop and no
     underflow for large ``l``.
     """
-    _check_point(l, r, c, a, p)
+    _check_point(l, r, c, a)
+    _check_real("p", p, ValueError)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if l * p < 1.0:
         raise ValueError(f"needs l * p >= 1, got l*p = {l * p}")
     if p >= 1.0:
@@ -157,6 +169,7 @@ def concentration_bound(*, r: int, ck: float) -> tuple[float, float]:
     ``r``, which is the honest answer.
     """
     _check_int("r", r, 1, None, ValueError)
+    _check_real("ck", ck, ValueError)
     if not ck > 0.0:
         raise ValueError(f"needs ck > 0, got ck={ck}")
     threshold = r * (1.0 - 2.0 * math.exp(-ck))

@@ -70,7 +70,7 @@ def _load_instance(args) -> "BipartiteGraph":
 
 
 def _cmd_gen(args) -> int:
-    graph = generate_instance(args.model, args.seed, l=args.l, r=args.r, d=args.d, p=args.p)
+    graph = _load_instance(args)
     # Files carry simple graphs, so parallel draws (possible in the
     # fixed-degree model) collapse here rather than warning on every read.
     note = ""
@@ -84,12 +84,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    config = SolverConfig(ProblemParams(c=args.c, a=args.a), args.seed, args.epsilon)
     graph = _load_instance(args)
-    config = SolverConfig(
-        params=ProblemParams(c=args.c, a=args.a),
-        seed=args.seed,
-        epsilon=args.epsilon,
-    )
     sel, report = solve(graph, args.algo, config)
     if args.out is not None:
         write_subgraph(sel, args.out)
@@ -236,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, graph=None)  # so _load_instance generates
 
     p = sub.add_parser("solve", help="run one strategy on an instance")
     p.add_argument("--graph", type=Path, help="read the instance from a file")

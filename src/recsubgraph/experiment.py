@@ -16,7 +16,7 @@ import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .generate import MODEL_PARAMS, _check_model_params, generate_instance
+from .generate import MODEL_PARAMS, _model_spec, generate_instance
 from .graph import ProblemParams, _check_int
 from .io import read_edge_list
 from .solvers import ALGORITHMS, SolverConfig, solve
@@ -50,7 +50,7 @@ def mix_seed(base_seed: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one sweep needs; flags beat spec files beat defaults."""
+    """Everything one sweep needs, checked when built; flags beat spec files beat defaults."""
 
     model: str
     sweep: tuple[tuple[int, int], ...]  # (c, a) cells
@@ -73,35 +73,27 @@ class ExperimentSpec:
         for cell in self.sweep:
             if not isinstance(cell, tuple) or len(cell) != 2:
                 raise ValueError(f"a sweep cell must be a (c, a) pair, got {cell!r}")
-            ProblemParams(*cell)
+            SolverConfig(ProblemParams(*cell), epsilon=self.epsilon)  # checks cell and epsilon
         if not isinstance(self.algos, tuple) or not self.algos:
             raise ValueError(f"algos must be a non-empty tuple, got {self.algos!r}")
         for algo in self.algos:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
         _check_int("trials", self.trials, 1, None, ValueError)
-        for name, want, kind in (
-            *((name, int, "an integer") for name in ("l", "r", "d", "base_seed")),
-            *((name, int | float, "a real number") for name in ("p", "epsilon")),
-        ):
-            value = getattr(self, name)
-            if value is None and name not in ("base_seed", "epsilon"):
-                continue  # the model check below says which ones it needs
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+        _check_int("base_seed", self.base_seed, 0, 1 << 64, ValueError)
+        if not isinstance(self.measure_time, bool):
+            raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
         if self.model == "file":
             if not self.path:
                 raise ValueError("file model needs path")
-        else:
-            _check_model_params(self.model, l=self.l, r=self.r, d=self.d, p=self.p)
+        else:  # the model's spec checks l, r and d or p
+            _model_spec(self.model, 0, l=self.l, r=self.r, d=self.d, p=self.p)
 
     @property
     def d_or_p(self) -> str:
-        if self.model == "fixed-degree":
-            return str(self.d)
-        if self.model == "erdos-renyi":
-            return repr(self.p)
-        return "-"
+        if self.model == "file":
+            return "-"
+        return repr(getattr(self, MODEL_PARAMS[self.model][-1]))
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentSpec":

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph import BipartiteGraph, _check_int, _check_side_limit
+from .graph import BipartiteGraph, _check_int, _check_real, _check_side_limit
 
 __all__ = [
     "FixedDegreeSpec",
@@ -94,7 +94,8 @@ class ErdosRenyiSpec:
 
     def __post_init__(self) -> None:
         _check_side_limit(self.l, self.r, ValueError)  # before anything is drawn
-        if isinstance(self.p, bool) or not isinstance(self.p, int | float) or not 0 <= self.p <= 1:
+        _check_real("p", self.p, ValueError)
+        if not 0 <= self.p <= 1:
             raise ValueError(f"p must be a real number in [0, 1], got {self.p!r}")
         _check_int("seed", self.seed, 0, 1 << 64, ValueError)
 
@@ -152,16 +153,24 @@ def _gap_walk(total: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-# Parameters each generated model needs, besides the seed.
-MODEL_PARAMS = {"fixed-degree": ("l", "r", "d"), "erdos-renyi": ("l", "r", "p")}
+# Each generated model's spec type and sampler.
+_MODELS = {
+    "fixed-degree": (FixedDegreeSpec, gen_fixed_degree),
+    "erdos-renyi": (ErdosRenyiSpec, gen_erdos_renyi),
+}
+# Parameters each generated model needs: its spec's fields before the last, seed.
+MODEL_PARAMS = {m: tuple(f.name for f in fields(spec)[:-1]) for m, (spec, _) in _MODELS.items()}
 
 
-def _check_model_params(model: str, **params) -> None:
-    """Raise ``ValueError`` unless ``params`` names everything ``model`` needs."""
-    if model not in MODEL_PARAMS:
-        raise ValueError(f"unknown model {model!r}; expected one of {tuple(MODEL_PARAMS)}")
-    if any(params.get(name) is None for name in MODEL_PARAMS[model]):
-        raise ValueError(f"{model} model needs {', '.join(MODEL_PARAMS[model])}")
+def _model_spec(model: str, seed: int, **params) -> FixedDegreeSpec | ErdosRenyiSpec:
+    """``model``'s spec from the ``params`` it takes; raises ``ValueError`` for
+    an unknown model, a missing parameter and any field the spec refuses."""
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(_MODELS)}")
+    names = MODEL_PARAMS[model]
+    if any(params.get(name) is None for name in names):
+        raise ValueError(f"{model} model needs {', '.join(names)}")
+    return _MODELS[model][0](*(params[name] for name in names), seed)
 
 
 def generate_instance(
@@ -174,7 +183,5 @@ def generate_instance(
     p: float | None = None,
 ) -> BipartiteGraph:
     """Sample one instance of ``model`` ("fixed-degree" or "erdos-renyi")."""
-    _check_model_params(model, l=l, r=r, d=d, p=p)
-    if model == "fixed-degree":
-        return gen_fixed_degree(FixedDegreeSpec(l, r, d, seed))
-    return gen_erdos_renyi(ErdosRenyiSpec(l, r, p, seed))
+    spec = _model_spec(model, seed, l=l, r=r, d=d, p=p)
+    return _MODELS[model][1](spec)

@@ -313,6 +313,13 @@ def _check_int(
         raise error(f"{name} must be {kind} {limit}, got {value!r}")
 
 
+def _check_real(name: str, value, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` or ``float``, not a
+    ``bool``.  The caller tests the range, written so that NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, int | float):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def _check_side_limit(l: int, r: int, error: type[ValueError]) -> None:
     """Raise ``error`` unless both sides are integers in ``[0, 2**31)``, so
     ``u*r + v`` fits int64."""

@@ -36,6 +36,7 @@ from .graph import (
     SubgraphValidationError,
     _by_target,
     _check_int,
+    _check_real,
     _csr,
     _distinct_sorted,
     _segments,
@@ -69,11 +70,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver knobs.
+    """Shared solver knobs; a field of the wrong type or range raises
+    ``ConfigError``.
 
-    ``seed`` keys the random streams of sampling and partition; greedy is
-    deterministic and ignores it.  It must be an ``int`` in ``[0, 2**64)``.  ``epsilon`` only matters to the partition
-    strategy (depth cap of its window matchings).
+    ``params`` must be a ``ProblemParams``.  ``seed`` keys the random streams
+    of sampling and partition; greedy is deterministic and ignores it.  It
+    must be an ``int`` in ``[0, 2**64)``.  ``epsilon`` only matters to the
+    partition strategy (depth cap of its window matchings); it must be an
+    ``int`` or ``float``, not a ``bool``, in ``(0, 1]``.
     """
 
     params: ProblemParams
@@ -81,7 +85,10 @@ class SolverConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, ProblemParams):
+            raise ConfigError(f"params must be a ProblemParams, got {self.params!r}")
         _check_int("seed", self.seed, 0, 1 << 64, ConfigError)
+        _check_real("epsilon", self.epsilon, ConfigError)
         if not 0.0 < self.epsilon <= 1.0:
             raise ConfigError(f"epsilon must be in (0, 1], got {self.epsilon}")
 
@@ -206,7 +213,7 @@ def greedy_with_stats(
 def partition_with_stats(
     graph: BipartiteGraph, config: SolverConfig
 ) -> tuple[RecSubgraph, SolveStats]:
-    """Window-matching strategy; requires ``a <= c``.
+    """Window-matching strategy; requires ``a <= c`` and ``c * l < 2**31``.
 
     A random sample R' of ``min(r, floor(l*c/a))`` targets is enumerated in
     random order and covered by ``c`` index windows of ``min(l, |R'|)``
@@ -229,6 +236,10 @@ def partition_with_stats(
     a = config.params.a
     if a > c:
         raise ConfigError(f"partition requires a <= c, got a={a}, c={c}")
+    # c windows of l sources: the layered engine numbers them in int32, and
+    # the layout below takes O(c * l) memory whatever the graph's size.
+    if c * graph.l >= 1 << 31:
+        raise ConfigError(f"partition needs c * l < 2**31, got c={c}, l={graph.l}")
     n_prime = min(graph.r, (graph.l * c) // a)
     if n_prime == 0:  # l == 0 or r == 0: no window can be laid out
         stats = SolveStats(edges_touched=graph.m, peak_aux=0)

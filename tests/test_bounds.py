@@ -249,15 +249,23 @@ def test_concentration_rejects_nonpositive_ck():
         lambda: greedy_expected_bound(l=100, r=10, c=3, a=2.5, p=0.1),
         lambda: required_ck(1.5, 0.9),
         lambda: required_ck(True, 0.9),
+        lambda: sampling_lower_bound(l=10, r=10, c="2", a=1),
+        lambda: sampling_lower_bound(l=10, r=10, c=True, a=1),
+        lambda: greedy_expected_bound(l=10, r=10, c=1, a=1, p=None),
+        lambda: concentration_bound(r=10, ck=None),
+        lambda: sampling_approx_ratio("1"),
+        lambda: required_ck(2, "0.5"),
     ],
     ids=[
         "concentration-r-negative", "concentration-ck-nan", "sampling-c-nan",
         "sampling-c-inf", "greedy-c-nan", "approx-ratio-nan", "sampling-a-fractional",
         "greedy-a-fractional", "required-ck-a-fractional", "required-ck-a-bool",
+        "sampling-c-string", "sampling-c-bool", "greedy-p-none", "concentration-ck-none",
+        "approx-ratio-string", "required-ck-target-string",
     ],
 )
 def test_bounds_reject_nan_and_out_of_range_points(call):
-    # Each of these once returned a plausible number instead of raising.
+    # Each of these once returned a plausible number or raised TypeError.
     with pytest.raises(ValueError):
         call()
 

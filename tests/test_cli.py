@@ -468,6 +468,9 @@ _EDGE_CASES = {
     "spec-trials-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "trials": "3"}, 1),
     "spec-l-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "l": "5"}, 1),
     "spec-epsilon-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "epsilon": "x"}, 1),
+    "spec-measure-time-string": (
+        ["experiment", "--spec", "spec.json"], {**_SPEC, "measure_time": "false"}, 1
+    ),
     "spec-c-range-int": (
         ["experiment", "--spec", "spec.json"],
         {k: v for k, v in _SPEC.items() if k != "sweep"} | {"c_range": 5},
@@ -482,6 +485,12 @@ _EDGE_CASES = {
         1,
     ),
     "solve-seed-negative": ([*_SOLVE, "--seed", "-1"], None, 1),
+    "solve-partition-c-times-l-2-31": (
+        ["solve", "--model", "fixed-degree", "--l", "1", "--r", "3", "--d", "2",
+         "--algo", "partition", "--c", str(2**31), "--a", "1"],
+        None,
+        1,
+    ),
     "solve-d-0": (
         ["solve", "--model", "fixed-degree", "--l", "4", "--r", "4", "--d", "0",
          "--algo", "greedy", "--c", "1", "--a", "1"],

@@ -1,5 +1,6 @@
 """Monte-Carlo sweep harness: row schema, determinism, aggregation."""
 import json
+import math
 
 import pytest
 
@@ -172,12 +173,24 @@ _MAPPING = {"model": "fixed-degree", "l": 10, "r": 10, "d": 3, "sweep": [[1, 1]]
         {**_MAPPING, "epsilon": "x"},
         {**_MAPPING, "epsilon": False},
         {**_MAPPING, "model": "erdos-renyi", "d": None, "p": "0.5"},
+        {**_MAPPING, "l": -5},
+        {**_MAPPING, "r": 0},
+        {**_MAPPING, "d": 0},
+        {**_MAPPING, "model": "erdos-renyi", "d": None, "p": 1.5},
+        {**_MAPPING, "epsilon": math.nan},
+        {**_MAPPING, "epsilon": 0},
+        {**_MAPPING, "epsilon": 5.0},
+        {**_MAPPING, "base_seed": -1},
+        {**_MAPPING, "base_seed": 2**64},
+        {**_MAPPING, "measure_time": "false"},
     ],
     ids=[
         "list", "unknown-key", "sweep-int", "fractional-c", "trials-string",
         "a-with-sweep", "c-range-int", "c-range-fractional", "no-model",
         "l-string", "r-float", "d-bool", "base-seed-null", "epsilon-string",
-        "epsilon-bool", "p-string",
+        "epsilon-bool", "p-string", "l-negative", "r-zero", "d-zero", "p-above-1",
+        "epsilon-nan", "epsilon-0", "epsilon-5", "base-seed-negative", "base-seed-2-64",
+        "measure-time-string",
     ],
 )
 def test_spec_from_mapping_rejects_wrong_shapes(data):

@@ -337,6 +337,14 @@ def test_partition_rejects_a_above_c():
         partition_with_stats(g, _cfg(1, 2))
 
 
+def test_partition_refuses_c_times_l_past_int32():
+    # Its windows hold c * l sources: at 2**31 the layout alone would need
+    # about 16 GB, and the layered engine numbers them in int32.
+    g = build_graph(1, 3, [(0, 0), (0, 2)])
+    with pytest.raises(ConfigError, match=r"c \* l < 2\*\*31"):
+        solve(g, "partition", _cfg(2**31, 1))
+
+
 def test_partition_output_valid(rng):
     for _ in range(100):
         g = random_simple_graph(rng)
@@ -567,7 +575,13 @@ def test_solver_seed_must_be_a_64_bit_integer(seed):
 
 
 def test_solve_epsilon_validation():
-    with pytest.raises(ConfigError):
-        SolverConfig(params=ProblemParams(c=1, a=1), epsilon=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(params=ProblemParams(c=1, a=1), epsilon=1.5)
+    for epsilon in (0.0, 1.5, "x", None, True):
+        with pytest.raises(ConfigError):
+            SolverConfig(params=ProblemParams(c=1, a=1), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("params", [(1, 1), None, {"c": 1, "a": 1}], ids=["tuple", "none", "dict"])
+def test_solver_params_must_be_problem_params(params):
+    # A (c, a) tuple once died inside solve() with an AttributeError.
+    with pytest.raises(ConfigError, match="params must be a ProblemParams"):
+        SolverConfig(params)
