@@ -11,6 +11,7 @@ everything except the elapsed-ms column still is.
 from __future__ import annotations
 
 import math
+import os
 import statistics
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -58,7 +59,7 @@ class ExperimentSpec:
     r: int | None = None
     d: int | None = None
     p: float | None = None
-    path: str | None = None
+    path: str | os.PathLike | None = None
     algos: tuple[str, ...] = ("sampling", "greedy")
     trials: int = 1
     base_seed: int = 0
@@ -83,6 +84,8 @@ class ExperimentSpec:
         _check_int("base_seed", self.base_seed, 0, 1 << 64, ValueError)
         if not isinstance(self.measure_time, bool):
             raise ValueError(f"measure_time must be a bool, got {self.measure_time!r}")
+        if self.path is not None and not isinstance(self.path, str | os.PathLike):
+            raise ValueError(f"path must be a str or os.PathLike, got {self.path!r}")
         if self.model == "file":
             if not self.path:
                 raise ValueError("file model needs path")

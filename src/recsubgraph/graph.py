@@ -287,10 +287,15 @@ def coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int) -> int:
     an ``a`` that is not an ``int`` >= 1 raises ``ValueError``.
     """
     _check_int("a", a, 1, None, ValueError)
-    problems = validate(graph, sub, None)
-    if problems:
-        raise SubgraphValidationError(problems[0])
+    _require_valid(graph, sub)
     return _count_covered(sub, a)
+
+
+def _require_valid(graph: BipartiteGraph, sub: RecSubgraph, params=None, prefix: str = "") -> None:
+    """Raise ``SubgraphValidationError(prefix + problem)`` on :func:`validate`'s first problem."""
+    problems = validate(graph, sub, params)
+    if problems:
+        raise SubgraphValidationError(prefix + problems[0])
 
 
 def _count_covered(sub: RecSubgraph, a: int) -> int:

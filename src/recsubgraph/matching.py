@@ -9,9 +9,9 @@ to a maximal matching.
 ``_match`` is the one matching core.  It matches one graph, or several
 disjoint *windows* at once as partition hands them over, each as if alone.
 Each phase builds BFS layers, then runs the one augmenting walk,
-``_augment``, a Python DFS along them.  Its two phase engines differ in how
-they build the layers, and give the same partner for every vertex, the same
-phases and the same scans:
+``_augment``, a Python DFS along them.  Its two phase engines take the whole
+window set in one call, number it alike, and give the same partners and, per
+window, the same size, phases and scans.  They differ in how they layer:
 
 * the list engine, for window sets of fewer than ``_LAYERED_MIN`` sources in
   all: a Python BFS over adjacency lists, one window after another;
@@ -78,8 +78,8 @@ def _match(
     after the first vertex of the shallowest layer that reaches a free right
     vertex, then a DFS from each free left vertex in index order along
     shortest layers only.  A scan is one adjacency entry read by either.
-    With ``windows * n_left >= _LAYERED_MIN`` all windows run in one
-    ``_layered.match_layered`` call, else one ``_list_match`` each.
+    All windows run in one engine call: ``_layered.match_layered`` with
+    ``windows * n_left >= _LAYERED_MIN``, else ``_list_match``.
     """
     # A path ending at a left vertex of BFS depth t has 2t+1 edges.
     depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
@@ -88,72 +88,68 @@ def _match(
         # Imported on first use: the layered engine is most of this
         # package's matching code, and a process that never matches a large
         # window set need not compile it.
-        from ._layered import match_layered
-
-        ml, mr, size, phases, scans = match_layered(keys, n_left, n_right, depth_cap, windows)
-        return ml, mr, sum(size), max(phases), sum(scans)
-    span = n_left * n_right
-    cuts = keys.searchsorted(np.arange(windows + 1) * span).tolist() if windows > 1 else [0, keys.size]
-    got = [
-        _list_match(keys[cuts[w] : cuts[w + 1]] - w * span, n_left, n_right, depth_cap)
-        for w in range(windows)
-    ]
-    match_l, match_r, size, phases, scans = zip(*got)
-    ml, mr = np.array(match_l, dtype=np.int64), np.array(match_r, dtype=np.int64)
-    if windows > 1:  # number window w's partners from w*n_right and w*n_left
-        w = np.arange(windows)[:, None]
-        ml += w * n_right * (ml >= 0)
-        mr += w * n_left * (mr >= 0)
-    return ml.ravel(), mr.ravel(), sum(size), max(phases), sum(scans)
+        from ._layered import match_layered as engine
+    else:
+        engine = _list_match
+    ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap, windows)
+    return ml, mr, sum(size), max(phases), sum(scans)
 
 
-def _list_match(keys: np.ndarray, n_left: int, n_right: int, depth_cap: float) -> tuple:
-    """The list engine: ``_match``'s phases on one graph, on Python lists."""
-    indptr, _, right = _csr(keys, n_left, n_right)
+def _list_match(
+    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float, windows: int
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
+    """The list engine: ``_match``'s phases on Python lists, one window after
+    another, with ``_layered.match_layered``'s arguments and outputs."""
+    indptr, left, right = _csr(keys, windows * n_left, n_right)
+    right += left // n_left * n_right  # window w's right vertices follow those before it
     cuts = indptr.tolist()
     flat = right.tolist()
     adj = [flat[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-    first_arcs = sum(cuts[:-1])  # where the arc pointers start, summed
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    size = 0
-    phases = 0
-    scans = 0
+    match_l = [-1] * (windows * n_left)
+    match_r = [-1] * (windows * n_right)
+    level = [-1] * (windows * n_left)
+    ptr = cuts[:-1]  # the walk's arc pointers
+    per_window = []  # (size, phases, scans)
 
-    while True:
-        # BFS from every free left vertex; find the shallowest layer that
-        # reaches a free right vertex.  The queue keeps every vertex it took,
-        # layer after layer, and -1 marks a vertex in no layer.
-        queue = [u for u in range(n_left) if match_l[u] < 0]
-        roots = queue[:]
-        level = [-1] * n_left
-        for u in roots:
-            level[u] = 0
-        found = _INF
-        for u in queue:
-            du = level[u]
-            if du >= found or du > depth_cap:
-                continue
-            row = adj[u]
-            scans += len(row)
-            for v in row:
-                w = match_r[v]
-                if w < 0:
-                    if found == _INF:
-                        found = du
-                elif level[w] < 0:
-                    level[w] = du + 1
-                    queue.append(w)
-        if found == _INF or found > depth_cap:
-            break
-        phases += 1
-        # The last layer, one past ``found``, leads to no shortest path.
-        while level[queue[-1]] > found:
-            level[queue.pop()] = -1
-        ptr = cuts[:-1]
-        size += _augment(roots, flat, cuts, ptr, level, match_l, match_r, found)
-        scans += sum(ptr) - first_arcs
-    return match_l, match_r, size, phases, scans
+    for win in range(windows):
+        lo, hi = win * n_left, (win + 1) * n_left
+        size = phases = scans = 0
+        while True:
+            # BFS from every free left vertex; find the shallowest layer that
+            # reaches a free right vertex.  The queue keeps every vertex it
+            # took, layer after layer, and -1 marks a vertex in no layer.
+            queue = [u for u in range(lo, hi) if match_l[u] < 0]
+            roots = queue[:]
+            level[lo:hi] = [-1] * n_left
+            for u in roots:
+                level[u] = 0
+            found = _INF
+            for u in queue:
+                du = level[u]
+                if du >= found or du > depth_cap:
+                    continue
+                row = adj[u]
+                scans += len(row)
+                for v in row:
+                    w = match_r[v]
+                    if w < 0:
+                        if found == _INF:
+                            found = du
+                    elif level[w] < 0:
+                        level[w] = du + 1
+                        queue.append(w)
+            if found == _INF or found > depth_cap:
+                break
+            phases += 1
+            # The last layer, one past ``found``, leads to no shortest path.
+            while level[queue[-1]] > found:
+                level[queue.pop()] = -1
+            ptr[lo:hi] = cuts[lo:hi]
+            size += _augment(roots, flat, cuts, ptr, level, match_l, match_r, found)
+            scans += sum(ptr[lo:hi]) - sum(cuts[lo:hi])
+        per_window.append((size, phases, scans))
+    ml, mr = np.array(match_l, dtype=np.int64), np.array(match_r, dtype=np.int64)
+    return ml, mr, *map(list, zip(*per_window))
 
 
 def _augment(roots, flat, cuts, ptr, level, match_l, match_r, found: int) -> int:

@@ -33,14 +33,13 @@ from .graph import (
     CoverageReport,
     ProblemParams,
     RecSubgraph,
-    SubgraphValidationError,
     _by_target,
     _check_int,
     _check_real,
     _csr,
     _distinct_sorted,
+    _require_valid,
     _segments,
-    validate,
 )
 from .matching import _match
 
@@ -309,9 +308,7 @@ def solve(
     t0 = time.perf_counter()
     sel, stats = runner(graph, config)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
-    problems = validate(graph, sel, config.params)
-    if problems:
-        raise SubgraphValidationError(f"{algo} produced an invalid selection: {problems[0]}")
+    _require_valid(graph, sel, config.params, f"{algo} produced an invalid selection: ")
     covered, bound, ratio = _score(graph, sel, config.params)
     report = CoverageReport(
         covered=covered,

@@ -217,6 +217,15 @@ def test_eval_negative_selection_header_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_invalid_selection_exits_1(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 2 2 1\n0 1\n")
+    assert main(["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"]) == 1
+    assert capsys.readouterr().err == "error: non-candidate edge (0,1)\n"
+
+
 def test_eval_default_budget_is_largest_out_degree(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("bipartite 3 2 5\n0 0\n0 1\n1 0\n1 1\n2 1\n")
@@ -470,6 +479,9 @@ _EDGE_CASES = {
     "spec-epsilon-string": (["experiment", "--spec", "spec.json"], {**_SPEC, "epsilon": "x"}, 1),
     "spec-measure-time-string": (
         ["experiment", "--spec", "spec.json"], {**_SPEC, "measure_time": "false"}, 1
+    ),
+    "spec-file-path-int": (
+        ["experiment", "--spec", "spec.json"], {"model": "file", "path": 7, "sweep": [[1, 1]]}, 1
     ),
     "spec-c-range-int": (
         ["experiment", "--spec", "spec.json"],

@@ -139,6 +139,9 @@ def test_spec_validation():
         _small_spec(d=None)  # fixed-degree needs d
     with pytest.raises(ValueError):
         ExperimentSpec(model="erdos-renyi", l=5, r=5, sweep=((1, 1),))  # needs p
+    for path in (7, True, 1.5):  # an int would be opened as a file descriptor
+        with pytest.raises(ValueError, match="path must be a str or os.PathLike"):
+            ExperimentSpec(model="file", path=path, sweep=((1, 1),))
 
 
 def test_spec_from_mapping_with_c_range():

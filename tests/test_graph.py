@@ -11,10 +11,13 @@ from recsubgraph import (
     GraphError,
     ProblemParams,
     RecSubgraph,
+    SolverConfig,
     SubgraphValidationError,
     build_graph,
     coverage,
     simplify,
+    solve,
+    solvers,
     validate,
 )
 from recsubgraph.graph import _by_target
@@ -183,11 +186,16 @@ def test_coverage_refuses_a_that_is_not_a_positive_integer(a):
         coverage(g, h, a)
 
 
-def test_coverage_rejects_invalid_selection():
+def test_coverage_rejects_invalid_selection(monkeypatch):
     g = build_graph(2, 4, [(0, 0), (1, 1)])
     bad = RecSubgraph.from_edges(2, 4, [0], [3])
-    with pytest.raises(SubgraphValidationError, match=r"non-candidate edge \(0,3\)"):
+    with pytest.raises(SubgraphValidationError, match=r"^non-candidate edge \(0,3\)$"):
         coverage(g, bad, 1)
+    # solve() names the strategy that produced the selection.
+    monkeypatch.setitem(solvers._WITH_STATS, "greedy", lambda graph, config: (bad, None))
+    want = r"^greedy produced an invalid selection: non-candidate edge \(0,3\)$"
+    with pytest.raises(SubgraphValidationError, match=want):
+        solve(g, "greedy", SolverConfig(ProblemParams(c=1, a=1)))
 
 
 def test_validate_clean():

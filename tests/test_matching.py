@@ -190,12 +190,16 @@ def test_engines_agree_on_a_partition_window(monkeypatch, matching_engines):
     assert listed == layered
 
 
-def _batched(windows, n_left, n_right, cap):
-    """One ``match_layered`` call over ``windows``, split back per window."""
+# Both phase engines take a whole window set in one call.
+_WINDOW_SET_ENGINES = (matching._list_match, _layered.match_layered)
+
+
+def _batched(engine, windows, n_left, n_right, cap):
+    """One ``engine`` call over ``windows``, split back per window."""
     span = n_left * n_right
     keys = np.concatenate([k + i * span for i, k in enumerate(windows)])
     depth_cap = math.inf if cap is None else (cap - 1) // 2
-    ml, mr, size, phases, scans = _layered.match_layered(keys, n_left, n_right, depth_cap, len(windows))
+    ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap, len(windows))
     out = []
     for i in range(len(windows)):
         left = ml[i * n_left : (i + 1) * n_left].tolist()
@@ -250,7 +254,8 @@ def test_batched_windows_match_one_list_call_each(monkeypatch, ws, cap):
     # phase loop changes nothing any window would get alone.
     n_left, n_right, windows = ws
     want = _one_list_call_each(monkeypatch, windows, n_left, n_right, cap)
-    assert _batched(windows, n_left, n_right, cap) == want
+    for engine in _WINDOW_SET_ENGINES:
+        assert _batched(engine, windows, n_left, n_right, cap) == want
 
 
 @pytest.mark.parametrize("cap", [None, 1, 3, 5, 7])
@@ -267,9 +272,10 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
         build_graph(n, n, [(0, 1), (3, 1), (5, 1)]).distinct_keys(),
     ]
     want = _one_list_call_each(monkeypatch, windows, n, n, cap)
-    assert _batched(windows, n, n, cap) == want
     assert [w[3] for w in want] == [2 if cap is None else 1, 0, 1, 1]
-    assert _batched(windows[:1], n, n, cap) == want[:1]
+    for engine in _WINDOW_SET_ENGINES:
+        assert _batched(engine, windows, n, n, cap) == want
+        assert _batched(engine, windows[:1], n, n, cap) == want[:1]
 
 
 def _on_both_engines(monkeypatch, g, cfg):
@@ -321,6 +327,23 @@ def test_partition_at_the_sweep_shape_dispatches_by_window_set_size(monkeypatch,
     listed, layered = _on_both_engines(monkeypatch, g, cfg)
     assert listed == layered
     monkeypatch.undo()
+    assert _engine_calls(monkeypatch, g, cfg) == (listed[2], ["list"] if c == 1 else ["layered"])
+
+
+def test_partition_at_the_certify_shape_makes_one_list_call(monkeypatch):
+    # Three windows of 16 sources, far below _LAYERED_MIN in all: the list
+    # engine takes the whole window set in one call, as the layered one does.
+    g = gen_fixed_degree(FixedDegreeSpec(l=16, r=16, d=3, seed=1))
+    cfg = SolverConfig(params=ProblemParams(c=3, a=2), seed=1)
+    listed, layered = _on_both_engines(monkeypatch, g, cfg)
+    assert listed == layered
+    monkeypatch.undo()
+    assert _engine_calls(monkeypatch, g, cfg) == (layered[2], ["list"])
+
+
+def _engine_calls(monkeypatch, g, cfg):
+    """Partition's ``edges_touched`` at the default threshold, and the
+    phase engine calls it made, in order."""
     calls = []
 
     def spy(name, real):
@@ -332,5 +355,4 @@ def test_partition_at_the_sweep_shape_dispatches_by_window_set_size(monkeypatch,
 
     monkeypatch.setattr(_layered, "match_layered", spy("layered", _layered.match_layered))
     monkeypatch.setattr(matching, "_list_match", spy("list", matching._list_match))
-    assert partition_with_stats(g, cfg)[1].edges_touched == listed[2]
-    assert calls == (["list"] if c == 1 else ["layered"])
+    return partition_with_stats(g, cfg)[1].edges_touched, calls
