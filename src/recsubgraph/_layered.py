@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import _csr
-from .matching import Matching, _augment
+from .matching import _augment
 
 
 def _scratch(sizes: list[int], dtype: type) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from .graph import (
     RecSubgraph,
     _check_int,
     _check_real,
-    _count_covered,
+    _valid_coverage,
 )
 
 __all__ = [
@@ -191,10 +191,11 @@ def upper_bound_estimate(graph: BipartiteGraph, params: ProblemParams) -> int:
 
 
 def _score(
-    graph: BipartiteGraph, sel: RecSubgraph, params: ProblemParams
+    graph: BipartiteGraph, sel: RecSubgraph, params: ProblemParams, capped=True, prefix=""
 ) -> tuple[int, int, float]:
-    """``(covered, bound, ratio)`` of a valid ``sel`` against the cheap upper
-    bound; with a bound of 0 nothing is coverable, and the ratio is 1."""
-    covered = _count_covered(sel, params.a)
+    """``(covered, bound, ratio)`` of ``sel``, checked by ``_valid_coverage``
+    (against ``params.c`` too unless ``capped`` is false), against the cheap
+    upper bound; with a bound of 0 nothing is coverable, and the ratio is 1."""
+    covered = _valid_coverage(graph, sel, params.a, params if capped else None, prefix)
     bound = upper_bound_estimate(graph, params)
     return covered, bound, 1.0 if bound == 0 else covered / bound

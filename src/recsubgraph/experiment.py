@@ -241,9 +241,14 @@ def emit_plotdata(aggregates: list[CellAggregate], path) -> None:
 
     With a single ``a`` in the aggregates the file lands at ``path``;
     otherwise each gets ``path`` with ``.a<value>`` before the suffix.
-    Missing cells print ``nan`` so column positions never shift.
+    Missing cells print ``nan`` so column positions never shift.  With no
+    aggregates at all (every cell skipped) ``path`` gets just the ``# c``
+    header.
     """
     path = Path(path)
+    if not aggregates:
+        path.write_text("# c\n", encoding="utf-8")
+        return
     a_values = sorted({agg.a for agg in aggregates})
     for a in a_values:
         subset = [agg for agg in aggregates if agg.a == a]

@@ -140,7 +140,8 @@ class RecSubgraph:
     sorted ascending.  Construction does not deduplicate — :func:`validate`
     reports duplicate picks as violations.  The raw constructor checks only
     that offsets and targets are integers, the offsets and the order of each
-    source's picks, so targets out of range reach :func:`validate` too.  It
+    source's picks, so targets out of range reach :func:`validate` too; only
+    an unsigned target too large for int64 is refused here.  It
     copies what it is given, so the caller keeps its arrays writeable and
     later writes to them do not reach the selection.
     """
@@ -170,6 +171,11 @@ class RecSubgraph:
             raise ValueError("inconsistent selection offsets")
         if (ptr[1:] < ptr[:-1]).any():
             raise ValueError("selection offsets must not decrease")
+        if targets.dtype.kind == "u" and (self.targets < 0).any():
+            # An unsigned target of 2**63 or more wrapped in int64; name it as given.
+            j = int((self.targets < 0).argmax())
+            u = int(np.searchsorted(ptr, j, side="right")) - 1
+            raise ValueError(f"target out of range ({u},{int(targets[j])})")
         # falls[j]: pick j is below pick j-1 of the same source.  The offsets
         # hold 0 and the pick count, so clearing them also clears the two
         # unwritten end slots.  Equal neighbours are left for validate.
@@ -250,10 +256,11 @@ def validate(
             f"graph is {graph.l}x{graph.r}"
         ]
     out: list[str] = []
+    deg = np.diff(sub.indptr)
     if params is not None:
-        for u in np.flatnonzero(sub.out_degrees() > params.c).tolist():
+        for u in np.flatnonzero(deg > params.c).tolist():
             out.append(f"degree cap violated at u={u}")
-    su = sub.selected_u()
+    su = np.repeat(np.arange(sub.l, dtype=np.int64), deg)
     sv = sub.targets
     # An out-of-range target would alias another edge's key, so those picks
     # are reported here and kept out of the key checks below.
@@ -287,19 +294,16 @@ def coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int) -> int:
     an ``a`` that is not an ``int`` >= 1 raises ``ValueError``.
     """
     _check_int("a", a, 1, None, ValueError)
-    _require_valid(graph, sub)
-    return _count_covered(sub, a)
+    return _valid_coverage(graph, sub, a)
 
 
-def _require_valid(graph: BipartiteGraph, sub: RecSubgraph, params=None, prefix: str = "") -> None:
-    """Raise ``SubgraphValidationError(prefix + problem)`` on :func:`validate`'s first problem."""
+def _valid_coverage(graph: BipartiteGraph, sub: RecSubgraph, a: int, params=None, prefix="") -> int:
+    """Targets with at least ``a`` picks in ``sub``, once :func:`validate`
+    finds it clean; its first problem raises ``SubgraphValidationError(prefix
+    + problem)``.  ``params`` turns on the degree cap, as in :func:`validate`."""
     problems = validate(graph, sub, params)
     if problems:
         raise SubgraphValidationError(prefix + problems[0])
-
-
-def _count_covered(sub: RecSubgraph, a: int) -> int:
-    """Targets with at least ``a`` picks; ``sub`` must already be valid."""
     return int(np.count_nonzero(np.bincount(sub.targets, minlength=sub.r) >= a))
 
 
@@ -350,8 +354,8 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
         raise error("edge endpoint arrays must be 1-D and equal length")
     if eu.size and (eu.dtype.kind not in "iu" or ev.dtype.kind not in "iu"):
         raise error(f"edge endpoints must be integers, got {eu.dtype} and {ev.dtype} arrays")
-    eu = eu.astype(np.int64, copy=False)
-    ev = ev.astype(np.int64, copy=False)
+    # Checked as given: an unsigned endpoint of 2**63 or more wraps negative
+    # in int64 and would be reported as another value.
     bad = np.flatnonzero((eu < 0) | (eu >= l) | (ev < 0) | (ev >= r))
     if bad.size:
         i = int(bad[0])
@@ -359,7 +363,8 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
             f"endpoint out of range at index {i}: ({int(eu[i])}, {int(ev[i])})"
             f" with l={l}, r={r}"
         )
-    keys = eu * r + ev
+    keys = eu.astype(np.int64, copy=False) * r
+    keys += ev.astype(np.int64, copy=False)
     keys.sort()
     return keys
 

@@ -38,7 +38,6 @@ from .graph import (
     _check_real,
     _csr,
     _distinct_sorted,
-    _require_valid,
     _segments,
 )
 from .matching import _match
@@ -180,30 +179,22 @@ def greedy_with_stats(
         from ._waves import greedy_waves
 
         keys = greedy_waves(graph, c, a)
-        return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
-
-    offsets, sources = (x.tolist() for x in _by_target(graph))
-    used = [0] * graph.l  # budget spent per source — the whole persistent state
-    out_u: list[int] = []
-    out_v: list[int] = []
-    for v in range(graph.r):
-        spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
-        if len(spare) < a:
-            continue
-        if len(spare) > a:
-            # Stable on an ascending list, so equal budgets keep index order.
-            spare.sort(key=used.__getitem__)
-        for u in spare[:a]:
-            used[u] += 1
-            out_u.append(u)
-            out_v.append(v)
-    sel = RecSubgraph.from_edges(
-        graph.l,
-        graph.r,
-        np.asarray(out_u, dtype=np.int64),
-        np.asarray(out_v, dtype=np.int64),
-    )
-    return sel, stats
+    else:
+        offsets, sources = (x.tolist() for x in _by_target(graph))
+        used = [0] * graph.l  # budget spent per source — the whole persistent state
+        picks: list[int] = []
+        for v in range(graph.r):
+            spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
+            if len(spare) < a:
+                continue
+            if len(spare) > a:
+                # Stable on an ascending list, so equal budgets keep index order.
+                spare.sort(key=used.__getitem__)
+            for u in spare[:a]:
+                used[u] += 1
+                picks.append(u * graph.r + v)
+        keys = np.sort(np.array(picks, dtype=np.int64))
+    return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
 
 
 # -- partition ----------------------------------------------------------------
@@ -242,7 +233,7 @@ def partition_with_stats(
     n_prime = min(graph.r, (graph.l * c) // a)
     if n_prime == 0:  # l == 0 or r == 0: no window can be laid out
         stats = SolveStats(edges_touched=graph.m, peak_aux=0)
-        return RecSubgraph.from_edges(graph.l, graph.r, [], []), stats
+        return RecSubgraph._from_keys(graph.l, graph.r, np.empty(0, dtype=np.int64)), stats
 
     rng = philox_stream(config.seed, STREAM_PARTITION)
     sample = rng.permutation(graph.r)[:n_prime].astype(np.int64)
@@ -299,8 +290,8 @@ def solve(
 ) -> tuple[RecSubgraph, CoverageReport]:
     """Run one strategy and measure it.
 
-    Times the solver call only (not validation or scoring), validates the
-    selection once as an internal guard, and scores it with ``bounds._score``.
+    Times the solver call only (not validation or scoring), then checks the
+    selection, degree cap included, and scores it in one ``bounds._score`` call.
     """
     if algo not in _WITH_STATS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
@@ -308,8 +299,8 @@ def solve(
     t0 = time.perf_counter()
     sel, stats = runner(graph, config)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
-    _require_valid(graph, sel, config.params, f"{algo} produced an invalid selection: ")
-    covered, bound, ratio = _score(graph, sel, config.params)
+    prefix = f"{algo} produced an invalid selection: "
+    covered, bound, ratio = _score(graph, sel, config.params, prefix=prefix)
     report = CoverageReport(
         covered=covered,
         upper_bound=bound,

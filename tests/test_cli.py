@@ -241,6 +241,10 @@ def test_eval_default_budget_is_largest_out_degree(tmp_path, capsys):
 
     assert upper_bound(sel) == upper_bound(sel, "--c", "2") == "upper_bound=2"
     assert upper_bound(empty) == upper_bound(empty, "--c", "1") == "upper_bound=1"
+    # --c below source 0's two picks scores the bound; it does not refuse them.
+    argv = ["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "2", "--c", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "covered=1 upper_bound=1 ratio=1.000000\n"
 
 
 def test_bounds_required_ck_table(capsys):
@@ -349,6 +353,17 @@ def test_experiment_flags_to_csv(tmp_path, capsys):
     assert plot_path.exists()
     out = capsys.readouterr().out
     assert "mean_ratio" in out
+
+
+def test_experiment_plot_file_written_when_every_cell_is_skipped(tmp_path, capsys):
+    plot_path = tmp_path / "p.dat"
+    code = main([
+        "experiment", "--model", "fixed-degree", "--l", "5", "--r", "5", "--d", "2",
+        "--pairs", "1,2", "--algos", "partition", "--plot", str(plot_path),
+    ])
+    assert code == 0
+    assert plot_path.read_text() == "# c\n"
+    assert "# skipped" in capsys.readouterr().out
 
 
 def test_experiment_spec_file_with_overrides(tmp_path):

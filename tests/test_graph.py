@@ -42,6 +42,10 @@ def test_out_of_range_endpoint_named():
         build_graph(2, 2, [(0, 0), (0, 2)])
     with pytest.raises(GraphError, match=r"endpoint out of range at index 0"):
         build_graph(2, 2, [(-1, 0)])
+    # An unsigned endpoint is named as given, not as its int64 wrap (-1).
+    huge = np.array([2**64 - 1], np.uint64)
+    with pytest.raises(GraphError, match=r"at index 0: \(18446744073709551615, 0\)"):
+        BipartiteGraph(2, 2, huge, np.array([0], np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -226,6 +230,9 @@ def test_validate_reports_target_out_of_range():
         coverage(g, h, 1)
     with pytest.raises(ValueError, match=r"out of range at index 0: \(0, 4\)"):
         RecSubgraph.from_edges(2, 3, [0], [4])
+    # An unsigned target too large for int64 is refused as given, not as -1.
+    with pytest.raises(ValueError, match=r"^target out of range \(1,18446744073709551615\)$"):
+        RecSubgraph(2, 2, [0, 0, 1], np.array([2**64 - 1], np.uint64))
 
 
 @pytest.mark.parametrize(

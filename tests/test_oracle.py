@@ -16,7 +16,6 @@ from recsubgraph import (
     ProblemParams,
     SolverConfig,
     build_graph,
-    coverage,
     exact_opt,
     gen_erdos_renyi,
     gen_fixed_degree,

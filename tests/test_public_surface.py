@@ -1,11 +1,12 @@
-"""Every exported name has a caller outside the tests, and small work leaves
-the large-graph engines unimported.
+"""Every exported name has a caller outside the tests, every module reads
+what it imports, and small work leaves the large-graph engines unimported.
 
 A name counts as used when it appears in the package's own modules (other
 than ``__init__.py``), a demo, a benchmark script or the README.  Its own
 ``def``/``class``/assignment line and quoted ``__all__`` entries do not
 count, so an export that only tests reach fails here.
 """
+import ast
 import os
 import re
 import subprocess
@@ -41,6 +42,33 @@ def test_every_export_has_a_caller_outside_tests():
         if not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert unused == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; one in ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import | ast.ImportFrom)
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_every_module_reads_what_it_imports():
+    unread = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "recsubgraph").glob("*.py"))
+        if (names := _unread_imports(path))
+    }
+    assert unread == {}
 
 
 # Solves every algorithm and a matching on a tiny graph after importing the
