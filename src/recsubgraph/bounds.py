@@ -104,7 +104,9 @@ def required_ck(a: int, target: float) -> float:
         raise ValueError(f"target must be in (0, 1), got {target}")
 
     def f(x: float) -> float:
-        return 1.0 - math.exp(-x + _log_power_sum(x, a)) - target
+        # An exponent above 0 leaves f below -target either way; capped, it
+        # cannot overflow.
+        return 1.0 - math.exp(min(0.0, -x + _log_power_sum(x, a))) - target
 
     lo = 1e-12
     hi = 1.0

@@ -39,14 +39,17 @@ class SubgraphValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Out-degree budget per source (``c``) and target in-degree goal (``a``)."""
+    """Out-degree budget per source (``c``) and target in-degree goal (``a``),
+    each an ``int`` in ``[1, 2**63)`` so that numpy can hold it."""
 
     c: int
     a: int
 
     def __post_init__(self) -> None:
-        _check_int("c", self.c, 1, None, ValueError)
-        _check_int("a", self.a, 1, None, ValueError)
+        for name, value in (("c", self.c), ("a", self.a)):
+            _check_int(name, value, 1, None, ValueError)
+            if value >= 1 << 63:
+                raise ValueError(f"{name} must be < 2**63, got {value}")
 
 
 class BipartiteGraph:

@@ -79,7 +79,9 @@ def exact_opt(graph: BipartiteGraph, params: ProblemParams) -> int:
     size.  Raises :class:`OracleSizeError` before that search when it would
     try more than ``2**SIZE_GUARD`` subsets.
     """
-    c, a = params.c, params.a
+    # No source gives more links than it has candidate edges, so a larger c
+    # changes no optimum; capping it keeps the split graph's c copies small.
+    c, a = min(params.c, int(graph.left_degrees.max(initial=1))), params.a
     offsets, sources = _by_target(graph)
     cands = np.flatnonzero(graph.distinct_in_degrees() >= a)
     served = _served(offsets, sources, cands, graph.l, c, a)

@@ -36,7 +36,6 @@ from .graph import (
     _by_target,
     _check_int,
     _check_real,
-    _csr,
     _distinct_sorted,
     _segments,
 )
@@ -219,8 +218,14 @@ def partition_with_stats(
     the edges outside R'.  Whenever every position is covered, which includes
     every ``a == 1`` case, nothing more is dropped.
 
+    The layout is one slot table: slot ``i*wsize + j`` is position ``j`` of
+    window ``i``, and each target lists its slots in window order.  An edge
+    draws one slot of its target, so it is kept iff that target has a slot.
     All ``c`` windows go to ``matching._match`` in one call, which matches
-    each as if alone; their sources in all, ``c * l``, pick its engine.
+    each as if alone and numbers window ``i``'s right vertex ``j`` as
+    ``i*wsize + j``: a matched partner is a slot.  Their sources in all,
+    ``c * l``, pick the engine.  When ``c / eps`` overflows a float the depth
+    cap is dropped, since no window path is that long.
     """
     c = config.params.c
     a = config.params.a
@@ -237,42 +242,38 @@ def partition_with_stats(
 
     rng = philox_stream(config.seed, STREAM_PARTITION)
     sample = rng.permutation(graph.r)[:n_prime].astype(np.int64)
-    pos_of = np.full(graph.r, -1, dtype=np.int64)
-    pos_of[sample] = np.arange(n_prime, dtype=np.int64)
-
     wsize = min(graph.l, n_prime)
     stride = max(1, graph.l // a)
-    starts = (np.arange(c, dtype=np.int64) * stride) % n_prime
 
-    # Window membership per position, as CSR keyed by position.
-    mem_pos = ((starts[:, None] + np.arange(wsize, dtype=np.int64)[None, :]) % n_prime).ravel()
-    mem_win = np.repeat(np.arange(c, dtype=np.int64), wsize)
-    win_indptr, _, win_ids = _csr(np.sort(mem_pos * c + mem_win), n_prime, c)
-    win_count = np.diff(win_indptr)
+    # Slot i*wsize + j is position j of window i; slot_v is its target.  The
+    # stable sort lists each target's slots in window order.
+    starts = np.arange(c, dtype=np.int64)[:, None] * stride
+    slot_v = sample[(starts + np.arange(wsize)) % n_prime].ravel()
+    slots = np.argsort(slot_v, kind="stable")
+    n_slots = np.bincount(slot_v, minlength=graph.r)
+    first = np.cumsum(n_slots) - n_slots
 
-    # Route each surviving edge into one eligible window, uniformly.  Edges to
-    # a position in no window are dropped like those outside R'.
-    pos_of[sample[win_count == 0]] = -1
-    q = pos_of[graph.edge_v]
-    keep = q >= 0
+    # Route each edge to one of its target's slots, uniformly.  Edges to a
+    # target outside R', or in no window, have none and are dropped.
+    keep = n_slots[graph.edge_v] > 0
     eu = graph.edge_u[keep]
-    eq = q[keep]
-    n_opts = win_count[eq]
-    pick = np.minimum((rng.random(eq.size) * n_opts).astype(np.int64), n_opts - 1)
-    ewin = win_ids[win_indptr[eq] + pick]
-    elocal = (eq - starts[ewin]) % n_prime  # < wsize by construction
+    ev = graph.edge_v[keep]
+    n_opts = n_slots[ev]
+    pick = np.minimum((rng.random(ev.size) * n_opts).astype(np.int64), n_opts - 1)
+    ewin, elocal = np.divmod(slots[first[ev] + pick], wsize)
 
-    max_path_len = 2 * math.ceil(c / config.epsilon) - 1
+    cap = c / config.epsilon
+    max_path_len = 2 * math.ceil(cap) - 1 if math.isfinite(cap) else None
     # One key space for all windows: window i owns [i*l*wsize, (i+1)*l*wsize).
     keys = _distinct_sorted(np.sort((ewin * graph.l + eu) * wsize + elocal))
-    # ml[i*l + u]: the partner of source u in window i, numbered from i*wsize.
+    # ml[i*l + u]: the partner of source u in window i, a slot of window i.
     ml, _, _, _, scans = _match(keys, graph.l, wsize, max_path_len, c)
     matched = np.flatnonzero(ml >= 0)
-    win, u = np.divmod(matched, graph.l)
-    v = sample[(starts[win] + ml[matched] % wsize) % n_prime]
+    u = matched % graph.l
+    v = slot_v[ml[matched]]
     # Parallel candidates can land the same (u, v) in two windows; keep one.
     sel_keys = _distinct_sorted(np.sort(u * graph.r + v))
-    stats = SolveStats(edges_touched=graph.m + scans, peak_aux=int(eq.size))
+    stats = SolveStats(edges_touched=graph.m + scans, peak_aux=int(ev.size))
     return RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats
 
 

@@ -147,6 +147,10 @@ def test_required_ck_brackets_up_to_1024():
     assert abs(1.0 - math.exp(-x + bounds._log_power_sum(x, 83)) - 0.95) < 1e-10
     with pytest.raises(ValueError, match="no density up to 1024 reaches target 0.95 at a=149"):
         required_ck(149, 0.95)
+    # From a = 174 the exponent leaves exp's range (at x = 128) on the way to
+    # 1024: refused, not overflowed.
+    with pytest.raises(ValueError, match="no density up to 1024 reaches target 0.95 at a=174"):
+        required_ck(174, 0.95)
 
 
 def test_required_ck_validates_target():

@@ -21,6 +21,8 @@ from recsubgraph.cli import main
 from conftest import chain_graph
 
 ROOT = Path(__file__).resolve().parent.parent
+# 4 sources, 5 targets; source 0 has the largest out-degree, 3.
+_GRAPH = "bipartite 4 5 7\n0 0\n0 1\n0 2\n1 1\n2 3\n3 3\n3 4\n"
 
 
 def test_gen_solve_eval_round_trip(tmp_path, capsys):
@@ -328,6 +330,18 @@ def test_oracle_long_augmenting_path_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out == "exact_opt=600\n"
 
 
+def test_oracle_huge_c_answers_as_at_the_largest_out_degree(tmp_path, capsys):
+    # No source gives more links than its out-degree, so c = 2**62
+    # has the same optimum, computed without 2**62 copies of each source.
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(_GRAPH)
+    for a in (1, 2):
+        assert main(["oracle", "--graph", str(gpath), "--c", "3", "--a", str(a)]) == 0
+        want = capsys.readouterr().out
+        assert main(["oracle", "--graph", str(gpath), "--c", str(2**62), "--a", str(a)]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_matching_subcommand(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text("bipartite 2 2 3\n0 0\n0 1\n1 0\n")
@@ -486,6 +500,17 @@ _EDGE_CASES = {
     ),
     "required-ck-a-max-huge": (["bounds", "required-ck", "--a-max", "100000000"], None, 1),
     "required-ck-reversed": (["bounds", "required-ck", "--a-min", "3", "--a-max", "2"], None, 1),
+    "required-ck-a-174": (["bounds", "required-ck", "--a-min", "174", "--a-max", "174"], None, 1),
+    "solve-c-past-int64": (
+        ["solve", "--graph", "g.txt", "--algo", "sampling", "--c", "9" * 20, "--a", "1"], None, 1
+    ),
+    "oracle-a-past-int64": (["oracle", "--graph", "g.txt", "--c", "1", "--a", "9" * 20], None, 1),
+    "experiment-c-past-int64": (
+        ["experiment", "--model", "fixed-degree", "--l", "5", "--r", "5", "--d", "2",
+         "--pairs", "9" * 20 + ",1", "--algos", "sampling"],
+        None,
+        1,
+    ),
     "spec-top-level-list": (["experiment", "--spec", "spec.json"], [], 2),
     "spec-unknown-key": (["experiment", "--spec", "spec.json"], {**_SPEC, "bogus": 1}, 1),
     "spec-sweep-int": (["experiment", "--spec", "spec.json"], {**_SPEC, "sweep": 5}, 1),
@@ -533,6 +558,7 @@ def test_edge_values_exit_with_one_error_line(tmp_path, argv, spec, code):
     # line on stderr, no traceback, and well within the timeout.
     if spec is not None:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "g.txt").write_text(_GRAPH)
     proc = _run_cli(argv, tmp_path, timeout=30)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

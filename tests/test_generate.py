@@ -152,6 +152,18 @@ def test_erdos_renyi_gap_walk_stays_in_range_on_huge_sides(p):
             assert idx.size == 0
 
 
+class _UnitGaps:
+    """A generator stub whose every geometric gap is 1."""
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+
+def test_gap_walk_continues_over_batches():
+    # Unit gaps keep every slot; the walk needs three batches to reach 1000.
+    assert np.array_equal(_gap_walk(1000, 0.5, _UnitGaps()), np.arange(1000))
+
+
 def _flat_state(state: dict) -> list:
     """A bit generator's ``.state`` as a comparable list (it holds arrays)."""
     out = []

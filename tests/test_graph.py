@@ -167,6 +167,12 @@ def test_params_validation():
         ProblemParams(c=True, a=1)
     with pytest.raises(ValueError, match="a must be an integer >= 1, got 1.5"):
         ProblemParams(c=1, a=1.5)
+    # Past int64 numpy can hold neither; both once overflowed inside numpy.
+    ProblemParams(c=2**63 - 1, a=2**63 - 1)
+    with pytest.raises(ValueError, match=r"c must be < 2\*\*63, got 9223372036854775808"):
+        ProblemParams(c=2**63, a=1)
+    with pytest.raises(ValueError, match=r"a must be < 2\*\*63, got 9223372036854775808"):
+        ProblemParams(c=1, a=2**63)
 
 
 def test_coverage_single_edge():

@@ -370,6 +370,17 @@ def test_partition_near_full_coverage_at_threshold():
     assert cov >= (1 - 3 * 0.1) * r
 
 
+@pytest.mark.parametrize("c, a", [(2, 1), (3, 2), (5, 2)])
+def test_partition_epsilon_past_float_range_drops_the_cap(c, a):
+    # c / 1e-320 overflows to inf; no path in a window is that long, so the
+    # selection is that of a finite tiny epsilon.
+    g = gen_fixed_degree(FixedDegreeSpec(l=300, r=900, d=8, seed=1))
+    tiny, tiny_stats = partition_with_stats(g, _cfg(c, a, seed=3, epsilon=1e-320))
+    small, small_stats = partition_with_stats(g, _cfg(c, a, seed=3, epsilon=1e-9))
+    assert tiny.edge_list() == small.edge_list()
+    assert tiny_stats.edges_touched == small_stats.edges_touched
+
+
 def test_partition_deterministic():
     g = gen_fixed_degree(FixedDegreeSpec(l=80, r=80, d=8, seed=2))
     a = partition_with_stats(g, _cfg(2, 2, seed=5))[0].edge_list()
