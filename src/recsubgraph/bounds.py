@@ -18,6 +18,7 @@ from .graph import (
     ProblemParams,
     RecSubgraph,
     _check_int,
+    _check_params,
     _check_real,
     _valid_coverage,
 )
@@ -185,8 +186,10 @@ def upper_bound_estimate(graph: BipartiteGraph, params: ProblemParams) -> int:
 
     ``min(floor(l*c/a), #targets with at least a distinct candidate sources)``.
     Distinct counting keeps it a true bound on multigraphs, where parallel
-    candidates cannot stack up on one target.
+    candidates cannot stack up on one target.  A ``params`` that is not a
+    ``ProblemParams`` raises ``ValueError``.
     """
+    _check_params(params, ValueError)
     budget = (graph.l * params.c) // params.a
     eligible = int(np.count_nonzero(graph.distinct_in_degrees() >= params.a))
     return int(min(budget, eligible))

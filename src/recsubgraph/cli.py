@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -307,14 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (EdgeListError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, ConfigError, OracleSizeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # A warning is one "warning:" line on stderr, without Python's source line.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (EdgeListError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (GraphError, ConfigError, OracleSizeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

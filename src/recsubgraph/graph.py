@@ -146,22 +146,21 @@ class RecSubgraph:
     source's picks, so targets out of range reach :func:`validate` too; only
     an unsigned target too large for int64 is refused here.  It
     copies what it is given, so the caller keeps its arrays writeable and
-    later writes to them do not reach the selection.
+    later writes to them do not reach the selection.  A selection built by
+    a strategy or read from a file also keeps its ascending ``u*r + v``
+    keys, read-only, as ``BipartiteGraph`` does; :func:`validate` checks
+    those instead of encoding the picks again.
     """
 
-    __slots__ = ("l", "r", "indptr", "targets")
+    __slots__ = ("l", "r", "indptr", "targets", "_keys")
 
     def __init__(self, l: int, r: int, indptr, targets) -> None:
-        self._adopt(l, r, np.array(indptr), np.array(targets))
-
-    def _adopt(self, l: int, r: int, indptr, targets) -> None:
-        """Check the selection and keep its arrays, read-only, without a copy
-        where they already are contiguous int64."""
         _check_side_limit(l, r, ValueError)
         self.l = l
         self.r = r
-        indptr = np.ascontiguousarray(indptr)
-        targets = np.ascontiguousarray(targets)
+        self._keys = None
+        indptr = np.array(indptr)
+        targets = np.array(targets)
         if indptr.dtype.kind not in "iu" or (targets.size and targets.dtype.kind not in "iu"):
             raise ValueError(
                 f"selection offsets and targets must be integers, got {indptr.dtype} and "
@@ -202,10 +201,25 @@ class RecSubgraph:
 
     @classmethod
     def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "RecSubgraph":
-        """Selection of ascending ``u*r + v`` keys; a repeated key is a duplicate pick."""
-        indptr, _, targets = _csr(keys, l, r)
+        """Selection of ascending ``u*r + v`` keys; a repeated key is a duplicate pick.
+
+        ``keys`` must be an int64 array that does not decrease, within
+        ``[0, l*r)``; else ``ValueError``.  That implies every check of the
+        raw constructor, so the keys are decoded once and kept, with the
+        offsets and targets, read-only and without a copy.
+        """
+        _check_side_limit(l, r, ValueError)
+        if keys.dtype != np.int64:
+            raise ValueError(f"selection keys must be int64, got {keys.dtype}")
+        if keys.size and (keys[0] < 0 or keys[-1] >= l * r or (keys[1:] < keys[:-1]).any()):
+            raise ValueError(f"selection keys must ascend within [0, {l * r})")
         sel = cls.__new__(cls)
-        sel._adopt(l, r, indptr, targets)  # fresh arrays: nobody else holds them
+        sel.l = l
+        sel.r = r
+        sel.indptr, _, sel.targets = _csr(keys, l, r)
+        sel._keys = keys
+        for arr in (sel.indptr, sel.targets, keys):
+            arr.flags.writeable = False
         return sel
 
     @property
@@ -251,8 +265,14 @@ def validate(
 
     Violations come back as human-readable strings: dimension mismatches,
     per-source degree caps (only when ``params`` is given), targets out of
-    range, duplicate picks, and picks that are not candidate edges.
+    range, duplicate picks, and picks that are not candidate edges.  A
+    ``params`` that is neither ``None`` nor a ``ProblemParams`` raises
+    ``ValueError``.  A selection built from keys is checked on its kept
+    keys, which are in range by construction; a raw one is encoded first.
+    Each check lists its problems only once a whole-array test has failed.
     """
+    if params is not None:
+        _check_params(params, ValueError)
     if sub.l != graph.l or sub.r != graph.r:
         return [
             f"dimension mismatch: selection is {sub.l}x{sub.r}, "
@@ -260,32 +280,37 @@ def validate(
         ]
     out: list[str] = []
     deg = np.diff(sub.indptr)
-    if params is not None:
+    if params is not None and deg.max(initial=0) > params.c:
         for u in np.flatnonzero(deg > params.c).tolist():
             out.append(f"degree cap violated at u={u}")
-    su = np.repeat(np.arange(sub.l, dtype=np.int64), deg)
-    sv = sub.targets
-    # An out-of-range target would alias another edge's key, so those picks
-    # are reported here and kept out of the key checks below.
-    bad = (sv < 0) | (sv >= graph.r)
-    if bad.any():
-        for u, v in zip(su[bad].tolist(), sv[bad].tolist()):
-            out.append(f"target out of range ({u},{v})")
-        su, sv = su[~bad], sv[~bad]
-    # Sources ascend and each source's targets do not decrease (the
-    # constructor checks both), so with every target in range the keys
-    # already ascend and a duplicate pick sits next to its twin.
-    keys = su * graph.r + sv
+    keys = sub._keys
+    if keys is None:
+        su = np.repeat(np.arange(sub.l, dtype=np.int64), deg)
+        sv = sub.targets
+        # An out-of-range target would alias another edge's key, so those
+        # picks are reported here and kept out of the key checks below.
+        bad = (sv < 0) | (sv >= graph.r)
+        if bad.any():
+            for u, v in zip(su[bad].tolist(), sv[bad].tolist()):
+                out.append(f"target out of range ({u},{v})")
+            su, sv = su[~bad], sv[~bad]
+        # Sources ascend and each source's targets do not decrease (the
+        # constructor checks both), so with every target in range the keys
+        # already ascend and a duplicate pick sits next to its twin.
+        keys = su * graph.r + sv
     distinct = _distinct_sorted(keys)
     if distinct.size < keys.size:
         for key in _distinct_sorted(keys[1:][keys[1:] == keys[:-1]]).tolist():
             out.append(f"duplicate edge ({key // graph.r},{key % graph.r})")
+    # take() from an edgeless graph's empty keys would raise: nothing is a candidate.
     gkeys = graph.edge_keys()
-    pos = np.searchsorted(gkeys, distinct)
-    found = pos < graph.m
-    found[found] = gkeys[pos[found]] == distinct[found]
-    for key in distinct[~found].tolist():
-        out.append(f"non-candidate edge ({key // graph.r},{key % graph.r})")
+    if graph.m:
+        found = gkeys.take(np.searchsorted(gkeys, distinct), mode="clip") == distinct
+    else:
+        found = np.zeros(distinct.size, dtype=bool)
+    if not found.all():
+        for key in distinct[~found].tolist():
+            out.append(f"non-candidate edge ({key // graph.r},{key % graph.r})")
     return out
 
 
@@ -323,6 +348,12 @@ def _check_int(
     ):
         limit = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
         raise error(f"{name} must be {kind} {limit}, got {value!r}")
+
+
+def _check_params(params, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``params`` is a :class:`ProblemParams`."""
+    if not isinstance(params, ProblemParams):
+        raise error(f"params must be a ProblemParams, got {params!r}")
 
 
 def _check_real(name: str, value, error: type[ValueError]) -> None:

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, _by_target, _segments
+from .graph import BipartiteGraph, ProblemParams, _by_target, _check_params, _segments
 from .matching import _match
 
 __all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
@@ -38,10 +38,18 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     ``y_e`` reaches the ``c`` copies of ``u`` (right).  A maximum matching has
     ``m + (largest selection)`` edges, where ``m`` counts the candidate edges:
     ``e`` is selected when a copy of ``v`` holds ``x_e`` and ``y_e`` holds a
-    copy of ``u``.
+    copy of ``u``.  At ``a == 1`` no target can use an edge twice, so there
+    is no split: left vertex ``k`` is the k-th target, right vertex
+    ``u*c + i`` copy ``i`` of source ``u``, and a matched target is served.
     """
     first = offsets[targets]
     deg = offsets[targets + 1] - first
+    edge_u = sources[_segments(first, deg)]
+    if a == 1:
+        # Each target's sources ascend, so its keys k*l*c + u*c + i do.
+        row = np.repeat(np.arange(len(targets)) * (l * c), deg) + edge_u * c
+        keys = (row[:, None] + np.arange(c)).ravel()
+        return (_match(keys, len(targets), l * c)[0] >= 0).astype(np.int64)
     m = int(deg.sum())
     copies = a * len(targets)
     # Left: the copies of each target in turn, then y_e at copies + e.  Right:
@@ -54,7 +62,6 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     row_deg = np.repeat(deg, a)
     row_base = np.arange(copies) * n_right + np.repeat(start, a) - (np.cumsum(row_deg) - row_deg)
     copy_keys = np.repeat(row_base, row_deg) + np.arange(a * m)
-    edge_u = sources[_segments(first, deg)]
     y_row = (copies + e) * n_right
     y_keys = np.column_stack((y_row + e, (y_row + m + edge_u * c)[:, None] + np.arange(c)))
     keys = np.concatenate((copy_keys, y_keys.ravel()))
@@ -79,6 +86,7 @@ def exact_opt(graph: BipartiteGraph, params: ProblemParams) -> int:
     size.  Raises :class:`OracleSizeError` before that search when it would
     try more than ``2**SIZE_GUARD`` subsets.
     """
+    _check_params(params, ValueError)
     # No source gives more links than it has candidate edges, so a larger c
     # changes no optimum; capping it keeps the split graph's c copies small.
     c, a = min(params.c, int(graph.left_degrees.max(initial=1))), params.a

@@ -564,3 +564,18 @@ def test_edge_values_exit_with_one_error_line(tmp_path, argv, spec, code):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("verb", ["solve", "eval", "matching"])
+def test_read_warning_is_one_line_without_python_source(tmp_path, verb):
+    (tmp_path / "dup.txt").write_text("bipartite 2 2 3\n0 0\n0 0\n1 1\n")
+    (tmp_path / "sel.txt").write_text("recsubgraph 2 2 1\n0 0\n")
+    argv = {
+        "solve": ["solve", "--graph", "dup.txt", "--algo", "greedy", "--c", "1", "--a", "1"],
+        "eval": ["eval", "--graph", "dup.txt", "--subgraph", "sel.txt", "--a", "1"],
+        "matching": ["matching", "--graph", "dup.txt"],
+    }[verb]
+    proc = _run_cli(argv, tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: dup.txt: 1 duplicate edge line(s) ignored\n"
+    assert proc.stdout.strip()

@@ -415,3 +415,47 @@ def test_selection_round_trips_lists():
     assert [h.targets[lo:hi].tolist() for lo, hi in zip(h.indptr[:-1], h.indptr[1:])] == lists
     assert h.n_selected == 3
     assert h.out_degrees().tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.array([3, 1], dtype=np.int64),
+        np.array([-1, 2], dtype=np.int64),
+        np.array([0, 6], dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.array([0, 1], dtype=np.int32),
+        np.array([0.0, 1.0]),
+    ],
+    ids=["descending", "negative", "l*r", "past-l*r", "int32", "float"],
+)
+def test_from_keys_refuses_keys_that_do_not_ascend_in_range_as_int64(keys):
+    with pytest.raises(ValueError, match="selection keys must"):
+        RecSubgraph._from_keys(2, 3, keys)
+
+
+@st.composite
+def keyed_selection(draw):
+    """A multigraph, edgeless ones included, and a multiset of pick keys
+    that may repeat, miss the graph and pass any cap."""
+    l = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 5))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, r - 1)), max_size=20)
+    )
+    keys = draw(st.lists(st.integers(0, l * r - 1), max_size=25))
+    return l, r, edges, np.array(sorted(keys), dtype=np.int64)
+
+
+@given(keyed_selection(), st.one_of(st.none(), st.integers(1, 4)))
+@settings(max_examples=300)
+@example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1)
+def test_validate_on_kept_keys_equals_validate_on_the_raw_twin(pack, c):
+    l, r, edges, keys = pack
+    g = build_graph(l, r, edges)
+    sel = RecSubgraph._from_keys(l, r, keys)
+    twin = RecSubgraph(l, r, sel.indptr, sel.targets)
+    assert sel._keys is keys and twin._keys is None
+    assert sel.edge_list() == [divmod(k, r) for k in keys.tolist()]
+    params = None if c is None else ProblemParams(c=c, a=1)
+    assert validate(g, sel, params) == validate(g, twin, params)

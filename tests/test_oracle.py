@@ -215,3 +215,22 @@ def test_bmatching_counts_saturated_flow():
 def test_long_augmenting_path_does_not_recurse():
     g = chain_graph(600)
     assert exact_opt(g, ProblemParams(c=1, a=1)) == 600
+
+
+def test_served_at_a_1_matches_targets_straight_to_source_copies(monkeypatch):
+    # No split graph: one left vertex per target, c right vertices per source.
+    g = build_graph(3, 4, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 3), (1, 3)])
+    calls = []
+
+    def spy(keys, n_left, n_right, *rest):
+        calls.append((keys.tolist(), n_left, n_right))
+        return _match(keys, n_left, n_right, *rest)
+
+    monkeypatch.setattr(oracle, "_match", spy)
+    offsets, sources = _by_target(g)
+    targets = np.array([0, 1, 3])
+    assert oracle._served(offsets, sources, targets, g.l, 2, 1).tolist() == [1, 1, 1]
+    keys, n_left, n_right = calls[0]
+    assert (n_left, n_right) == (len(targets), g.l * 2)
+    # Target k reaches copy i of source u as k*l*c + u*c + i, ascending.
+    assert keys == [0, 1, 6, 7, 8, 9, 10, 11, 14, 15, 16, 17]

@@ -13,10 +13,12 @@ from recsubgraph import (
     ErdosRenyiSpec,
     FixedDegreeSpec,
     ProblemParams,
+    RecSubgraph,
     SolverConfig,
     bounded_matching,
     build_graph,
     coverage,
+    exact_opt,
     gen_erdos_renyi,
     gen_fixed_degree,
     greedy_expected_bound,
@@ -596,3 +598,42 @@ def test_solver_params_must_be_problem_params(params):
     # A (c, a) tuple once died inside solve() with an AttributeError.
     with pytest.raises(ConfigError, match="params must be a ProblemParams"):
         SolverConfig(params)
+
+
+_BAD_PARAMS = [(1, 1), None, {"c": 1, "a": 1}]
+
+
+@pytest.mark.parametrize(
+    "call, error, message, bads",
+    [
+        # validate takes params=None as "no degree cap".
+        (lambda g, sel, bad: validate(g, sel, bad), ValueError, "params must be a ProblemParams",
+         [(1, 1), {"c": 1, "a": 1}]),
+        (lambda g, sel, bad: upper_bound_estimate(g, bad), ValueError,
+         "params must be a ProblemParams", _BAD_PARAMS),
+        (lambda g, sel, bad: exact_opt(g, bad), ValueError, "params must be a ProblemParams",
+         _BAD_PARAMS),
+        (lambda g, sel, bad: solve(g, "greedy", bad), ConfigError, "config must be a SolverConfig",
+         [*_BAD_PARAMS, ProblemParams(1, 1)]),
+    ],
+    ids=["validate", "upper_bound_estimate", "exact_opt", "solve"],
+)
+def test_params_and_config_of_the_wrong_type_are_refused(call, error, message, bads):
+    # Each of these once died with an AttributeError on the tuple.
+    g = build_graph(2, 2, [(0, 0), (1, 1)])
+    sel = RecSubgraph.from_edges(2, 2, [0], [0])
+    for bad in bads:
+        with pytest.raises(error, match=message):
+            call(g, sel, bad)
+
+
+@pytest.mark.parametrize("algo", ["sampling", "greedy", "partition"])
+def test_every_strategy_keeps_the_keys_of_its_picks(algo, rng, greedy_engines, matching_engines):
+    graphs = [build_graph(0, 3, []), build_graph(3, 0, []), build_graph(4, 5, [])]
+    graphs += [random_simple_graph(rng, max_l=9, max_r=9, p=0.5) for _ in range(20)]
+    for _ in greedy_engines():
+        for _ in matching_engines():
+            for g, a in itertools.product(graphs, (1, 2)):
+                sel, _ = solve(g, algo, _cfg(2, a, seed=5))
+                assert sel._keys.dtype == np.int64 and not sel._keys.flags.writeable
+                assert sel._keys.tolist() == (sel.selected_u() * g.r + sel.targets).tolist()
