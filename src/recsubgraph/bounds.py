@@ -18,7 +18,7 @@ from .graph import (
     ProblemParams,
     RecSubgraph,
     _check_int,
-    _check_params,
+    _check_type,
     _check_real,
     _valid_coverage,
 )
@@ -189,7 +189,7 @@ def upper_bound_estimate(graph: BipartiteGraph, params: ProblemParams) -> int:
     candidates cannot stack up on one target.  A ``params`` that is not a
     ``ProblemParams`` raises ``ValueError``.
     """
-    _check_params(params, ValueError)
+    _check_type("params", params, ProblemParams, ValueError)
     budget = (graph.l * params.c) // params.a
     eligible = int(np.count_nonzero(graph.distinct_in_degrees() >= params.a))
     return int(min(budget, eligible))

@@ -308,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A warning is one "warning:" line on stderr, without Python's source line.
+    # A shown warning is one "warning:" line on stderr, without Python's
+    # source line; the filters in force still decide what is shown or raised.
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         try:
             return args.func(args)

@@ -272,7 +272,7 @@ def validate(
     Each check lists its problems only once a whole-array test has failed.
     """
     if params is not None:
-        _check_params(params, ValueError)
+        _check_type("params", params, ProblemParams, ValueError)
     if sub.l != graph.l or sub.r != graph.r:
         return [
             f"dimension mismatch: selection is {sub.l}x{sub.r}, "
@@ -350,10 +350,10 @@ def _check_int(
         raise error(f"{name} must be {kind} {limit}, got {value!r}")
 
 
-def _check_params(params, error: type[ValueError]) -> None:
-    """Raise ``error`` unless ``params`` is a :class:`ProblemParams`."""
-    if not isinstance(params, ProblemParams):
-        raise error(f"params must be a ProblemParams, got {params!r}")
+def _check_type(name: str, value, cls: type, error: type[ValueError]) -> None:
+    """Raise ``error`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def _check_real(name: str, value, error: type[ValueError]) -> None:

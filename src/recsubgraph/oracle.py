@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import BipartiteGraph, ProblemParams, _by_target, _check_params, _segments
+from .graph import BipartiteGraph, ProblemParams, _by_target, _check_type, _segments
 from .matching import _match
 
 __all__ = ["OracleSizeError", "exact_opt", "SIZE_GUARD"]
@@ -86,7 +86,7 @@ def exact_opt(graph: BipartiteGraph, params: ProblemParams) -> int:
     size.  Raises :class:`OracleSizeError` before that search when it would
     try more than ``2**SIZE_GUARD`` subsets.
     """
-    _check_params(params, ValueError)
+    _check_type("params", params, ProblemParams, ValueError)
     # No source gives more links than it has candidate edges, so a larger c
     # changes no optimum; capping it keeps the split graph's c copies small.
     c, a = min(params.c, int(graph.left_degrees.max(initial=1))), params.a

@@ -35,8 +35,8 @@ from .graph import (
     RecSubgraph,
     _by_target,
     _check_int,
-    _check_params,
     _check_real,
+    _check_type,
     _distinct_sorted,
     _segments,
 )
@@ -83,7 +83,7 @@ class SolverConfig:
     epsilon: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_params(self.params, ConfigError)
+        _check_type("params", self.params, ProblemParams, ConfigError)
         _check_int("seed", self.seed, 0, 1 << 64, ConfigError)
         _check_real("epsilon", self.epsilon, ConfigError)
         if not 0.0 < self.epsilon <= 1.0:
@@ -295,8 +295,7 @@ def solve(
     selection, degree cap included, and scores it in one ``bounds._score`` call.
     A ``config`` that is not a ``SolverConfig`` raises ``ConfigError``.
     """
-    if not isinstance(config, SolverConfig):
-        raise ConfigError(f"config must be a SolverConfig, got {config!r}")
+    _check_type("config", config, SolverConfig, ConfigError)
     if algo not in _WITH_STATS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     runner = _WITH_STATS[algo]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -579,3 +580,20 @@ def test_read_warning_is_one_line_without_python_source(tmp_path, verb):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "warning: dup.txt: 1 duplicate edge line(s) ignored\n"
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_read_warning_obeys_the_filters_in_force(tmp_path, capsys, action):
+    # main only reformats a shown warning: an "error" filter still raises
+    # it and an "ignore" filter still silences it.
+    path = tmp_path / "dup.txt"
+    path.write_text("bipartite 2 2 3\n0 0\n0 0\n1 1\n")
+    argv = ["matching", "--graph", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        if action == "error":
+            with pytest.raises(UserWarning, match="duplicate"):
+                main(argv)
+        else:
+            assert main(argv) == 0
+    assert "warning" not in capsys.readouterr().err
