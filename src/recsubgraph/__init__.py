@@ -3,8 +3,8 @@
 Given candidate links from sources L to targets R, keep at most ``c`` links
 per source so that as many targets as possible receive at least ``a`` links.
 The package bundles three strategies (uniform sampling, capacity-aware
-greedy, window matching), closed-form coverage bounds, an exact oracle for
-small instances, and a seeded sweep harness.
+greedy, window matching), closed-form coverage bounds, an exact oracle, and
+a seeded sweep harness.
 """
 
 from .bounds import (

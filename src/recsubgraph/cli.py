@@ -35,7 +35,7 @@ from .experiment import (
     run_experiment,
 )
 from .generate import MODEL_PARAMS, generate_instance
-from .graph import GraphError, ProblemParams, simplify
+from .graph import BipartiteGraph, GraphError, ProblemParams, simplify
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
 from .oracle import OracleSizeError, exact_opt
@@ -62,7 +62,7 @@ def _add_size_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, help="edge probability")
 
 
-def _load_instance(args) -> "BipartiteGraph":
+def _load_instance(args) -> BipartiteGraph:
     if args.graph is not None:
         return read_edge_list(args.graph)
     if args.model is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -197,12 +196,6 @@ def run_experiment(
                     continue
                 config = SolverConfig(params=params, seed=seed, epsilon=spec.epsilon)
                 _, report = solve(graph, algo, config)
-                if report.covered > report.upper_bound:  # never expected
-                    warnings.warn(
-                        f"coverage {report.covered} exceeds upper bound "
-                        f"{report.upper_bound} at c={c}, a={a}, {algo}",
-                        stacklevel=2,
-                    )
                 row.covered = report.covered
                 row.upper_bound = report.upper_bound
                 row.ratio = report.ratio

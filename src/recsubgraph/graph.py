@@ -140,55 +140,52 @@ class RecSubgraph:
     """A per-source choice of targets: the links a selection keeps.
 
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
-    sorted ascending.  Construction does not deduplicate — :func:`validate`
-    reports duplicate picks as violations.  The raw constructor checks only
-    that offsets and targets are integers, the offsets and the order of each
-    source's picks, so targets out of range reach :func:`validate` too; only
-    an unsigned target too large for int64 is refused here.  It
-    copies what it is given, so the caller keeps its arrays writeable and
-    later writes to them do not reach the selection.  A selection built by
-    a strategy or read from a file also keeps its ascending ``u*r + v``
-    keys, read-only, as ``BipartiteGraph`` does; :func:`validate` checks
-    those instead of encoding the picks again.
+    sorted ascending, beside their ascending ``u*r + v`` keys, all read-only
+    as in ``BipartiteGraph``.  Construction does not deduplicate —
+    :func:`validate` reports duplicate picks as violations.  The raw
+    constructor refuses non-integer arrays, offsets that do not form a CSR,
+    a source whose picks decrease, and a target outside ``[0, r)``, named as
+    given.  It keeps none of the caller's arrays, so later writes to them do
+    not reach the selection.
     """
 
     __slots__ = ("l", "r", "indptr", "targets", "_keys")
 
     def __init__(self, l: int, r: int, indptr, targets) -> None:
         _check_side_limit(l, r, ValueError)
-        self.l = l
-        self.r = r
-        self._keys = None
-        indptr = np.array(indptr)
-        targets = np.array(targets)
+        indptr = np.asarray(indptr)
+        targets = np.asarray(targets)
         if indptr.dtype.kind not in "iu" or (targets.size and targets.dtype.kind not in "iu"):
             raise ValueError(
                 f"selection offsets and targets must be integers, got {indptr.dtype} and "
                 f"{targets.dtype} arrays"
             )
-        self.indptr = indptr.astype(np.int64, copy=False)
-        self.targets = targets.astype(np.int64, copy=False)
-        ptr = self.indptr
-        if ptr.shape != (self.l + 1,) or ptr[0] != 0 or ptr[-1] != self.targets.size:
+        ptr = indptr.astype(np.int64, copy=False)
+        if ptr.shape != (l + 1,) or ptr[0] != 0 or ptr[-1] != targets.size:
             raise ValueError("inconsistent selection offsets")
         if (ptr[1:] < ptr[:-1]).any():
             raise ValueError("selection offsets must not decrease")
-        if targets.dtype.kind == "u" and (self.targets < 0).any():
-            # An unsigned target of 2**63 or more wrapped in int64; name it as given.
-            j = int((self.targets < 0).argmax())
-            u = int(np.searchsorted(ptr, j, side="right")) - 1
-            raise ValueError(f"target out of range ({u},{int(targets[j])})")
+        # Both checks below read the targets as given, so an unsigned target
+        # of 2**63 or more neither wraps negative nor is named as another value.
         # falls[j]: pick j is below pick j-1 of the same source.  The offsets
         # hold 0 and the pick count, so clearing them also clears the two
         # unwritten end slots.  Equal neighbours are left for validate.
-        falls = np.empty(self.targets.size + 1, dtype=bool)
-        np.less(self.targets[1:], self.targets[:-1], out=falls[1:-1])
+        falls = np.empty(targets.size + 1, dtype=bool)
+        np.less(targets[1:], targets[:-1], out=falls[1:-1])
         falls[ptr] = False
         if np.count_nonzero(falls):
             u = int(np.searchsorted(ptr, falls.argmax(), side="right")) - 1
             raise ValueError(f"targets of source {u} must not decrease")
-        self.indptr.flags.writeable = False
-        self.targets.flags.writeable = False
+        # An out-of-range target would alias another pick's key.
+        bad = (targets < 0) | (targets >= r)
+        if bad.any():
+            j = int(bad.argmax())
+            u = int(np.searchsorted(ptr, j, side="right")) - 1
+            raise ValueError(f"target out of range ({u},{int(targets[j])})")
+        # Sources ascend and each source's targets do not decrease, so the keys ascend.
+        keys = np.repeat(np.arange(l, dtype=np.int64), np.diff(ptr)) * r
+        keys += targets.astype(np.int64, copy=False)
+        self._set_keys(l, r, keys)
 
     @classmethod
     def from_edges(cls, l: int, r: int, sel_u, sel_v) -> "RecSubgraph":
@@ -205,8 +202,7 @@ class RecSubgraph:
 
         ``keys`` must be an int64 array that does not decrease, within
         ``[0, l*r)``; else ``ValueError``.  That implies every check of the
-        raw constructor, so the keys are decoded once and kept, with the
-        offsets and targets, read-only and without a copy.
+        raw constructor, so the keys are kept without a copy.
         """
         _check_side_limit(l, r, ValueError)
         if keys.dtype != np.int64:
@@ -214,13 +210,17 @@ class RecSubgraph:
         if keys.size and (keys[0] < 0 or keys[-1] >= l * r or (keys[1:] < keys[:-1]).any()):
             raise ValueError(f"selection keys must ascend within [0, {l * r})")
         sel = cls.__new__(cls)
-        sel.l = l
-        sel.r = r
-        sel.indptr, _, sel.targets = _csr(keys, l, r)
-        sel._keys = keys
-        for arr in (sel.indptr, sel.targets, keys):
-            arr.flags.writeable = False
+        sel._set_keys(l, r, keys)
         return sel
+
+    def _set_keys(self, l: int, r: int, keys: np.ndarray) -> None:
+        """Keep checked ascending keys, decoded once into offsets and targets, read-only."""
+        self.l = l
+        self.r = r
+        self.indptr, _, self.targets = _csr(keys, l, r)
+        self._keys = keys
+        for arr in (self.indptr, self.targets, keys):
+            arr.flags.writeable = False
 
     @property
     def n_selected(self) -> int:
@@ -264,12 +264,11 @@ def validate(
     """Check a selection against its host graph; return ``[]`` when clean.
 
     Violations come back as human-readable strings: dimension mismatches,
-    per-source degree caps (only when ``params`` is given), targets out of
-    range, duplicate picks, and picks that are not candidate edges.  A
-    ``params`` that is neither ``None`` nor a ``ProblemParams`` raises
-    ``ValueError``.  A selection built from keys is checked on its kept
-    keys, which are in range by construction; a raw one is encoded first.
-    Each check lists its problems only once a whole-array test has failed.
+    per-source degree caps (only when ``params`` is given), duplicate picks,
+    and picks that are not candidate edges.  A ``params`` that is neither
+    ``None`` nor a ``ProblemParams`` raises ``ValueError``.  The checks run
+    on the selection's kept keys, which are in range by construction.  Each
+    check lists its problems only once a whole-array test has failed.
     """
     if params is not None:
         _check_type("params", params, ProblemParams, ValueError)
@@ -284,20 +283,6 @@ def validate(
         for u in np.flatnonzero(deg > params.c).tolist():
             out.append(f"degree cap violated at u={u}")
     keys = sub._keys
-    if keys is None:
-        su = np.repeat(np.arange(sub.l, dtype=np.int64), deg)
-        sv = sub.targets
-        # An out-of-range target would alias another edge's key, so those
-        # picks are reported here and kept out of the key checks below.
-        bad = (sv < 0) | (sv >= graph.r)
-        if bad.any():
-            for u, v in zip(su[bad].tolist(), sv[bad].tolist()):
-                out.append(f"target out of range ({u},{v})")
-            su, sv = su[~bad], sv[~bad]
-        # Sources ascend and each source's targets do not decrease (the
-        # constructor checks both), so with every target in range the keys
-        # already ascend and a duplicate pick sits next to its twin.
-        keys = su * graph.r + sv
     distinct = _distinct_sorted(keys)
     if distinct.size < keys.size:
         for key in _distinct_sorted(keys[1:][keys[1:] == keys[:-1]]).tolist():

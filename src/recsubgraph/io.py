@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import BipartiteGraph, GraphError, RecSubgraph, _distinct_sorted, _pair_keys, simplify
+from .graph import BipartiteGraph, GraphError, RecSubgraph, _distinct_sorted, simplify
 
 __all__ = [
     "EdgeListError",
@@ -172,11 +172,10 @@ def read_subgraph(path) -> RecSubgraph:
     """Read a selection file.  Duplicate picks are an error, not a warning."""
     l, r, us, vs = _parse(path, SUBGRAPH_MAGIC)
     try:
-        keys = _pair_keys(l, r, us, vs, ValueError)
-        sub = RecSubgraph._from_keys(l, r, keys)
+        sub = RecSubgraph.from_edges(l, r, us, vs)
     except ValueError as exc:
         raise EdgeListError(f"{path}: {exc}") from exc
-    if _distinct_sorted(keys).size < keys.size:
+    if _distinct_sorted(sub._keys).size < sub.n_selected:
         raise EdgeListError(f"{path}: duplicate selection lines")
     return sub
 

@@ -227,13 +227,12 @@ def test_validate_reports_duplicate():
     assert problems == ["duplicate edge (0,0)"]
 
 
-def test_validate_reports_target_out_of_range():
+def test_raw_selection_refuses_target_out_of_range():
     # Target 4 of source 0 would alias the key of candidate (1, 1) at r=3.
-    g = build_graph(2, 3, [(0, 0), (1, 1)])
-    h = RecSubgraph(2, 3, [0, 1, 1], [4])
-    assert validate(g, h) == ["target out of range (0,4)"]
-    with pytest.raises(SubgraphValidationError, match="target out of range"):
-        coverage(g, h, 1)
+    with pytest.raises(ValueError, match=r"^target out of range \(0,4\)$"):
+        RecSubgraph(2, 3, [0, 1, 1], [4])
+    with pytest.raises(ValueError, match=r"^target out of range \(1,-1\)$"):
+        RecSubgraph(2, 3, [0, 1, 2], [0, -1])
     with pytest.raises(ValueError, match=r"out of range at index 0: \(0, 4\)"):
         RecSubgraph.from_edges(2, 3, [0], [4])
     # An unsigned target too large for int64 is refused as given, not as -1.
@@ -292,11 +291,17 @@ def test_selection_accepts_any_integer_dtype_and_empty_targets():
     assert RecSubgraph(2, 3, [0, 0, 0], []).n_selected == 0
 
 
+def _offsets(lists) -> list[int]:
+    return [0, *accumulate(len(xs) for xs in lists)]
+
+
 @st.composite
 def raw_selection(draw):
-    """A candidate graph and a raw selection that may break every rule.
+    """A candidate graph and a raw selection that may break every rule the
+    constructor leaves to :func:`validate`.
 
-    Each source's picks are drawn ascending, as the constructor requires.
+    Each source's picks are drawn in range and ascending, as the constructor
+    requires.
     """
     l = draw(st.integers(1, 5))
     r = draw(st.integers(1, 5))
@@ -305,7 +310,7 @@ def raw_selection(draw):
     )
     lists = draw(
         st.lists(
-            st.lists(st.integers(-2, r + 1), max_size=6).map(sorted),
+            st.lists(st.integers(0, r - 1), max_size=6).map(sorted),
             min_size=l,
             max_size=l,
         )
@@ -313,31 +318,36 @@ def raw_selection(draw):
     return l, r, edges, lists
 
 
-@given(raw_selection(), st.one_of(st.none(), st.integers(1, 4)))
+@given(
+    raw_selection(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 4), st.integers(-2, 1)
+)
 @settings(max_examples=300)
-def test_validate_reports_exactly_the_bad_picks(pack, c):
+def test_validate_reports_exactly_the_bad_picks(pack, c, at, stray):
     l, r, edges, lists = pack
     g = build_graph(l, r, edges)
-    indptr = [0, *np.cumsum([len(xs) for xs in lists]).tolist()]
-    h = RecSubgraph(l, r, indptr, [v for xs in lists for v in xs])
+    h = RecSubgraph(l, r, _offsets(lists), [v for xs in lists for v in xs])
     params = None if c is None else ProblemParams(c=c, a=1)
 
     want = []
     if c is not None:
         want += [f"degree cap violated at u={u}" for u, xs in enumerate(lists) if len(xs) > c]
     picks = [(u, v) for u, xs in enumerate(lists) for v in xs]
-    want += [f"target out of range ({u},{v})" for u, v in picks if not 0 <= v < r]
-    in_range = [(u, v) for u, v in picks if 0 <= v < r]
     want += [
         f"duplicate edge ({u},{v})"
-        for u, v in sorted(set(in_range))
-        if in_range.count((u, v)) > 1
+        for u, v in sorted(set(picks))
+        if picks.count((u, v)) > 1
     ]
     want += [
         f"non-candidate edge ({u},{v})"
-        for u, v in sorted(set(in_range) - set(edges))
+        for u, v in sorted(set(picks) - set(edges))
     ]
     assert validate(g, h, params) == want
+
+    # One more pick outside [0, r) is refused before validate sees it.
+    u, v = at % l, stray if stray < 0 else r + stray
+    bad = [sorted([*xs, v]) if i == u else xs for i, xs in enumerate(lists)]
+    with pytest.raises(ValueError, match=rf"^target out of range \({u},{v}\)$"):
+        RecSubgraph(l, r, _offsets(bad), [x for xs in bad for x in xs])
 
 
 @given(shuffled_multigraph())
@@ -447,15 +457,36 @@ def keyed_selection(draw):
     return l, r, edges, np.array(sorted(keys), dtype=np.int64)
 
 
-@given(keyed_selection(), st.one_of(st.none(), st.integers(1, 4)))
+@given(
+    keyed_selection(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 4), st.integers(-2, 1)
+)
 @settings(max_examples=300)
-@example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1)
-def test_validate_on_kept_keys_equals_validate_on_the_raw_twin(pack, c):
+@example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1, 0, 0)
+def test_raw_constructor_from_edges_and_from_keys_agree(pack, c, at, stray):
     l, r, edges, keys = pack
     g = build_graph(l, r, edges)
+    us, vs = np.divmod(keys, r)
+    indptr = np.searchsorted(us, np.arange(l + 1))
     sel = RecSubgraph._from_keys(l, r, keys)
-    twin = RecSubgraph(l, r, sel.indptr, sel.targets)
-    assert sel._keys is keys and twin._keys is None
-    assert sel.edge_list() == [divmod(k, r) for k in keys.tolist()]
+    assert sel._keys is keys
     params = None if c is None else ProblemParams(c=c, a=1)
-    assert validate(g, sel, params) == validate(g, twin, params)
+    want = validate(g, sel, params)
+    for made in (
+        sel,
+        RecSubgraph(l, r, indptr, vs),
+        RecSubgraph.from_edges(l, r, us[::-1], vs[::-1]),
+    ):
+        assert made._keys.tolist() == keys.tolist()
+        assert made.indptr.tolist() == indptr.tolist()
+        assert made.targets.tolist() == vs.tolist()
+        assert made.edge_list() == [divmod(k, r) for k in keys.tolist()]
+        assert validate(g, made, params) == want
+
+    # Both public constructors refuse the same pick outside [0, r).
+    u, v = at % l, stray if stray < 0 else r + stray
+    picks = sorted([*zip(us.tolist(), vs.tolist()), (u, v)])
+    pu, pv = [p[0] for p in picks], [p[1] for p in picks]
+    with pytest.raises(ValueError, match=rf"^target out of range \({u},{v}\)$"):
+        RecSubgraph(l, r, np.searchsorted(pu, np.arange(l + 1)), pv)
+    with pytest.raises(ValueError, match=rf"out of range at index \d+: \({u}, {v}\)"):
+        RecSubgraph.from_edges(l, r, pu, pv)
