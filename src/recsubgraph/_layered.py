@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import _csr
-from .matching import _augment
+from .matching import _INF, _augment
 
 
 def _scratch(sizes: list[int], dtype: type) -> list[np.ndarray]:
@@ -51,7 +51,7 @@ def _take(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def match_layered(
-    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float, windows: int
+    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float | list[float], windows: int
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
     """``_match``'s phases on ``windows`` disjoint graphs, with the BFS and the
     dead vertices' scans in numpy.
@@ -74,7 +74,9 @@ def match_layered(
        including the first vertex with a free neighbour, as the list BFS
        stops there, and the window leaves the BFS.  The other windows go on:
        their next frontier is each owner no layer holds yet, in order of
-       first occurrence, which is the list BFS's queue order.  Each layer's
+       first occurrence, which is the list BFS's queue order.  A window
+       whose own ``depth_cap`` (one for all, or one per window) is the
+       current layer adds nothing to the next frontier.  Each layer's
        entries are kept with their position, left endpoint and owner.  A
        window that reaches no free vertex is done; its vertices never start
        a BFS again.
@@ -138,6 +140,13 @@ def match_layered(
     # Python ints in and out, and nothing of the walk left on the heap.
     flat, cuts, ptr, level, match_l, match_r = map(memoryview, (targets, ip, arc, lvl, ml, mr))
     wins = np.arange(windows + 1)
+    # Per layer k: the windows whose cap keeps them out of it.
+    capped: dict[int, list[int]] = {}
+    if isinstance(depth_cap, list):
+        for w, cap in enumerate(depth_cap):
+            if cap != _INF:
+                capped.setdefault(int(cap) + 1, []).append(w)
+        depth_cap = max(depth_cap)
     # Per window: whether it still augments, and its running totals.
     running = np.ones(windows, dtype=bool)
     phases = np.zeros(windows, dtype=np.int64)
@@ -177,10 +186,13 @@ def match_layered(
             p += rank[:n_entries]
             _take(source, p, src[e0:])
             o = _take(mr, _take(targets, p, ta), own[e0:])
-            hits: list[int] = []
-            if o[o.argmin()] < 0:
+            # Windows that add nothing to the next frontier.
+            stop = capped.get(k + 1, [])
+            any_free = o[o.argmin()] < 0
+            if stop or any_free:
                 # Window w's entries in this layer are [cut[w], cut[w + 1]).
                 cut = tb[np.floor_divide(frontier, n_left, out=tc[:nf]).searchsorted(wins)]
+            if any_free:
                 # The first entry with a free owner, in each window with one.
                 at = _keep(np.less(o, 0, out=ma[:n_entries]), rank[:n_entries], tb)
                 at_win = np.floor_divide(_take(src[e0:], at, ta), n_left, out=ta[: at.size])
@@ -198,14 +210,14 @@ def match_layered(
                 searching[won] = False
                 if not searching.any():
                     break
-                hits = won.tolist()
+                stop = stop + won.tolist()
             k += 1
             if k > depth_cap:
                 break
             # Unseen owners, each at its first occurrence, in the windows
-            # that found no free vertex yet.
+            # that found no free vertex yet and may go deeper.
             new = np.equal(_take(dist, o, ta), unseen, out=dead_next[e0:e1])
-            for w in hits:
+            for w in stop:
                 new[cut[w] : cut[w + 1]] = False
             fresh = _keep(new, o, tc)
             r = rank[: fresh.size]

@@ -19,7 +19,7 @@ from pathlib import Path
 from .generate import MODEL_PARAMS, _model_spec, generate_instance
 from .graph import ProblemParams, _check_int
 from .io import read_edge_list
-from .solvers import ALGORITHMS, SolverConfig, solve
+from .solvers import ALGORITHMS, SolverConfig, _solve_cells
 
 __all__ = [
     "CSV_HEADER",
@@ -172,8 +172,11 @@ def run_experiment(
     """Run the sweep; returns all rows plus per-cell aggregates.
 
     Cells an algorithm cannot run (partition with a > c) become skipped rows
-    and the sweep continues.  Timing covers the solve call only; instance
-    generation and I/O are excluded.
+    and the sweep continues.  A row's elapsed time is its solver's, without
+    validation, scoring, instance generation or I/O.  A trial's partition
+    cells are matched together, in shared ``_match`` calls up to a size
+    bound (``solvers._partition``), and each cell of one call reports an
+    equal share of that call's solver time.
     """
     file_graph = read_edge_list(spec.path) if spec.model == "file" else None
     rows: list[ExperimentRow] = []
@@ -184,22 +187,31 @@ def run_experiment(
             if file_graph is not None
             else generate_instance(spec.model, seed, l=spec.l, r=spec.r, d=spec.d, p=spec.p)
         )
-        for c, a in spec.sweep:
-            params = ProblemParams(c=c, a=a)
-            for algo in spec.algos:
-                row = ExperimentRow(
-                    spec.model, graph.l, graph.r, spec.d_or_p, c, a, algo, trial, seed
-                )
-                rows.append(row)
+        # Rows in (cell, algorithm) order, solved one algorithm at a time.
+        table = [
+            [
+                ExperimentRow(spec.model, graph.l, graph.r, spec.d_or_p, c, a, algo, trial, seed)
+                for algo in spec.algos
+            ]
+            for c, a in spec.sweep
+        ]
+        for k, algo in enumerate(spec.algos):
+            todo = []
+            for (c, a), cell_rows in zip(spec.sweep, table):
                 if algo == "partition" and a > c:
-                    row.skip_reason = "partition requires a <= c"
-                    continue
-                config = SolverConfig(params=params, seed=seed, epsilon=spec.epsilon)
-                _, report = solve(graph, algo, config)
+                    cell_rows[k].skip_reason = "partition requires a <= c"
+                else:
+                    todo.append(cell_rows[k])
+            configs = [
+                SolverConfig(ProblemParams(c=row.c, a=row.a), seed=seed, epsilon=spec.epsilon)
+                for row in todo
+            ]
+            for row, (_, report) in zip(todo, _solve_cells(graph, algo, configs)):
                 row.covered = report.covered
                 row.upper_bound = report.upper_bound
                 row.ratio = report.ratio
                 row.elapsed_ms = report.elapsed_ms if spec.measure_time else 0.0
+        rows.extend(row for cell_rows in table for row in cell_rows)
     return rows, aggregate_rows(rows)
 
 

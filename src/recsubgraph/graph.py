@@ -143,10 +143,10 @@ class RecSubgraph:
     sorted ascending, beside their ascending ``u*r + v`` keys, all read-only
     as in ``BipartiteGraph``.  Construction does not deduplicate —
     :func:`validate` reports duplicate picks as violations.  The raw
-    constructor refuses non-integer arrays, offsets that do not form a CSR,
-    a source whose picks decrease, and a target outside ``[0, r)``, named as
-    given.  It keeps none of the caller's arrays, so later writes to them do
-    not reach the selection.
+    constructor refuses targets that are not 1-D, non-integer arrays, offsets
+    that do not form a CSR, a source whose picks decrease, and a target
+    outside ``[0, r)``, named as given.  It keeps none of the caller's
+    arrays, so later writes to them do not reach the selection.
     """
 
     __slots__ = ("l", "r", "indptr", "targets", "_keys")
@@ -155,6 +155,8 @@ class RecSubgraph:
         _check_side_limit(l, r, ValueError)
         indptr = np.asarray(indptr)
         targets = np.asarray(targets)
+        if targets.ndim != 1:
+            raise ValueError(f"selection targets must be 1-D, got {targets.ndim}-D")
         if indptr.dtype.kind not in "iu" or (targets.size and targets.dtype.kind not in "iu"):
             raise ValueError(
                 f"selection offsets and targets must be integers, got {indptr.dtype} and "

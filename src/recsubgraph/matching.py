@@ -7,8 +7,11 @@ trades quality for time in a controlled way.  ``max_path_len=1`` degenerates
 to a maximal matching.
 
 ``_match`` is the one matching core.  It matches one graph, or several
-disjoint *windows* at once as partition hands them over, each as if alone.
-Each phase builds BFS layers, then runs the one augmenting walk,
+disjoint *windows* at once as partition hands them over, each as if alone
+and each at one shared depth cap or its own.  One partition cell hands over
+its ``c`` windows; ``run_experiment`` hands over a trial's consecutive cells
+together, each window at its cell's cap, up to ``solvers._BATCH_MAX`` keys
+and window sources.  Each phase builds BFS layers, then runs the one augmenting walk,
 ``_augment``, a Python DFS along them.  Its two phase engines take the whole
 window set in one call, number it alike, and give the same partners and, per
 window, the same size, phases and scans.  They differ in how they layer:
@@ -62,8 +65,12 @@ class Matching:
 
 
 def _match(
-    keys: np.ndarray, n_left: int, n_right: int, max_path_len: int | None = None, windows: int = 1
-) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    keys: np.ndarray,
+    n_left: int,
+    n_right: int,
+    max_path_len: int | None | list[int | None] = None,
+    windows: int = 1,
+) -> tuple[np.ndarray, np.ndarray, int | list[int], int | list[int], int | list[int]]:
     """Layered augmentation on ``windows`` disjoint graphs, each as if alone.
 
     Window ``w`` owns left vertices ``w*n_left + u`` and right vertices
@@ -80,9 +87,19 @@ def _match(
     shortest layers only.  A scan is one adjacency entry read by either.
     All windows run in one engine call: ``_layered.match_layered`` with
     ``windows * n_left >= _LAYERED_MIN``, else ``_list_match``.
+
+    ``max_path_len`` may also be a list of one cap (an ``int`` or ``None``)
+    per window, and each window's BFS then stops at its own cap, exactly as
+    a one-window call with that cap would.  ``solvers._partition`` passes one
+    when ``run_experiment`` hands several cells' windows over together, up
+    to ``solvers._BATCH_MAX`` keys and window sources.  Given a list, the
+    size, phases and scans come back per window, as lists.
     """
-    # A path ending at a left vertex of BFS depth t has 2t+1 edges.
-    depth_cap = _INF if max_path_len is None else (max_path_len - 1) // 2
+    per_window = isinstance(max_path_len, list)
+    if per_window:
+        depth_cap = [_depth_cap(x) for x in max_path_len]
+    else:
+        depth_cap = _depth_cap(max_path_len)
     # The layered engine's positions and vertices are int32.
     if _LAYERED_MIN <= windows * n_left < 2**31 and keys.size < 2**31:
         # Imported on first use: the layered engine is most of this
@@ -92,11 +109,19 @@ def _match(
     else:
         engine = _list_match
     ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap, windows)
+    if per_window:
+        return ml, mr, size, phases, scans
     return ml, mr, sum(size), max(phases), sum(scans)
 
 
+def _depth_cap(max_path_len: int | None) -> float:
+    """The deepest BFS layer a path of at most ``max_path_len`` edges ends in."""
+    # A path ending at a left vertex of BFS depth t has 2t+1 edges.
+    return _INF if max_path_len is None else (max_path_len - 1) // 2
+
+
 def _list_match(
-    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float, windows: int
+    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float | list[float], windows: int
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
     """The list engine: ``_match``'s phases on Python lists, one window after
     another, with ``_layered.match_layered``'s arguments and outputs."""
@@ -113,6 +138,7 @@ def _list_match(
 
     for win in range(windows):
         lo, hi = win * n_left, (win + 1) * n_left
+        cap = depth_cap[win] if isinstance(depth_cap, list) else depth_cap
         size = phases = scans = 0
         while True:
             # BFS from every free left vertex; find the shallowest layer that
@@ -126,7 +152,7 @@ def _list_match(
             found = _INF
             for u in queue:
                 du = level[u]
-                if du >= found or du > depth_cap:
+                if du >= found or du > cap:
                     continue
                 row = adj[u]
                 scans += len(row)
@@ -138,7 +164,7 @@ def _list_match(
                     elif level[w] < 0:
                         level[w] = du + 1
                         queue.append(w)
-            if found == _INF or found > depth_cap:
+            if found == _INF or found > cap:
                 break
             phases += 1
             # The last layer, one past ``found``, leads to no shortest path.

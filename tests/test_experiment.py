@@ -7,12 +7,17 @@ import pytest
 from recsubgraph import (
     CSV_HEADER,
     ExperimentSpec,
+    ProblemParams,
+    SolverConfig,
     aggregate_rows,
     emit_csv,
     emit_plotdata,
+    generate_instance,
     mix_seed,
     run_experiment,
+    solve,
 )
+from recsubgraph import solvers
 
 
 def _small_spec(**over):
@@ -81,6 +86,45 @@ def test_partition_cells_above_c_are_skipped(tmp_path):
             assert all(parts[9:13])
 
 
+@pytest.mark.parametrize("bound, batches", [(700, "several"), (1 << 40, "one")])
+def test_partition_cells_share_match_calls(monkeypatch, bound, batches):
+    # At epsilon = 1 the depth caps bind (c = 1 allows only one-edge paths),
+    # and cells of different c share a call, each window at its own cap.
+    # (1, 2) and (2, 3) are skipped and never reach the matching.
+    sweep = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 3), (5, 2))
+    spec = _small_spec(l=60, r=200, d=6, sweep=sweep, algos=("partition", "greedy"), epsilon=1.0)
+    calls = []  # the windows of each _match call
+
+    def spy(keys, n_left, n_right, cap, windows):
+        calls.append(windows)
+        return real(keys, n_left, n_right, cap, windows)
+
+    real = solvers._match
+    monkeypatch.setattr(solvers, "_BATCH_MAX", bound)
+    monkeypatch.setattr(solvers, "_match", spy)
+    rows, _ = run_experiment(spec)
+    monkeypatch.undo()
+    cells = sum(row.algo == "partition" and row.skip_reason is None for row in rows)
+    assert cells == 7 * spec.trials
+    if batches == "one":
+        assert calls == [sum(c for c, a in sweep if a <= c)] * spec.trials
+    else:
+        assert spec.trials < len(calls) < cells
+    graphs = {}
+    for row in rows:
+        if row.skip_reason:
+            continue
+        if row.trial not in graphs:
+            graphs[row.trial] = generate_instance("fixed-degree", row.seed, l=60, r=200, d=6)
+        config = SolverConfig(ProblemParams(row.c, row.a), seed=row.seed, epsilon=1.0)
+        _, report = solve(graphs[row.trial], row.algo, config)
+        assert (row.covered, row.upper_bound, row.ratio) == (
+            report.covered,
+            report.upper_bound,
+            report.ratio,
+        )
+
+
 def test_csv_bytes_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_experiment(_small_spec())[0], p1)
@@ -142,6 +186,12 @@ def test_spec_validation():
     for path in (7, True, 1.5):  # an int would be opened as a file descriptor
         with pytest.raises(ValueError, match="path must be a str or os.PathLike"):
             ExperimentSpec(model="file", path=path, sweep=((1, 1),))
+    with pytest.raises(ValueError, match=r"^a sweep cell must be a \(c, a\) pair, got \(1, 2, 3\)"):
+        _small_spec(sweep=((1, 2, 3),))
+    with pytest.raises(ValueError, match=r"^algos must be a non-empty tuple, got \['greedy'\]$"):
+        _small_spec(algos=["greedy"])
+    with pytest.raises(ValueError, match="^file model needs path$"):
+        ExperimentSpec(model="file", sweep=((1, 1),))
 
 
 def test_spec_from_mapping_with_c_range():

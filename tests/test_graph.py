@@ -240,6 +240,26 @@ def test_raw_selection_refuses_target_out_of_range():
         RecSubgraph(2, 2, [0, 0, 1], np.array([2**64 - 1], np.uint64))
 
 
+@pytest.mark.parametrize("targets, ndim", [(5, 0), ([[2]], 2)])
+def test_raw_selection_refuses_targets_that_are_not_1d(targets, ndim):
+    # Refused before anything indexes them: a scalar once died with
+    # IndexError, a 2-D array with numpy's broadcasting message.
+    with pytest.raises(ValueError, match=rf"^selection targets must be 1-D, got {ndim}-D$"):
+        RecSubgraph(1, 3, [0, 1], targets)
+
+
+@pytest.mark.parametrize(
+    "sel_u, sel_v",
+    [
+        ([[0]], [[2]]),  # a 2-D pair
+        ([0, 0], [2]),  # unequal lengths
+    ],
+)
+def test_from_edges_refuses_pairs_that_are_not_1d_and_equal_length(sel_u, sel_v):
+    with pytest.raises(ValueError, match=r"^edge endpoint arrays must be 1-D and equal length$"):
+        RecSubgraph.from_edges(1, 3, sel_u, sel_v)
+
+
 @pytest.mark.parametrize(
     "l, r, indptr, targets",
     [

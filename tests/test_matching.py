@@ -278,6 +278,50 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
         assert _batched(engine, windows[:1], n, n, cap) == want[:1]
 
 
+def _per_window_caps(keys, n_left, n_right, caps):
+    """One ``_match`` call over ``keys``' windows, each at its own cap, and
+    one one-window call per window; both split into per-window tuples."""
+    span = n_left * n_right
+    joined = np.concatenate([k + i * span for i, k in enumerate(keys)])
+    ml, mr, size, phases, scans = matching._match(joined, n_left, n_right, caps, len(keys))
+    together, alone = [], []
+    for i, (k, cap) in enumerate(zip(keys, caps)):
+        left = ml[i * n_left : (i + 1) * n_left]
+        right = mr[i * n_right : (i + 1) * n_right]
+        left = np.where(left >= 0, left - i * n_right, -1).tolist()
+        right = np.where(right >= 0, right - i * n_left, -1).tolist()
+        together.append((left, right, size[i], phases[i], scans[i]))
+        one = matching._match(k, n_left, n_right, cap)
+        alone.append((one[0].tolist(), one[1].tolist(), *one[2:]))
+    return together, alone
+
+
+@pytest.mark.parametrize("caps", [[1, 3, None], [None, 3, 1], [3, None, 1, 3, 1]])
+def test_per_window_caps_match_one_call_each(matching_engines, caps):
+    # Chains whose second phase needs a 17-edge path: a cap of 1 or 3 stops
+    # a window after its first phase, no cap lets it finish.  Each window
+    # must stop at its own cap, as a one-window call with that cap does.
+    n = 9
+    keys = [chain_graph(n).distinct_keys()] * len(caps)
+    for _ in matching_engines():
+        together, alone = _per_window_caps(keys, n, n, caps)
+        assert together == alone
+        assert [w[3] for w in alone] == [1 if cap else 2 for cap in caps]
+
+
+@given(ws=_window_sets(), data=st.data())
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_per_window_caps_on_random_window_sets(matching_engines, ws, data):
+    n_left, n_right, windows = ws
+    n = len(windows)
+    caps = data.draw(st.lists(st.sampled_from([None, 1, 3, 5]), min_size=n, max_size=n))
+    for _ in matching_engines():
+        together, alone = _per_window_caps(windows, n_left, n_right, caps)
+        assert together == alone
+
+
 def _on_both_engines(monkeypatch, g, cfg):
     """Partition's selection bytes and ``edges_touched``, first with every
     window on the list engine, then with all of them in one batched call."""
