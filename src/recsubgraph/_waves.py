@@ -26,9 +26,9 @@ from .graph import BipartiteGraph, _by_target, _distinct_sorted, _segments
 def greedy_waves(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
     """Ascending ``u*r + v`` keys of greedy's selection.
 
-    It reads the loop's by-target view, ``graph._by_target``.  Targets with
-    fewer than ``a`` distinct sources are dropped up front, as no budget can
-    cover them.
+    It reads the loop's by-target view, ``graph._by_target``, which the
+    graph keeps.  Targets with fewer than ``a`` distinct sources are dropped
+    up front, as no budget can cover them.
 
     One wave:
 
@@ -43,28 +43,27 @@ def greedy_waves(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
     """
     l, r = graph.l, graph.r
     deg = graph.distinct_in_degrees()
-    u, v = np.divmod(graph.distinct_keys(), r)
+    # By target: its sources, ascending, in by_t[t_off[t]:t_off[t + 1]].
+    # Taken first: a first call decodes it holding two edge-sized arrays.
+    t_off, by_t = _by_target(graph)
+    # By source: its targets, v[ptr[u]:end[u]] still undecided.  The keys
+    # ascend, so each source's run starts at the first key of u*r or more.
+    keys = graph.distinct_keys()
+    v = keys % r
     keep = (deg >= a)[v]
     if not keep.all():
-        u, v = u[keep], v[keep]
+        keys, v = keys[keep], v[keep]
     del keep
-
-    # By source: its targets, v[ptr[u]:end[u]] still undecided.
-    n_targets = np.bincount(u, minlength=l)
-    del u
-    end = np.add.accumulate(n_targets)
-    ptr = end - n_targets
-    # By target: its sources, ascending, in by_t[t_off[t]:t_off[t + 1]].
-    # Decoded only once the by-source temporaries are gone: the decode holds
-    # two edge-sized arrays of its own, and the call's peak memory is here.
-    t_off, by_t = _by_target(graph)
+    bounds = np.searchsorted(keys, np.arange(l + 1, dtype=np.int64) * r)
+    del keys
+    ptr = bounds[:-1].copy()
+    end = bounds[1:]
     missing = deg.copy()
 
     used = np.zeros(l, dtype=np.int64)
     out_u = [np.empty(0, dtype=np.int64)]
     out_t = [np.empty(0, dtype=np.int64)]
-    arrive = v[ptr[n_targets > 0]]
-    del n_targets
+    arrive = v[ptr[ptr < end]]
     while True:
         np.subtract.at(missing, arrive, 1)
         ready = arrive[missing[arrive] == 0]

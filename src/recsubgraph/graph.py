@@ -6,9 +6,12 @@ candidate links per source, and a target counts as covered once it receives at
 least ``a`` distinct selected links.
 
 Adjacency is stored once, as flat CSR-style arrays sorted by source, so
-solvers scan it without per-vertex allocations.  The one other layout,
-each target's distinct sources, is decoded from the edge keys on demand by
-``_by_target``.
+solvers scan it without per-vertex allocations.  A graph also keeps what its
+solvers derive from it and would otherwise derive again on every solve, each
+computed on first use and read-only: the distinct edge keys and in-degrees,
+each target's distinct sources (``_by_target``: 8 bytes per distinct edge and
+8 per target), and the sampling ranking of the last seed sampled (4 bytes per
+edge).
 """
 from __future__ import annotations
 
@@ -59,6 +62,13 @@ class BipartiteGraph:
     ``indptr_l``, so ``edge_v[indptr_l[u]:indptr_l[u+1]]`` is N(u) ascending.
     Parallel edges are preserved: generators that sample with replacement may
     produce them, file input may not.
+
+    Views that solvers read at every ``(c, a)`` are computed on first use and
+    kept, read-only: :meth:`distinct_keys` and :meth:`distinct_in_degrees`,
+    ``_by_target``'s index (8 bytes per distinct edge, 8 per target) and
+    sampling's ranking of the edges for the last seed it ran at (4 bytes per
+    edge, 8 from ``m = 2**31``).  A new seed replaces that ranking, so the
+    graph holds one at most.
     """
 
     __slots__ = (
@@ -71,6 +81,8 @@ class BipartiteGraph:
         "_keys",
         "_distinct_keys",
         "_distinct_in_deg",
+        "_target_index",
+        "_sampling_rank",
     )
 
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
@@ -87,6 +99,8 @@ class BipartiteGraph:
             arr.flags.writeable = False
         self._distinct_keys = None
         self._distinct_in_deg = None
+        self._target_index = None
+        self._sampling_rank = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -413,20 +427,25 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _by_target(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
     """``(offsets, sources)``: ``sources[offsets[v]:offsets[v+1]]`` are the
-    distinct candidate sources of target ``v``, ascending.
+    distinct candidate sources of target ``v``, ascending; both int64.
 
-    The offsets are running sums of :meth:`BipartiteGraph.distinct_in_degrees`;
-    the re-keying runs in place, so the call holds two edge-sized arrays at most.
+    The offsets are running sums of :meth:`BipartiteGraph.distinct_in_degrees`.
+    The graph keeps both arrays, read-only, from the first call on; that
+    call re-keys in place, so it holds two edge-sized arrays at most.
     """
-    u, sources = np.divmod(graph.distinct_keys(), graph.r)
-    sources *= graph.l
-    sources += u
-    del u
-    sources.sort()
-    sources %= graph.l
-    offsets = np.zeros(graph.r + 1, dtype=np.int64)
-    np.add.accumulate(graph.distinct_in_degrees(), out=offsets[1:])
-    return offsets, sources
+    if graph._target_index is None:
+        u, sources = np.divmod(graph.distinct_keys(), graph.r)
+        sources *= graph.l
+        sources += u
+        del u
+        sources.sort()
+        sources %= graph.l
+        offsets = np.zeros(graph.r + 1, dtype=np.int64)
+        np.add.accumulate(graph.distinct_in_degrees(), out=offsets[1:])
+        for arr in (offsets, sources):
+            arr.flags.writeable = False
+        graph._target_index = (offsets, sources)
+    return graph._target_index
 
 
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:

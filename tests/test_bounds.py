@@ -192,6 +192,11 @@ def test_greedy_bound_requires_lp_at_least_one():
         greedy_expected_bound(l=10, r=10, c=1, a=1, p=0.05)
 
 
+def test_greedy_bound_refuses_p_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        greedy_expected_bound(l=10, r=10, c=2, a=1, p=1.5)
+
+
 def test_greedy_bound_p_one():
     assert greedy_expected_bound(l=10, r=7, c=2, a=2, p=1.0) == 7.0
     assert greedy_expected_bound(l=2, r=7, c=2, a=3, p=1.0) == 0.0

@@ -15,6 +15,7 @@ from recsubgraph.generate import (
     STREAM_PARTITION,
     STREAM_SAMPLING,
     _gap_walk,
+    _model_spec,
     philox_stream,
 )
 
@@ -183,3 +184,8 @@ def test_philox_stream_equals_the_keyed_philox(seed, role):
     got = philox_stream(seed, role)
     assert _flat_state(got.bit_generator.state) == _flat_state(want.bit_generator.state)
     assert np.array_equal(got.random(1000), want.random(1000))
+
+
+def test_model_spec_refuses_an_unknown_model():
+    with pytest.raises(ValueError, match="unknown model"):
+        _model_spec("nope", 0)

@@ -15,10 +15,13 @@ from recsubgraph import (
     SubgraphValidationError,
     build_graph,
     coverage,
+    exact_opt,
+    read_edge_list,
     simplify,
     solve,
     solvers,
     validate,
+    write_edge_list,
 )
 from recsubgraph.graph import _by_target
 
@@ -150,6 +153,96 @@ def test_by_target_matches_dict_of_sets(pack):
     assert offsets.tolist() == [0, *accumulate(len(sources[v]) for v in range(r))]
     got = [flat[offsets[v] : offsets[v + 1]].tolist() for v in range(r)]
     assert got == [sorted(sources[v]) for v in range(r)]
+
+
+def test_by_target_is_kept_read_only():
+    g = build_graph(3, 4, [(2, 1), (0, 1), (0, 1), (1, 3), (2, 0), (1, 1)])
+    offsets, sources = _by_target(g)
+    again = _by_target(g)
+    assert again[0] is offsets and again[1] is sources
+    assert offsets.dtype == sources.dtype == np.int64
+    # An independent decode: the distinct (v, u) pairs in order.
+    pairs = sorted({(v, u) for u, v in g.edge_list()})
+    assert sources.tolist() == [u for _, u in pairs]
+    per_target = np.bincount([v for v, _ in pairs], minlength=g.r).tolist()
+    assert offsets.tolist() == [0, *accumulate(per_target)]
+    for arr in (offsets, sources):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("l, r", [(0, 0), (0, 3), (3, 0), (3, 4)])
+def test_edgeless_graphs_keep_empty_views(l, r):
+    g = build_graph(l, r, [])
+    for seed in (1, 2, 1):
+        config = SolverConfig(ProblemParams(2, 1), seed=seed)
+        for algo in ("sampling", "greedy"):
+            sel, report = solve(g, algo, config)
+            assert sel.n_selected == 0 and report.covered == 0
+        assert exact_opt(g, ProblemParams(2, 1)) == 0
+    offsets, sources = _by_target(g)
+    assert offsets.tolist() == [0] * (r + 1) and sources.size == 0
+    assert g._sampling_rank[0] == 1 and g._sampling_rank[1].size == 0
+
+
+def _report_fields(report):
+    return report.covered, report.upper_bound, report.ratio, report.peak_edges_held
+
+
+def test_simplified_and_reread_graphs_keep_their_own_views(tmp_path):
+    g = build_graph(4, 5, [(0, 1), (0, 1), (1, 1), (2, 4), (3, 0), (3, 0), (3, 2), (1, 4)])
+    config = SolverConfig(ProblemParams(2, 1), seed=9)
+    for algo in ("sampling", "greedy"):
+        solve(g, algo, config)
+    write_edge_list(g, tmp_path / "g.txt")
+    with pytest.warns(UserWarning, match="duplicate"):
+        back = read_edge_list(tmp_path / "g.txt")
+    for h in (simplify(g), back):
+        assert not h.has_parallel_edges()
+        assert h._target_index is None and h._sampling_rank is None
+        assert [x.tolist() for x in _by_target(h)] == [x.tolist() for x in _by_target(g)]
+        fresh = BipartiteGraph(h.l, h.r, h.edge_u.copy(), h.edge_v.copy())
+        for algo in ("sampling", "greedy"):
+            sel, report = solve(h, algo, config)
+            want, want_report = solve(fresh, algo, config)
+            assert sel.edge_list() == want.edge_list()
+            assert _report_fields(report) == _report_fields(want_report)
+        assert h._target_index[1] is not g._target_index[1]
+        assert h._sampling_rank[1] is not g._sampling_rank[1]
+
+
+# Slots that hold the graph itself or views older than the kept index and
+# ranking; every other slot counts against the budget below.
+_GRAPH_DATA = {"l", "r", "m", "edge_u", "edge_v", "indptr_l", "_keys", "_distinct_keys",
+               "_distinct_in_deg"}
+
+
+def _kept_bytes(g):
+    total = 0
+    for name in set(BipartiteGraph.__slots__) - _GRAPH_DATA:
+        held = getattr(g, name)
+        for x in held if isinstance(held, tuple) else (held,):
+            total += x.nbytes if isinstance(x, np.ndarray) else 0
+    return total
+
+
+@pytest.mark.parametrize("l, r, m", [(0, 3, 0), (3, 0, 0), (30, 40, 150), (200, 50, 3000)])
+def test_kept_views_stay_within_their_byte_budget(l, r, m):
+    # The index: 8 bytes per distinct edge and per offset; the ranking: 4 per edge.
+    rng = np.random.default_rng(m)
+    edges = zip(rng.integers(l, size=m).tolist(), rng.integers(r, size=m).tolist())
+    g = build_graph(l, r, edges)
+    for seed in (1, 2, 3):
+        for algo, (c, a) in zip(("sampling", "greedy"), ((3, 1), (3, 2))):
+            solve(g, algo, SolverConfig(ProblemParams(c, a), seed=seed))
+    exact_opt(g, ProblemParams(2, 1))
+    assert g._target_index is not None and g._sampling_rank is not None
+    assert _kept_bytes(g) <= 8 * g.distinct_keys().size + 8 * (g.r + 1) + 4 * g.m
+
+
+def test_build_graph_refuses_rows_that_are_not_pairs():
+    with pytest.raises(GraphError, match=r"edges must be \(u, v\) pairs"):
+        build_graph(2, 2, [(0, 1, 1)])
 
 
 def test_arrays_immutable():

@@ -79,6 +79,13 @@ def test_read_bad_header(tmp_path):
         read_edge_list(p)
 
 
+def test_read_non_integer_header_field(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("bipartite 2 x 1\n0 0\n")
+    with pytest.raises(EdgeListError, match="non-integer header field"):
+        read_edge_list(p)
+
+
 def test_read_missing_header(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# only comments\n")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from recsubgraph import (
+    BipartiteGraph,
     ConfigError,
     ErdosRenyiSpec,
     FixedDegreeSpec,
@@ -657,3 +658,55 @@ def test_every_strategy_keeps_the_keys_of_its_picks(algo, rng, greedy_engines, m
                 sel, _ = solve(g, algo, _cfg(2, a, seed=5))
                 assert sel._keys.dtype == np.int64 and not sel._keys.flags.writeable
                 assert sel._keys.tolist() == (sel.selected_u() * g.r + sel.targets).tolist()
+
+
+# ------------------------------------------------------------- kept views
+
+
+def _multigraph(rng, l, r, m):
+    """``m`` uniform edges, so parallel ones are likely."""
+    us, vs = rng.integers(l, size=m), rng.integers(r, size=m)
+    return build_graph(l, r, zip(us.tolist(), vs.tolist()))
+
+
+def _fresh(g):
+    """The same graph with nothing kept from earlier solves."""
+    return BipartiteGraph(g.l, g.r, g.edge_u.copy(), g.edge_v.copy())
+
+
+def _outcome(sel, stats):
+    return sel.indptr.tobytes(), sel.targets.tobytes(), stats
+
+
+def test_repeated_solves_on_one_graph_equal_fresh_graphs(rng, greedy_engines):
+    # Seeds s1, s2, s1 over several cells on the same graphs: what a graph
+    # keeps for one call must give every later call a fresh graph's answer.
+    big = _multigraph(rng, 30, 40, 150)
+    small = _multigraph(rng, 7, 9, 24)
+    assert big.has_parallel_edges() and small.has_parallel_edges()
+    cells = [(1, 1), (3, 1), (3, 2), (2, 3)]
+    for _ in greedy_engines():
+        for seed in (11, 12, 11):
+            for g, (c, a) in itertools.product((big, small), cells):
+                config = _cfg(c, a, seed=seed)
+                for runner in (sampling_with_stats, greedy_with_stats):
+                    assert _outcome(*runner(g, config)) == _outcome(*runner(_fresh(g), config))
+                if g is small and a <= 2:
+                    params = ProblemParams(c, a)
+                    assert exact_opt(g, params) == exact_opt(_fresh(g), params)
+                assert g._sampling_rank[0] == seed
+
+
+def test_graph_keeps_one_read_only_ranking_for_the_last_seed(rng):
+    g = _multigraph(rng, 30, 40, 150)
+    for seed in (1, 2, 3):
+        sampling_with_stats(g, _cfg(2, 1, seed=seed))
+    held_seed, order = g._sampling_rank
+    assert held_seed == 3 and order.dtype == np.int32
+    with pytest.raises(ValueError):
+        order[0] = 0
+    keys = philox_stream(3, STREAM_SAMPLING).random(g.m)
+    assert order.tolist() == solvers._by_source_then_key(g.edge_u, keys, g.l).tolist()
+    # Every c keeps a prefix of the same ranking, so a second c reuses it.
+    sampling_with_stats(g, _cfg(4, 1, seed=3))
+    assert g._sampling_rank[1] is order
