@@ -148,13 +148,12 @@ def _cmd_bounds(args) -> int:
         value = greedy_expected_bound(l=args.l, r=args.r, c=args.c, a=args.a, p=args.p)
         print(f"{value:.6f}")
         return 0
-    if args.table == "concentration":
-        _require_flags(args, "l", "r", "c", "a")
-        _check_point(args.l, args.r, args.c, args.a)
-        threshold, prob = concentration_bound(r=args.r, ck=args.c * args.l / args.r)
-        print(f"threshold={threshold:.6f} prob_bound={prob:.6e}")
-        return 0
-    raise ConfigError(f"unknown bounds table {args.table!r}")
+    # "concentration", the last table the parser's choices allow.
+    _require_flags(args, "l", "r", "c", "a")
+    _check_point(args.l, args.r, args.c, args.a)
+    threshold, prob = concentration_bound(r=args.r, ck=args.c * args.l / args.r)
+    print(f"threshold={threshold:.6f} prob_bound={prob:.6e}")
+    return 0
 
 
 def _cmd_oracle(args) -> int:

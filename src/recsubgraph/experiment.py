@@ -173,10 +173,11 @@ def run_experiment(
 
     Cells an algorithm cannot run (partition with a > c) become skipped rows
     and the sweep continues.  A row's elapsed time is its solver's, without
-    validation, scoring, instance generation or I/O.  A trial's partition
-    cells are matched together, in shared ``_match`` calls up to a size
-    bound (``solvers._partition``), and each cell of one call reports an
-    equal share of that call's solver time.
+    validation, scoring, instance generation or I/O.  A trial's greedy
+    cells are decided together, in shared wave passes up to a size bound
+    (``solvers._greedy``), and its partition cells are matched together, in
+    shared ``_match`` calls up to a size bound (``solvers._partition``).
+    Each cell of one pass or call reports an equal share of its solver time.
     """
     file_graph = read_edge_list(spec.path) if spec.model == "file" else None
     rows: list[ExperimentRow] = []

@@ -21,8 +21,10 @@ edges; ``solve`` is the timed, validating entry point.  Repeated solves on one
 graph share what the graph keeps (see ``graph.BipartiteGraph``): greedy and
 the oracle read its by-target index, 8 bytes per distinct edge, and sampling
 its ranking for the last seed, 4 bytes per edge.  The harness solves a
-trial's cells through ``_solve_cells``, which hands consecutive partition
-cells to shared matching calls.
+trial's cells through ``_solve_cells``: consecutive greedy cells share a
+wave pass once their copies of the graph hold ``_WAVES_MIN_EDGES`` distinct
+edges, and consecutive partition cells share matching calls.  The cells of
+one batch report equal shares of its time.
 """
 from __future__ import annotations
 
@@ -198,33 +200,77 @@ def greedy_with_stats(
     as a Python loop, one target at a time.  Larger ones run it in
     ``_waves.greedy_waves``, imported on first use, which decides together
     all targets that share no spare source with an earlier undecided
-    target; the selection is the same.
+    target; the selection is the same.  ``run_experiment`` decides a
+    trial's greedy cells together (``_greedy``): a batch of cells whose
+    copies of the graph hold ``_WAVES_MIN_EDGES`` distinct edges in all
+    shares one wave pass, and each cell gets the selection it gets here.
     """
-    c = config.params.c
-    a = config.params.a
+    # The batch of one that _greedy makes of a lone config, untimed.
+    (keys,) = _greedy_keys(graph, [(config.params.c, config.params.a)])
     stats = SolveStats(edges_touched=graph.m, peak_aux=graph.l)
-    if graph.distinct_keys().size >= _WAVES_MIN_EDGES:
+    return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
+
+
+# Entries of one wave pass's union of greedy cells, ``K*(l + r + m)`` for
+# ``K`` cells on a graph of ``m`` distinct edges: the pass holds per-source,
+# per-target and per-edge arrays of ``K*l``, ``K*r`` and ``K*m`` entries.
+# The benchmark's sweep (20 cells on graphs of l=500, r=2000 and about
+# 10 000 edges) needs about 2.5e5 to pass all of a trial's cells at once.
+# On three such graphs that took 91 ms; batches of 10 cells took 122 ms,
+# of 8 cells 137 ms, and the loop, cell by cell, 157 ms (best of 15).
+_WAVES_BATCH_MAX = 1 << 18
+
+
+def _greedy(
+    graph: BipartiteGraph, configs: list[SolverConfig]
+) -> Iterator[tuple[RecSubgraph, SolveStats, float]]:
+    """Greedy on ``graph`` at each of ``configs`` in turn: the selection, its
+    counters and the milliseconds it took.
+
+    Every cell's copy of the graph is the same size, so consecutive cells
+    form batches of as many as ``_WAVES_BATCH_MAX`` admits, at least one.
+    The cells of one batch share its time equally.
+    """
+    k = max(1, _WAVES_BATCH_MAX // (graph.l + graph.r + graph.distinct_keys().size))
+    for i in range(0, len(configs), k):
+        batch = configs[i : i + k]
+        t0 = time.perf_counter()
+        found = _greedy_keys(graph, [(config.params.c, config.params.a) for config in batch])
+        sels = [RecSubgraph._from_keys(graph.l, graph.r, keys) for keys in found]
+        ms = (time.perf_counter() - t0) * 1e3 / len(batch)
+        for sel in sels:
+            yield sel, SolveStats(edges_touched=graph.m, peak_aux=graph.l), ms
+
+
+def _greedy_keys(graph: BipartiteGraph, cells: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Ascending ``u*r + v`` keys of greedy's selection at each ``(c, a)`` of
+    ``cells``: one wave pass when their copies of the graph hold
+    ``_WAVES_MIN_EDGES`` distinct edges in all, else the loop, cell by cell."""
+    if len(cells) * graph.distinct_keys().size >= _WAVES_MIN_EDGES:
         # Imported on first use, like the layered matching engine: a process
         # that never solves a large graph need not compile it.
         from ._waves import greedy_waves
 
-        keys = greedy_waves(graph, c, a)
-    else:
-        offsets, sources = (x.tolist() for x in _by_target(graph))
-        used = [0] * graph.l  # budget spent per source — the whole persistent state
-        picks: list[int] = []
-        for v in range(graph.r):
-            spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
-            if len(spare) < a:
-                continue
-            if len(spare) > a:
-                # Stable on an ascending list, so equal budgets keep index order.
-                spare.sort(key=used.__getitem__)
-            for u in spare[:a]:
-                used[u] += 1
-                picks.append(u * graph.r + v)
-        keys = np.sort(np.array(picks, dtype=np.int64))
-    return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
+        return greedy_waves(graph, cells)
+    return [_greedy_loop(graph, c, a) for c, a in cells]
+
+
+def _greedy_loop(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
+    """Ascending ``u*r + v`` keys of greedy's selection, one target at a time."""
+    offsets, sources = (x.tolist() for x in _by_target(graph))
+    used = [0] * graph.l  # budget spent per source — the whole persistent state
+    picks: list[int] = []
+    for v in range(graph.r):
+        spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
+        if len(spare) < a:
+            continue
+        if len(spare) > a:
+            # Stable on an ascending list, so equal budgets keep index order.
+            spare.sort(key=used.__getitem__)
+        for u in spare[:a]:
+            used[u] += 1
+            picks.append(u * graph.r + v)
+    return np.sort(np.array(picks, dtype=np.int64))
 
 
 # -- partition ----------------------------------------------------------------
@@ -417,6 +463,7 @@ _WITH_STATS = {
     "greedy": greedy_with_stats,
     "partition": partition_with_stats,
 }
+_BATCHED = {"greedy": _greedy, "partition": _partition}
 
 
 def solve(
@@ -440,13 +487,15 @@ def solve(
 def _solve_cells(
     graph: BipartiteGraph, algo: str, configs: list[SolverConfig]
 ) -> Iterator[tuple[RecSubgraph, CoverageReport]]:
-    """``solve`` at each of ``configs`` in turn.  Partition cells go through
-    ``_partition`` together, so they share its ``_match`` calls and time."""
-    if algo != "partition":
+    """``solve`` at each of ``configs`` in turn.  Greedy cells go through
+    ``_greedy`` together, so they share its wave passes, and partition cells
+    through ``_partition``, so they share its ``_match`` calls; the cells of
+    one batch share its time."""
+    if algo not in _BATCHED:
         for config in configs:
             yield solve(graph, algo, config)
         return
-    for config, (sel, stats, elapsed_ms) in zip(configs, _partition(graph, configs)):
+    for config, (sel, stats, elapsed_ms) in zip(configs, _BATCHED[algo](graph, configs)):
         yield sel, _report(graph, algo, config, sel, stats, elapsed_ms)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -292,6 +293,54 @@ def test_bounds_approx_ratio_floor(capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     vals = [float(row.split()[1]) for row in lines]
     assert min(vals) >= 1 - 1 / 2.718281828459045 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--algo", "greedy", "--c", "1", "--a", "1"],
+         "need either --graph or --model with its parameters"),
+        (["bounds", "sampling", "--l", "10", "--r", "10", "--c", "1"],
+         "bounds sampling needs --a"),
+        (["bounds", "greedy", "--l", "10", "--c", "1", "--a", "1"],
+         "bounds greedy needs --r, --p"),
+        (["bounds", "required-ck", "--a-min", "3", "--a-max", "2"],
+         "need --a-min <= --a-max"),
+        (["bounds", "approx-ratio", "--ck-max", "inf"],
+         "--ck-min, --ck-max and --step must be finite and > 0"),
+        (["bounds", "approx-ratio", "--ck-min", "2", "--ck-max", "1"],
+         "need --ck-min <= --ck-max and a table of at most 100000 rows, got -100 steps"),
+        (["experiment", "--c-min", "1"], "--c-min and --c-max go together"),
+    ],
+    ids=["no-graph-no-model", "bounds-flag-missing", "bounds-flags-missing",
+         "a-range-reversed", "ck-not-finite", "ck-range-reversed", "c-min-alone"],
+)
+def test_refusals_exit_1_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {re.escape(message)}\n", captured.err)
+
+
+def test_spec_file_holding_a_list_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"model": "fixed-degree"}]))
+    assert main(["experiment", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(spec))}: a spec file must hold a JSON object\n", err)
+
+
+def test_experiment_graph_file_without_model_runs_the_file_model(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(_GRAPH)
+    csv = tmp_path / "out.csv"
+    code = main([
+        "experiment", "--graph", str(gpath), "--pairs", "2,1", "--algos", "greedy",
+        "--no-timing", "--csv", str(csv),
+    ])
+    assert code == 0
+    assert re.search(r"^\s+2\s+1\s+greedy\s+1\s+1\.0000\s+0\.0000$", capsys.readouterr().out, re.M)
+    assert csv.read_text().splitlines()[1].startswith("file,4,5,-,2,1,greedy,0,")
 
 
 def test_oracle_small_graph(tmp_path, capsys):

@@ -17,7 +17,7 @@ from recsubgraph import (
     run_experiment,
     solve,
 )
-from recsubgraph import solvers
+from recsubgraph import _waves as waves, solvers
 
 
 def _small_spec(**over):
@@ -123,6 +123,38 @@ def test_partition_cells_share_match_calls(monkeypatch, bound, batches):
             report.upper_bound,
             report.ratio,
         )
+
+
+def test_greedy_cells_share_one_wave_pass(monkeypatch):
+    # The benchmark's sweep shape: one graph holds about 10 000 distinct
+    # edges, too few for the wave engine alone, but a trial's 20 cells hold
+    # about 2e5 together, so they share one pass.
+    sweep = tuple((c, a) for c in range(1, 11) for a in (1, 2))
+    spec = _small_spec(l=500, r=2000, d=20, sweep=sweep, algos=("greedy",), trials=2)
+    calls = []  # the cells of each wave pass
+
+    def spy(graph, cells):
+        calls.append(len(cells))
+        return real(graph, cells)
+
+    real = waves.greedy_waves
+    monkeypatch.setattr(waves, "greedy_waves", spy)
+    rows, _ = run_experiment(spec)
+    assert calls == [len(sweep)] * spec.trials
+    calls.clear()
+    graphs = {}
+    for row in rows:
+        if row.trial not in graphs:
+            graphs[row.trial] = generate_instance("fixed-degree", row.seed, l=500, r=2000, d=20)
+        config = SolverConfig(ProblemParams(row.c, row.a), seed=row.seed)
+        _, report = solve(graphs[row.trial], "greedy", config)
+        assert (row.covered, row.upper_bound, row.ratio) == (
+            report.covered,
+            report.upper_bound,
+            report.ratio,
+        )
+    # A lone solve() on the same graph still runs the loop.
+    assert calls == []
 
 
 def test_csv_bytes_deterministic(tmp_path):

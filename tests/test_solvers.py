@@ -31,7 +31,7 @@ from recsubgraph import (
     upper_bound_estimate,
     validate,
 )
-from recsubgraph import matching, solvers
+from recsubgraph import _waves as waves, matching, solvers
 from recsubgraph.generate import STREAM_SAMPLING, philox_stream
 from conftest import partition_windows, random_simple_graph
 
@@ -317,6 +317,59 @@ def test_greedy_engines_agree_at_scale(make, spec, greedy_engines):
         assert got[0].n_selected > 0
         assert np.array_equal(got[0].indptr, got[1].indptr)
         assert np.array_equal(got[0].targets, got[1].targets)
+
+
+def test_batched_greedy_equals_per_cell_greedy(rng, greedy_engines, monkeypatch):
+    # Each cell of a batch must come out as it does alone.  On the wave
+    # engine a batch is one pass over copies of the graph, one per cell.
+    graphs = [build_graph(4, 5, []), build_graph(0, 5, []), build_graph(3, 0, [])]
+    for _ in range(30):
+        l, r = (int(x) for x in rng.integers(1, 16, size=2))
+        graphs.append(_multigraph(rng, l, r, int(rng.integers(1, 4 * (l + r)))))
+    calls = []  # the cells of each wave pass
+
+    def spy(graph, cells):
+        calls.append(len(cells))
+        return real(graph, cells)
+
+    real = waves.greedy_waves
+    monkeypatch.setattr(waves, "greedy_waves", spy)
+    for engine in greedy_engines():
+        for g in graphs:
+            max_in = int(g.distinct_in_degrees().max(initial=0))
+            max_out = int(g.left_degrees.max(initial=0))
+            cells = [
+                (1, 1),
+                (2, max_in + 1),  # a above every in-degree
+                (max(max_out, 1), 1),  # c at the largest out-degree
+                (max_out + 3, 2),
+                (2, 1),
+                (3, 2),
+                (2, 1),  # a repeated cell
+                (2**63 - 1, 3),  # the tie key must not grow with c
+            ]
+            configs = [_cfg(c, a) for c, a in cells]
+            alone = [greedy_with_stats(g, config) for config in configs]
+            size = g.l + g.r + g.distinct_keys().size
+            for bound, most in ((len(cells) * size, len(cells)), (3 * size, 3)):
+                monkeypatch.setattr(solvers, "_WAVES_BATCH_MAX", bound)
+                calls.clear()
+                got = list(solvers._greedy(g, configs))
+                reports = [report for _, report in solvers._solve_cells(g, "greedy", configs)]
+                if engine == "waves":
+                    assert sum(calls) == 2 * len(cells) and max(calls) == most
+                else:
+                    assert calls == []
+                for (sel, stats, _), report, (ref, ref_stats), (_, a) in zip(
+                    got, reports, alone, cells
+                ):
+                    assert sel._keys.tolist() == ref._keys.tolist()
+                    assert (stats.edges_touched, stats.peak_aux) == (
+                        ref_stats.edges_touched,
+                        ref_stats.peak_aux,
+                    )
+                    assert report.covered == coverage(g, ref, a)
+                    assert report.peak_edges_held == ref_stats.peak_aux
 
 
 # --------------------------------------------------------------- partition
