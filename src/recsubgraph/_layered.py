@@ -1,12 +1,13 @@
 """The layered phase engine of ``matching._match``, for large graphs.
 
-``match_layered`` matches one graph, or several disjoint *windows* at once,
-as partition hands them over.  Each window gets exactly what ``_match``'s
-list engine returns for it alone: the same partners, phases and scans.  The
-windows share one phase loop, so each BFS layer is one round of numpy calls
-for all of them, but each keeps its own found layer, scans, walk and dead
-closure.  The module docstring of ``matching`` says why counting dead
-vertices in numpy leaves the scans unchanged.
+``match_layered`` matches several disjoint *windows* at once, each at its
+own depth cap, as ``_match`` hands them over; one graph is one window.
+Each window gets exactly what ``_match``'s list engine returns for it alone:
+the same partners, phases and scans.  The windows share one phase loop, so
+each BFS layer is one round of numpy calls for all of them, but each keeps
+its own found layer, scans, walk and dead closure.  The module docstring of
+``matching`` says why counting dead vertices in numpy leaves the scans
+unchanged.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import _csr
-from .matching import _INF, _augment
+from .matching import _augment
 
 
 def _scratch(sizes: list[int], dtype: type) -> list[np.ndarray]:
@@ -51,10 +52,10 @@ def _take(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def match_layered(
-    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float | list[float], windows: int
+    keys: np.ndarray, n_left: int, n_right: int, depth_cap: list[float]
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
-    """``_match``'s phases on ``windows`` disjoint graphs, with the BFS and the
-    dead vertices' scans in numpy.
+    """``_match``'s phases on disjoint graphs, one per entry of ``depth_cap``,
+    with the BFS and the dead vertices' scans in numpy.
 
     Window ``w`` owns left vertices ``w*n_left + u`` and right vertices
     ``w*n_right + v`` for ``u < n_left``, ``v < n_right``; ``keys`` are the
@@ -75,11 +76,10 @@ def match_layered(
        stops there, and the window leaves the BFS.  The other windows go on:
        their next frontier is each owner no layer holds yet, in order of
        first occurrence, which is the list BFS's queue order.  A window
-       whose own ``depth_cap`` (one for all, or one per window) is the
-       current layer adds nothing to the next frontier.  Each layer's
-       entries are kept with their position, left endpoint and owner.  A
-       window that reaches no free vertex is done; its vertices never start
-       a BFS again.
+       whose own ``depth_cap`` is the current layer adds nothing to the
+       next frontier.  Each layer's entries are kept with their position,
+       left endpoint and owner.  A window that reaches no free vertex is
+       done; its vertices never start a BFS again.
     2. Alive pass, backward over the kept layers: the vertices with a free
        neighbour (which sit at their window's ``found``) and those with an
        entry whose owner is alive one layer deeper.
@@ -103,6 +103,7 @@ def match_layered(
     keeps the freed pages below it resident long after the call.
     """
     i32 = np.int32
+    windows = len(depth_cap)
     unseen = np.iinfo(i32).max  # dist of a vertex in no layer
     m = keys.size
     n_l = windows * n_left
@@ -140,13 +141,14 @@ def match_layered(
     # Python ints in and out, and nothing of the walk left on the heap.
     flat, cuts, ptr, level, match_l, match_r = map(memoryview, (targets, ip, arc, lvl, ml, mr))
     wins = np.arange(windows + 1)
-    # Per layer k: the windows whose cap keeps them out of it.
+    # Per layer k: the windows whose cap keeps them out of it.  No BFS goes
+    # past the deepest cap, so the windows at that cap need no entry.
+    caps = np.array(depth_cap, dtype=float)
+    deepest = caps.max()
+    below = np.flatnonzero(caps < deepest)
     capped: dict[int, list[int]] = {}
-    if isinstance(depth_cap, list):
-        for w, cap in enumerate(depth_cap):
-            if cap != _INF:
-                capped.setdefault(int(cap) + 1, []).append(w)
-        depth_cap = max(depth_cap)
+    for w, cap in zip(below.tolist(), caps[below].tolist()):
+        capped.setdefault(int(cap) + 1, []).append(w)
     # Per window: whether it still augments, and its running totals.
     running = np.ones(windows, dtype=bool)
     phases = np.zeros(windows, dtype=np.int64)
@@ -166,7 +168,7 @@ def match_layered(
         f1 = roots.size
         e0 = 0
         k = 0
-        while frontier.size and k <= depth_cap:
+        while frontier.size and k <= deepest:
             nf = frontier.size
             # tb[:nf + 1]: where each vertex's entries start, then the layer's end.
             tb[0] = 0
@@ -212,7 +214,7 @@ def match_layered(
                     break
                 stop = stop + won.tolist()
             k += 1
-            if k > depth_cap:
+            if k > deepest:
                 break
             # Unseen owners, each at its first occurrence, in the windows
             # that found no free vertex yet and may go deeper.

@@ -6,15 +6,16 @@ shorter than 2·alpha+1 is within a factor 1 - 1/alpha of maximum, the cap
 trades quality for time in a controlled way.  ``max_path_len=1`` degenerates
 to a maximal matching.
 
-``_match`` is the one matching core.  It matches one graph, or several
-disjoint *windows* at once as partition hands them over, each as if alone
-and each at one shared depth cap or its own.  One partition cell hands over
-its ``c`` windows; ``run_experiment`` hands over a trial's consecutive cells
-together, each window at its cell's cap, up to ``solvers._BATCH_MAX`` keys
-and window sources.  Each phase builds BFS layers, then runs the one augmenting walk,
-``_augment``, a Python DFS along them.  Its two phase engines take the whole
-window set in one call, number it alike, and give the same partners and, per
-window, the same size, phases and scans.  They differ in how they layer:
+``_match`` is the one matching core.  It matches several disjoint
+*windows* at once, each as if alone and each at its own depth cap, and
+reports per window; one graph is one window.  Partition hands over a batch
+of cells, each cell its ``c`` windows at the cell's cap: a lone ``solve``
+is a batch of one, and ``run_experiment`` batches a trial's consecutive
+cells up to ``solvers._BATCH_MAX`` keys and window sources.  Each phase
+builds BFS layers, then runs the one augmenting walk, ``_augment``, a
+Python DFS along them.  Its two phase engines take the whole window set in
+one call, number it alike, and give the same partners and, per window, the
+same size, phases and scans.  They differ in how they layer:
 
 * the list engine, for window sets of fewer than ``_LAYERED_MIN`` sources in
   all: a Python BFS over adjacency lists, one window after another;
@@ -33,6 +34,7 @@ dead vertex the list engine would have walked, so ``scans`` does not change.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,50 +70,39 @@ def _match(
     keys: np.ndarray,
     n_left: int,
     n_right: int,
-    max_path_len: int | None | list[int | None] = None,
-    windows: int = 1,
-) -> tuple[np.ndarray, np.ndarray, int | list[int], int | list[int], int | list[int]]:
-    """Layered augmentation on ``windows`` disjoint graphs, each as if alone.
+    caps: Sequence[tuple[int | None, int]] = ((None, 1),),
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
+    """Layered augmentation on disjoint windows, each as if alone.
 
-    Window ``w`` owns left vertices ``w*n_left + u`` and right vertices
-    ``w*n_right + v``; ``keys`` are the ascending distinct
-    ``(w*n_left + u)*n_right + v`` (parallel edges add nothing to a
-    matching).  Returns every left and right vertex's partner (-1 when free),
-    the size, the most phases of any window and the scans of all.  With
-    ``max_path_len=None`` this is Hopcroft–Karp; otherwise augmentation stops
-    once the shortest augmenting path exceeds the cap.
+    ``caps`` holds one ``(max_path_len, windows)`` pair per run of
+    consecutive windows that share a depth cap: one pair per partition cell,
+    or ``((max_path_len, 1),)`` for one graph.  Window ``w`` owns left
+    vertices ``w*n_left + u`` and right vertices ``w*n_right + v``; ``keys``
+    are the ascending distinct ``(w*n_left + u)*n_right + v`` (parallel edges
+    add nothing to a matching).  Returns every left and right vertex's
+    partner (-1 when free), and per window its size, phases and scans, each
+    what a one-window call with that window's cap returns.  With
+    ``max_path_len=None`` a window gets Hopcroft–Karp; otherwise its
+    augmentation stops once its shortest augmenting path exceeds the cap.
 
     Each phase is a BFS from every free left vertex, which stops scanning
     after the first vertex of the shallowest layer that reaches a free right
     vertex, then a DFS from each free left vertex in index order along
     shortest layers only.  A scan is one adjacency entry read by either.
-    All windows run in one engine call: ``_layered.match_layered`` with
-    ``windows * n_left >= _LAYERED_MIN``, else ``_list_match``.
-
-    ``max_path_len`` may also be a list of one cap (an ``int`` or ``None``)
-    per window, and each window's BFS then stops at its own cap, exactly as
-    a one-window call with that cap would.  ``solvers._partition`` passes one
-    when ``run_experiment`` hands several cells' windows over together, up
-    to ``solvers._BATCH_MAX`` keys and window sources.  Given a list, the
-    size, phases and scans come back per window, as lists.
+    All windows run in one engine call, with one depth cap per window:
+    ``_layered.match_layered`` from ``_LAYERED_MIN`` window sources in all,
+    else ``_list_match``.
     """
-    per_window = isinstance(max_path_len, list)
-    if per_window:
-        depth_cap = [_depth_cap(x) for x in max_path_len]
-    else:
-        depth_cap = _depth_cap(max_path_len)
+    depth_cap = [d for x, n in caps for d in [_depth_cap(x)] * n]
     # The layered engine's positions and vertices are int32.
-    if _LAYERED_MIN <= windows * n_left < 2**31 and keys.size < 2**31:
+    if _LAYERED_MIN <= len(depth_cap) * n_left < 2**31 and keys.size < 2**31:
         # Imported on first use: the layered engine is most of this
         # package's matching code, and a process that never matches a large
         # window set need not compile it.
         from ._layered import match_layered as engine
     else:
         engine = _list_match
-    ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap, windows)
-    if per_window:
-        return ml, mr, size, phases, scans
-    return ml, mr, sum(size), max(phases), sum(scans)
+    return engine(keys, n_left, n_right, depth_cap)
 
 
 def _depth_cap(max_path_len: int | None) -> float:
@@ -121,10 +112,11 @@ def _depth_cap(max_path_len: int | None) -> float:
 
 
 def _list_match(
-    keys: np.ndarray, n_left: int, n_right: int, depth_cap: float | list[float], windows: int
+    keys: np.ndarray, n_left: int, n_right: int, depth_cap: list[float]
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
     """The list engine: ``_match``'s phases on Python lists, one window after
     another, with ``_layered.match_layered``'s arguments and outputs."""
+    windows = len(depth_cap)
     indptr, left, right = _csr(keys, windows * n_left, n_right)
     right += left // n_left * n_right  # window w's right vertices follow those before it
     cuts = indptr.tolist()
@@ -136,9 +128,8 @@ def _list_match(
     ptr = cuts[:-1]  # the walk's arc pointers
     per_window = []  # (size, phases, scans)
 
-    for win in range(windows):
+    for win, cap in enumerate(depth_cap):
         lo, hi = win * n_left, (win + 1) * n_left
-        cap = depth_cap[win] if isinstance(depth_cap, list) else depth_cap
         size = phases = scans = 0
         while True:
             # BFS from every free left vertex; find the shallowest layer that
@@ -223,7 +214,7 @@ def _augment(roots, flat, cuts, ptr, level, match_l, match_r, found: int) -> int
 
 def hopcroft_karp(graph: BipartiteGraph) -> Matching:
     """Maximum matching of ``graph`` (parallel edges ignored)."""
-    ml, mr, size, phases, _ = _match(graph.distinct_keys(), graph.l, graph.r)
+    ml, mr, (size,), (phases,), _ = _match(graph.distinct_keys(), graph.l, graph.r)
     return Matching(ml.tolist(), mr.tolist(), size, phases)
 
 
@@ -236,5 +227,6 @@ def bounded_matching(graph: BipartiteGraph, max_path_len: int) -> Matching:
     _check_int("max_path_len", max_path_len, 1, None, ValueError, "an odd integer")
     if max_path_len % 2 == 0:
         raise ValueError(f"max_path_len must be an odd integer >= 1, got {max_path_len!r}")
-    ml, mr, size, phases, _ = _match(graph.distinct_keys(), graph.l, graph.r, max_path_len)
+    keys = graph.distinct_keys()
+    ml, mr, (size,), (phases,), _ = _match(keys, graph.l, graph.r, ((max_path_len, 1),))
     return Matching(ml.tolist(), mr.tolist(), size, phases)

@@ -302,17 +302,16 @@ def partition_with_stats(
     each as if alone and numbers window ``i``'s right vertex ``j`` as
     ``i*wsize + j``: a matched partner is a slot.  Their sources in all,
     ``c * l``, pick the engine.  When ``c / eps`` overflows a float the depth
-    cap is dropped, since no window path is that long.  ``run_experiment``
-    matches several cells' windows in one call (``_partition``), with the
-    same result for each cell.
+    cap is dropped, since no window path is that long.  The cell is a batch
+    of one (``_match_batch``); ``run_experiment`` batches several cells'
+    windows into one call (``_partition``), with the same result for each.
     """
-    # The batch of one that _partition makes of a lone config.
     sel, stats, _ = _match_batch(graph, [_layout(graph, config)], 0.0)[0]
     return sel, stats
 
 
 # Keys, and window sources, that one ``_match`` call may take from several
-# partition cells; a cell with more of either is matched alone.  On the
+# partition cells; a cell with more of either is a batch of one.  On the
 # benchmark's sweep (19 cells of 2 500-10 000 keys per graph) 2**14 cut its
 # time by 9 %, 2**15 by 24 % and 2**16 by 30 %, for 6 % more peak memory.
 # One call per graph cut 33 % but took 22 % more memory (table in
@@ -341,9 +340,9 @@ def _partition(
 
     Each cell is laid out alone, then consecutive cells are matched together
     in one ``_match`` call as long as their keys, and their window sources,
-    each stay within ``_BATCH_MAX``.  A cell matched alone goes over as it
-    was laid out.  The cells of one batch share its time equally, and come
-    out as soon as it is matched.
+    each stay within ``_BATCH_MAX``.  A cell with more of either is a batch
+    of one, as every ``partition_with_stats`` cell is.  The cells of one
+    batch share its time equally, and come out as soon as it is matched.
     """
     batch: list[_Cell] = []
     spent = 0.0
@@ -413,44 +412,30 @@ def _match_batch(
     """Match ``batch``'s windows in one ``_match`` call and decode each cell;
     ``spent`` is the milliseconds its layouts took.
 
-    Several cells become consecutive windows of one key space, each window
-    at its own cell's cap.
+    The cells become consecutive windows of one key space, each window at
+    its own cell's cap; a lone cell is a batch of one.
     """
     t0 = time.perf_counter()
     l = graph.l
-    # Per cell: its windows' partners, how far they are shifted, and scans.
-    found: list[tuple[np.ndarray, int, int]] = []
-    if len(batch) == 1 or l == 0 or graph.r == 0:
-        # Alone, or no cell has a window: each goes over as it was laid out.
-        for cell in batch:
-            if cell.windows:
-                ml, _, _, _, scans = _match(
-                    cell.keys, l, cell.wsize, cell.max_path_len, cell.windows
-                )
-                found.append((ml, 0, scans))
-            else:
-                found.append((np.empty(0, dtype=np.int64), 0, 0))
-    else:
-        # a <= c puts min(l, r) positions in every window of every cell.
-        wsize = batch[0].wsize
-        offsets = list(accumulate((cell.windows for cell in batch), initial=0))
+    # a <= c puts min(l, r) positions in every window of every cell.
+    wsize = batch[0].wsize
+    offsets = list(accumulate((cell.windows for cell in batch), initial=0))
+    if l and graph.r:
         # A cell whose windows follow ``at`` others' is shifted by ``at`` windows.
         keys = np.concatenate([cell.keys + at * l * wsize for cell, at in zip(batch, offsets)])
-        caps = [cell.max_path_len for cell in batch for _ in range(cell.windows)]
-        ml, _, _, _, scans = _match(keys, l, wsize, caps, offsets[-1])
-        for at, end in zip(offsets, offsets[1:]):
-            found.append((ml[at * l : end * l], at * wsize, sum(scans[at:end])))
+        caps = [(cell.max_path_len, cell.windows) for cell in batch]
+        ml, _, _, _, scans = _match(keys, l, wsize, caps)
+    else:  # l == 0 or r == 0: no cell has a window
+        ml, scans = np.empty(0, dtype=np.int64), []
     out = []
-    for cell, (ml, shift, scans) in zip(batch, found):
-        matched = np.flatnonzero(ml >= 0)
+    for cell, at, end in zip(batch, offsets, offsets[1:]):
+        part = ml[at * l : end * l]
+        matched = np.flatnonzero(part >= 0)
         u = matched % l
-        slot = ml[matched]
-        if shift:
-            slot -= shift
-        v = cell.slot_v[slot]
+        v = cell.slot_v[part[matched] - at * wsize]
         # Parallel candidates can land the same (u, v) in two windows; keep one.
         sel_keys = _distinct_sorted(np.sort(u * graph.r + v))
-        stats = SolveStats(edges_touched=graph.m + scans, peak_aux=cell.kept)
+        stats = SolveStats(edges_touched=graph.m + sum(scans[at:end]), peak_aux=cell.kept)
         out.append((RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats))
     ms = (spent + (time.perf_counter() - t0) * 1e3) / len(batch)
     return [(sel, stats, ms) for sel, stats in out]

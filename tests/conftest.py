@@ -109,15 +109,17 @@ def partition_windows(monkeypatch, graph, config) -> list[tuple]:
 
     Each window is ``(keys, n_left, n_right, max_path_len, matching size)``,
     keyed as ``_match`` takes one window.  Partition hands all of them to one
-    ``solvers._match`` call, which is split here.
+    ``solvers._match`` call, at one cap, which is split here.
     """
     windows = []
 
-    def split(keys, n_left, n_right, cap, count):
-        got = real_match(keys, n_left, n_right, cap, count)
+    def split(keys, n_left, n_right, caps):
+        got = real_match(keys, n_left, n_right, caps)
+        ((cap, count),) = caps
         span = n_left * n_right
         cuts = np.searchsorted(keys, np.arange(count + 1) * span)
         sizes = np.count_nonzero(got[0].reshape(count, n_left) >= 0, axis=1)
+        assert sizes.tolist() == got[2]
         for i in range(count):
             windows.append((keys[cuts[i] : cuts[i + 1]] - i * span, n_left, n_right, cap, sizes[i]))
         return got

@@ -631,10 +631,11 @@ def test_read_warning_is_one_line_without_python_source(tmp_path, verb):
     assert proc.stdout.strip()
 
 
-@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("action", ["error", "ignore", "always"])
 def test_read_warning_obeys_the_filters_in_force(tmp_path, capsys, action):
     # main only reformats a shown warning: an "error" filter still raises
-    # it and an "ignore" filter still silences it.
+    # it, an "ignore" filter still silences it, and an "always" filter shows
+    # it as one "warning:" line.
     path = tmp_path / "dup.txt"
     path.write_text("bipartite 2 2 3\n0 0\n0 0\n1 1\n")
     argv = ["matching", "--graph", str(path)]
@@ -645,4 +646,8 @@ def test_read_warning_obeys_the_filters_in_force(tmp_path, capsys, action):
                 main(argv)
         else:
             assert main(argv) == 0
-    assert "warning" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if action == "always":
+        assert err == f"warning: {path}: 1 duplicate edge line(s) ignored\n"
+    else:
+        assert "warning" not in err

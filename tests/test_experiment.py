@@ -95,9 +95,9 @@ def test_partition_cells_share_match_calls(monkeypatch, bound, batches):
     spec = _small_spec(l=60, r=200, d=6, sweep=sweep, algos=("partition", "greedy"), epsilon=1.0)
     calls = []  # the windows of each _match call
 
-    def spy(keys, n_left, n_right, cap, windows):
-        calls.append(windows)
-        return real(keys, n_left, n_right, cap, windows)
+    def spy(keys, n_left, n_right, caps):
+        calls.append(sum(windows for _, windows in caps))
+        return real(keys, n_left, n_right, caps)
 
     real = solvers._match
     monkeypatch.setattr(solvers, "_BATCH_MAX", bound)

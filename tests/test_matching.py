@@ -5,6 +5,7 @@ engines, and ``test_engines_agree`` checks that they agree exactly.
 """
 import math
 import sys
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def _both_engines(matching_engines, keys, n_left, n_right, cap):
     """``_match``'s full output on each engine, as comparable tuples."""
     out = []
     for _ in matching_engines():
-        ml, mr, size, phases, scans = matching._match(keys, n_left, n_right, cap)
+        ml, mr, (size,), (phases,), (scans,) = matching._match(keys, n_left, n_right, [(cap, 1)])
         out.append((ml.tolist(), mr.tolist(), size, phases, scans))
     return out
 
@@ -198,8 +199,8 @@ def _batched(engine, windows, n_left, n_right, cap):
     """One ``engine`` call over ``windows``, split back per window."""
     span = n_left * n_right
     keys = np.concatenate([k + i * span for i, k in enumerate(windows)])
-    depth_cap = math.inf if cap is None else (cap - 1) // 2
-    ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap, len(windows))
+    depth_cap = [math.inf if cap is None else (cap - 1) // 2] * len(windows)
+    ml, mr, size, phases, scans = engine(keys, n_left, n_right, depth_cap)
     out = []
     for i in range(len(windows)):
         left = ml[i * n_left : (i + 1) * n_left].tolist()
@@ -214,7 +215,7 @@ def _one_list_call_each(monkeypatch, windows, n_left, n_right, cap):
     monkeypatch.setattr(matching, "_LAYERED_MIN", sys.maxsize)
     out = []
     for keys in windows:
-        ml, mr, size, phases, scans = matching._match(keys, n_left, n_right, cap)
+        ml, mr, (size,), (phases,), (scans,) = matching._match(keys, n_left, n_right, [(cap, 1)])
         out.append((ml.tolist(), mr.tolist(), size, phases, scans))
     return out
 
@@ -279,34 +280,48 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
 
 
 def _per_window_caps(keys, n_left, n_right, caps):
-    """One ``_match`` call over ``keys``' windows, each at its own cap, and
-    one one-window call per window; both split into per-window tuples."""
+    """One ``_match`` call over ``keys``' windows, each run of them at its
+    ``(cap, windows)`` pair in ``caps``, and one one-window call per window;
+    both split into per-window tuples."""
     span = n_left * n_right
     joined = np.concatenate([k + i * span for i, k in enumerate(keys)])
-    ml, mr, size, phases, scans = matching._match(joined, n_left, n_right, caps, len(keys))
+    ml, mr, size, phases, scans = matching._match(joined, n_left, n_right, caps)
+    per_window = [cap for cap, windows in caps for _ in range(windows)]
+    assert len(per_window) == len(keys) == len(size) == len(phases) == len(scans)
     together, alone = [], []
-    for i, (k, cap) in enumerate(zip(keys, caps)):
+    for i, (k, cap) in enumerate(zip(keys, per_window)):
         left = ml[i * n_left : (i + 1) * n_left]
         right = mr[i * n_right : (i + 1) * n_right]
         left = np.where(left >= 0, left - i * n_right, -1).tolist()
         right = np.where(right >= 0, right - i * n_left, -1).tolist()
         together.append((left, right, size[i], phases[i], scans[i]))
-        one = matching._match(k, n_left, n_right, cap)
-        alone.append((one[0].tolist(), one[1].tolist(), *one[2:]))
+        one = matching._match(k, n_left, n_right, [(cap, 1)])
+        alone.append((one[0].tolist(), one[1].tolist(), *(x for (x,) in one[2:])))
     return together, alone
 
 
-@pytest.mark.parametrize("caps", [[1, 3, None], [None, 3, 1], [3, None, 1, 3, 1]])
+@pytest.mark.parametrize(
+    "caps",
+    [
+        [(1, 1), (3, 1), (None, 1)],
+        [(None, 1), (3, 1), (1, 1)],
+        [(3, 1), (None, 1), (1, 1), (3, 1), (1, 1)],
+        [(1, 2), (None, 1), (3, 2)],
+        [(None, 3), (1, 2)],
+        [(3, 4)],
+    ],
+)
 def test_per_window_caps_match_one_call_each(matching_engines, caps):
     # Chains whose second phase needs a 17-edge path: a cap of 1 or 3 stops
     # a window after its first phase, no cap lets it finish.  Each window
-    # must stop at its own cap, as a one-window call with that cap does.
+    # must stop at its own run's cap, as a one-window call with that cap does.
     n = 9
-    keys = [chain_graph(n).distinct_keys()] * len(caps)
+    per_window = [cap for cap, windows in caps for _ in range(windows)]
+    keys = [chain_graph(n).distinct_keys()] * len(per_window)
     for _ in matching_engines():
         together, alone = _per_window_caps(keys, n, n, caps)
         assert together == alone
-        assert [w[3] for w in alone] == [1 if cap else 2 for cap in caps]
+        assert [w[3] for w in alone] == [1 if cap else 2 for cap in per_window]
 
 
 @given(ws=_window_sets(), data=st.data())
@@ -317,8 +332,10 @@ def test_per_window_caps_on_random_window_sets(matching_engines, ws, data):
     n_left, n_right, windows = ws
     n = len(windows)
     caps = data.draw(st.lists(st.sampled_from([None, 1, 3, 5]), min_size=n, max_size=n))
+    # Consecutive windows at one cap form one run, as a partition cell's do.
+    runs = [(cap, len(list(group))) for cap, group in groupby(caps)]
     for _ in matching_engines():
-        together, alone = _per_window_caps(windows, n_left, n_right, caps)
+        together, alone = _per_window_caps(windows, n_left, n_right, runs)
         assert together == alone
 
 

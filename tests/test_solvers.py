@@ -471,20 +471,31 @@ def test_partition_windows_are_maximum_when_the_cap_cannot_bind(monkeypatch, l, 
 def test_partition_batches_keep_each_cells_selection_and_scans(monkeypatch, bound):
     # Every cell alone, a few cells per batch, and one batch: each cell gets
     # the selection and counters it gets from its own call.  Epsilon 1 and
-    # 0.1 give cells of one c different caps, and the caps bind at 1.
-    g = gen_fixed_degree(FixedDegreeSpec(l=60, r=200, d=6, seed=3))
+    # 0.1 give cells of one c different caps, and the caps bind at 1.  On
+    # the l = 0 and r = 0 graphs no cell has a window; the edgeless one has
+    # windows with no keys.
+    graphs = [
+        gen_fixed_degree(FixedDegreeSpec(l=60, r=200, d=6, seed=3)),
+        build_graph(0, 7, []),
+        build_graph(7, 0, []),
+        build_graph(6, 9, []),
+    ]
     cells = [(c, a) for c in range(1, 5) for a in range(1, c + 1)]
     configs = [_cfg(c, a, seed=9, epsilon=eps) for c, a in cells for eps in (1.0, 0.1)]
-    want = []
-    for config in configs:
-        sel, stats = partition_with_stats(g, config)
-        want.append((sel.indptr.tobytes(), sel.targets.tobytes(), stats))
-    monkeypatch.setattr(solvers, "_BATCH_MAX", bound)
-    got = [
-        (sel.indptr.tobytes(), sel.targets.tobytes(), stats)
-        for sel, stats, _ in solvers._partition(g, configs)
-    ]
-    assert got == want
+    for g in graphs:
+        want = []
+        for config in configs:
+            sel, stats = partition_with_stats(g, config)
+            want.append((sel.indptr.tobytes(), sel.targets.tobytes(), stats))
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_BATCH_MAX", bound)
+            got = [
+                (sel.indptr.tobytes(), sel.targets.tobytes(), stats)
+                for sel, stats, _ in solvers._partition(g, configs)
+            ]
+        assert got == want
+        if g.m == 0:
+            assert all(stats.edges_touched == 0 for _, _, stats in got)
 
 
 # ------------------------------------------------------------ selection pins
