@@ -165,7 +165,7 @@ MODEL_PARAMS = {m: tuple(f.name for f in fields(spec)[:-1]) for m, (spec, _) in 
 def _model_spec(model: str, seed: int, **params) -> FixedDegreeSpec | ErdosRenyiSpec:
     """``model``'s spec from the ``params`` it takes; raises ``ValueError`` for
     an unknown model, a missing parameter and any field the spec refuses."""
-    if model not in _MODELS:
+    if model not in tuple(_MODELS):
         raise ValueError(f"unknown model {model!r}; expected one of {tuple(_MODELS)}")
     names = MODEL_PARAMS[model]
     if any(params.get(name) is None for name in names):

@@ -13,9 +13,11 @@ of cells, each cell its ``c`` windows at the cell's cap: a lone ``solve``
 is a batch of one, and ``run_experiment`` batches a trial's consecutive
 cells up to ``solvers._BATCH_MAX`` keys and window sources.  Each phase
 builds BFS layers, then runs the one augmenting walk, ``_augment``, a
-Python DFS along them.  Its two phase engines take the whole window set in
-one call, number it alike, and give the same partners and, per window, the
-same size, phases and scans.  They differ in how they layer:
+Python DFS along them; the first phase's walk, from every left vertex at
+layer 0, is a greedy pass that both engines run without it.  The two phase
+engines take the whole window set in one call, number it alike, and give
+the same partners and, per window, the same size, phases and scans.  They
+differ in how they layer:
 
 * the list engine, for window sets of fewer than ``_LAYERED_MIN`` sources in
   all: a Python BFS over adjacency lists, one window after another;
@@ -115,7 +117,10 @@ def _list_match(
     keys: np.ndarray, n_left: int, n_right: int, depth_cap: list[float]
 ) -> tuple[np.ndarray, np.ndarray, list[int], list[int], list[int]]:
     """The list engine: ``_match``'s phases on Python lists, one window after
-    another, with ``_layered.match_layered``'s arguments and outputs."""
+    another, with ``_layered.match_layered``'s arguments and outputs.  A
+    window's first phase starts with every left vertex free at level 0, so
+    it runs directly: each left vertex in turn takes its first free
+    neighbour.  Later phases build their layers and walk them."""
     windows = len(depth_cap)
     indptr, left, right = _csr(keys, windows * n_left, n_right)
     right += left // n_left * n_right  # window w's right vertices follow those before it
@@ -131,6 +136,18 @@ def _list_match(
     for win, cap in enumerate(depth_cap):
         lo, hi = win * n_left, (win + 1) * n_left
         size = phases = scans = 0
+        if cuts[lo] < cuts[hi]:  # phase 1, the greedy pass
+            phases = 1
+            # The BFS reads the first non-empty row; the walk reads every row
+            # but what follows a vertex's first free neighbour.
+            scans = next(len(row) for row in adj[lo:hi] if row) + cuts[hi] - cuts[lo]
+            for u in range(lo, hi):
+                for at, v in enumerate(adj[u], 1):
+                    if match_r[v] < 0:
+                        match_l[u], match_r[v] = v, u
+                        size += 1
+                        scans -= len(adj[u]) - at
+                        break
         while True:
             # BFS from every free left vertex; find the shallowest layer that
             # reaches a free right vertex.  The queue keeps every vertex it

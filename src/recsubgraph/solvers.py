@@ -378,7 +378,7 @@ def _layout(graph: BipartiteGraph, config: SolverConfig) -> _Cell:
         return _Cell(empty, empty, 0, 0, None, 0)
 
     rng = philox_stream(config.seed, STREAM_PARTITION)
-    sample = rng.permutation(graph.r)[:n_prime].astype(np.int64)
+    sample = rng.permutation(graph.r)[:n_prime]
     wsize = min(graph.l, n_prime)
     stride = max(1, graph.l // a)
 
@@ -386,9 +386,9 @@ def _layout(graph: BipartiteGraph, config: SolverConfig) -> _Cell:
     # stable sort lists each target's slots in window order.
     starts = np.arange(c, dtype=np.int64)[:, None] * stride
     slot_v = sample[(starts + np.arange(wsize)) % n_prime].ravel()
-    slots = np.argsort(slot_v, kind="stable")
+    slots = slot_v.argsort(kind="stable")
     n_slots = np.bincount(slot_v, minlength=graph.r)
-    first = np.cumsum(n_slots) - n_slots
+    first = n_slots.cumsum() - n_slots
 
     # Route each edge to one of its target's slots, uniformly.  Edges to a
     # target outside R', or in no window, have none and are dropped.
@@ -461,7 +461,7 @@ def solve(
     A ``config`` that is not a ``SolverConfig`` raises ``ConfigError``.
     """
     _check_type("config", config, SolverConfig, ConfigError)
-    if algo not in _WITH_STATS:
+    if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     runner = _WITH_STATS[algo]
     t0 = time.perf_counter()

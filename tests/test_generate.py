@@ -16,6 +16,7 @@ from recsubgraph.generate import (
     STREAM_SAMPLING,
     _gap_walk,
     _model_spec,
+    generate_instance,
     philox_stream,
 )
 
@@ -189,3 +190,10 @@ def test_philox_stream_equals_the_keyed_philox(seed, role):
 def test_model_spec_refuses_an_unknown_model():
     with pytest.raises(ValueError, match="unknown model"):
         _model_spec("nope", 0)
+
+
+@pytest.mark.parametrize("model", [["fixed-degree"], {"fixed-degree": 1}])
+def test_generate_instance_refuses_an_unhashable_model(model):
+    # Refused like an unknown name, not with a TypeError from hashing it.
+    with pytest.raises(ValueError, match="unknown model"):
+        generate_instance(model, 0, l=4, r=4, d=2)

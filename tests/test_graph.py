@@ -33,6 +33,12 @@ def test_single_edge_counts():
     assert np.bincount(g.edge_v, minlength=g.r).tolist() == [1]
 
 
+def test_reprs_give_the_sizes():
+    g = build_graph(2, 3, [(0, 0), (0, 0), (1, 2)])
+    assert repr(g) == "BipartiteGraph(l=2, r=3, m=3)"
+    assert repr(RecSubgraph(2, 3, [0, 1, 2], [0, 2])) == "RecSubgraph(l=2, r=3, selected=2)"
+
+
 def test_adjacency_sorted_both_ways():
     g = build_graph(2, 2, [(1, 0), (0, 1), (0, 0)])
     assert g.m == 3

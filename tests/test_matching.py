@@ -279,6 +279,73 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
         assert _batched(engine, windows[:1], n, n, cap) == want[:1]
 
 
+def _pinned(matching_engines, n_left, n_right, windows, caps):
+    """``_match``'s output on each engine for ``windows``, each a list of
+    distinct ``(u, v)`` edges, as lists."""
+    keys = sorted((i * n_left + u) * n_right + v for i, e in enumerate(windows) for u, v in e)
+    out = []
+    for _ in matching_engines():
+        ml, mr, *per_window = matching._match(np.array(keys, dtype=np.int64), n_left, n_right, caps)
+        out.append((ml.tolist(), mr.tolist(), *per_window))
+    return out
+
+
+# Phase 1 starts with every left vertex free at level 0: its BFS stops after
+# the first non-empty row, and its walk is a greedy pass in index order, each
+# vertex reading its row up to its first free neighbour, or all of it.
+_PATH = [(0, 0), (0, 1), (1, 0)]
+
+
+def test_phase_one_bfs_scans_only_the_first_non_empty_row(matching_engines):
+    # BFS: row 2 (2 scans).  Walk: 2 takes 0 (1 scan), 3 takes 2 (2 scans).
+    # Phase 2's BFS from 0 and 1 reads nothing.
+    edges = [(2, 0), (2, 1), (3, 0), (3, 2)]
+    want = ([-1, -1, 0, 2], [2, -1, 3], [2], [1], [5])
+    assert _pinned(matching_engines, 4, 3, [edges], [(None, 1)]) == [want, want]
+
+
+def test_phase_one_skips_an_edgeless_window_in_a_window_set(matching_engines):
+    # Window 0: in phase 1 (4 scans) vertex 1 finds its one neighbour taken;
+    # phase 2 augments along 1-0-0-1 (3 BFS and 3 walk scans).  Window 1 has
+    # no edge, so no phase; window 2's phase 1 reads only its second row.
+    want = (
+        [1, 0, -1, -1, -1, 5],
+        [1, 0, -1, -1, -1, 5],
+        [2, 0, 1],
+        [2, 0, 1],
+        [10, 0, 2],
+    )
+    windows = [_PATH, [], [(1, 1)]]
+    assert _pinned(matching_engines, 2, 2, windows, [(None, 3)]) == [want, want]
+
+
+def test_phase_one_at_max_path_len_one(matching_engines):
+    # Phase 1 alone: the second BFS reads row 1 (1 scan), and the cap stops
+    # it before row 0's layer.
+    want = ([0, -1], [0, -1], [1], [1], [5])
+    assert _pinned(matching_engines, 2, 2, [_PATH], [(1, 1)]) == [want, want]
+
+
+def test_phase_one_alone_matches_a_perfect_window(monkeypatch, matching_engines):
+    # Every vertex takes its first neighbour: 2 BFS scans and 3 walk scans,
+    # and the list engine's phase loop finds no free vertex to walk from.
+    # The layered engine binds ``_augment`` at import, so only the list
+    # engine's walks would reach the spy.
+    walks = []
+    real = matching._augment
+
+    def spy(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, "_augment", spy)
+    edges = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+    want = ([0, 1, 2], [0, 1, 2], [3], [1], [5])
+    listed, layered = _pinned(matching_engines, 3, 3, [edges], [(None, 1)])
+    assert listed == layered == want
+    assert walks == []
+
+
 def _per_window_caps(keys, n_left, n_right, caps):
     """One ``_match`` call over ``keys``' windows, each run of them at its
     ``(cap, windows)`` pair in ``caps``, and one one-window call per window;

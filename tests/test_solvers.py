@@ -615,6 +615,14 @@ def test_solve_unknown_algo():
         solve(g, "newton", _cfg(1, 1))
 
 
+@pytest.mark.parametrize("algo", [["greedy"], {"greedy": 1}])
+def test_solve_refuses_an_unhashable_algo(algo):
+    # Refused like an unknown name, not with a TypeError from hashing it.
+    g = build_graph(1, 1, [(0, 0)])
+    with pytest.raises(ConfigError, match="unknown algorithm"):
+        solve(g, algo, _cfg(1, 1))
+
+
 @pytest.mark.parametrize("l, r", [(0, 0), (0, 3), (3, 0), (3, 4)])
 @pytest.mark.parametrize(
     "runner, kw, counters",
