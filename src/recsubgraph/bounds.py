@@ -4,7 +4,9 @@ Everything here is a plain formula evaluation: expected-coverage lower bounds
 for the sampling and greedy strategies, the worst-case approximation ratio of
 sampling, the density needed to hit a coverage target, and a lower-tail
 concentration estimate.  Exponentials with large negative exponents are
-evaluated in log space so the formulas stay finite at desk-to-web scales.
+evaluated in log space so the formulas stay finite at desk-to-web scales, and
+``1 - exp(x)`` is evaluated as ``-expm1(x)`` so it keeps its precision down to
+the smallest positive density.
 """
 from __future__ import annotations
 
@@ -78,7 +80,7 @@ def sampling_lower_bound(*, l: int, r: int, c: float, a: int) -> float:
     ln_factor += _log_power_sum(ck, a)
     if ln_factor >= 0.0:
         return 0.0
-    return min(float(r), r * (1.0 - math.exp(ln_factor)))
+    return min(float(r), r * -math.expm1(ln_factor))
 
 
 def sampling_approx_ratio(ck: float) -> float:
@@ -89,7 +91,7 @@ def sampling_approx_ratio(ck: float) -> float:
     _check_real("ck", ck, ValueError)
     if not ck > 0.0:
         raise ValueError(f"ck must be > 0, got {ck}")
-    return (1.0 - math.exp(-ck)) / min(ck, 1.0)
+    return -math.expm1(-ck) / min(ck, 1.0)
 
 
 def required_ck(a: int, target: float) -> float:
@@ -176,7 +178,7 @@ def concentration_bound(*, r: int, ck: float) -> tuple[float, float]:
     if not ck > 0.0:
         raise ValueError(f"needs ck > 0, got ck={ck}")
     threshold = r * (1.0 - 2.0 * math.exp(-ck))
-    exponent = r * (1.0 - math.exp(-ck)) * (1.0 - math.log(4.0))
+    exponent = r * -math.expm1(-ck) * (1.0 - math.log(4.0))
     prob = math.exp(exponent) if exponent > -745.0 else 0.0
     return threshold, prob
 

@@ -223,7 +223,9 @@ class RecSubgraph:
         _check_side_limit(l, r, ValueError)
         if keys.dtype != np.int64:
             raise ValueError(f"selection keys must be int64, got {keys.dtype}")
-        if keys.size and (keys[0] < 0 or keys[-1] >= l * r or (keys[1:] < keys[:-1]).any()):
+        if keys.size and (
+            keys[0] < 0 or keys[-1] >= l * r or np.count_nonzero(keys[1:] < keys[:-1])
+        ):
             raise ValueError(f"selection keys must ascend within [0, {l * r})")
         sel = cls.__new__(cls)
         sel._set_keys(l, r, keys)
@@ -309,7 +311,7 @@ def validate(
         found = gkeys.take(np.searchsorted(gkeys, distinct), mode="clip") == distinct
     else:
         found = np.zeros(distinct.size, dtype=bool)
-    if not found.all():
+    if np.count_nonzero(found) < distinct.size:
         for key in distinct[~found].tolist():
             out.append(f"non-candidate edge ({key // graph.r},{key % graph.r})")
     return out
@@ -410,8 +412,7 @@ def _csr(keys: np.ndarray, n_left: int, n_right: int) -> tuple[np.ndarray, np.nd
     ``left``/``right`` are the endpoints of every key, and
     ``right[indptr[u]:indptr[u+1]]`` are the ``v`` of source ``u``.
     """
-    left = keys // n_right
-    right = keys - left * n_right
+    left, right = np.divmod(keys, n_right)
     indptr = np.zeros(n_left + 1, dtype=np.int64)
     np.add.accumulate(np.bincount(left, minlength=n_left), out=indptr[1:])
     return indptr, left, right
@@ -421,7 +422,7 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ranges ``starts[i] : starts[i] + lengths[i]``."""
     ends = np.add.accumulate(lengths)
     idx = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
-    idx += np.repeat(starts - ends + lengths, lengths)
+    idx += (starts - ends + lengths).repeat(lengths)
     return idx
 
 
@@ -454,7 +455,10 @@ def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
     What a sorting unique would return, without sorting the keys again and
     with far less time and scratch memory.
     """
+    repeats = keys[1:] == keys[:-1]
+    if not np.count_nonzero(repeats):
+        return keys
     first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys if first.all() else keys[first]
+    first[0] = True
+    np.logical_not(repeats, out=first[1:])
+    return keys[first]

@@ -123,7 +123,8 @@ def _list_match(
     neighbour.  Later phases build their layers and walk them."""
     windows = len(depth_cap)
     indptr, left, right = _csr(keys, windows * n_left, n_right)
-    right += left // n_left * n_right  # window w's right vertices follow those before it
+    if windows > 1:  # window w's right vertices follow those before it
+        right += left // n_left * n_right
     cuts = indptr.tolist()
     flat = right.tolist()
     adj = [flat[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]

@@ -47,7 +47,7 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     edge_u = sources[_segments(first, deg)]
     if a == 1:
         # Each target's sources ascend, so its keys k*l*c + u*c + i do.
-        row = np.repeat(np.arange(len(targets)) * (l * c), deg) + edge_u * c
+        row = (np.arange(len(targets)) * (l * c)).repeat(deg) + edge_u * c
         keys = (row[:, None] + np.arange(c)).ravel()
         return (_match(keys, len(targets), l * c)[0] >= 0).astype(np.int64)
     m = int(deg.sum())
@@ -56,14 +56,16 @@ def _served(offsets, sources, targets, l: int, c: int, a: int) -> np.ndarray:
     # x_e at e, then copy i of source u at m + u*c + i.  Copies first let the
     # first phase route most links, which saves about a third of the scans.
     n_right = m + l * c
-    start = np.cumsum(deg) - deg  # each target's first edge
+    start = deg.cumsum() - deg  # each target's first edge
     e = np.arange(m)
     # Row k*a + j, copy j of the k-th target, reaches x_e for that target's e.
-    row_deg = np.repeat(deg, a)
-    row_base = np.arange(copies) * n_right + np.repeat(start, a) - (np.cumsum(row_deg) - row_deg)
-    copy_keys = np.repeat(row_base, row_deg) + np.arange(a * m)
+    row_deg = deg.repeat(a)
+    row_base = np.arange(copies) * n_right + start.repeat(a) - (row_deg.cumsum() - row_deg)
+    copy_keys = row_base.repeat(row_deg) + np.arange(a * m)
     y_row = (copies + e) * n_right
-    y_keys = np.column_stack((y_row + e, (y_row + m + edge_u * c)[:, None] + np.arange(c)))
+    y_keys = np.empty((m, c + 1), dtype=np.int64)
+    y_keys[:, 0] = y_row + e
+    y_keys[:, 1:] = (y_row + m + edge_u * c)[:, None] + np.arange(c)
     keys = np.concatenate((copy_keys, y_keys.ravel()))
     match_l = _match(keys, copies + m, n_right)[0]
     # A copy of v may hold x_e while y_e stays free: a half-used edge, which
@@ -91,9 +93,9 @@ def exact_opt(graph: BipartiteGraph, params: ProblemParams) -> int:
     # changes no optimum; capping it keeps the split graph's c copies small.
     c, a = min(params.c, int(graph.left_degrees.max(initial=1))), params.a
     offsets, sources = _by_target(graph)
-    cands = np.flatnonzero(graph.distinct_in_degrees() >= a)
+    cands = (graph.distinct_in_degrees() >= a).nonzero()[0]
     served = _served(offsets, sources, cands, graph.l, c, a)
-    lo = int((served == a).sum())
+    lo = int(np.count_nonzero(served == a))
     hi = int(served.sum()) // a
     # any() stops at the first partial sum over the limit: no huge integers.
     sizes = range(hi, lo, -1)

@@ -146,7 +146,9 @@ def sampling_with_stats(
     order = _sampling_rank(graph, config.seed)
     # The first min(degree, c) sorted positions of every source.
     pos = _segments(graph.indptr_l[:-1], np.minimum(deg, c))
-    picks = _distinct_sorted(np.sort(graph.edge_keys()[order[pos]]))
+    picks = graph.edge_keys()[order[pos]]
+    picks.sort()
+    picks = _distinct_sorted(picks)
     stats = SolveStats(edges_touched=graph.m, peak_aux=min(c, int(deg.max(initial=0))))
     return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
 
@@ -270,7 +272,9 @@ def _greedy_loop(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
         for u in spare[:a]:
             used[u] += 1
             picks.append(u * graph.r + v)
-    return np.sort(np.array(picks, dtype=np.int64))
+    keys = np.array(picks, dtype=np.int64)
+    keys.sort()
+    return keys
 
 
 # -- partition ----------------------------------------------------------------
@@ -402,8 +406,9 @@ def _layout(graph: BipartiteGraph, config: SolverConfig) -> _Cell:
     cap = c / config.epsilon
     max_path_len = 2 * math.ceil(cap) - 1 if math.isfinite(cap) else None
     # One key space for all windows: window i owns [i*l*wsize, (i+1)*l*wsize).
-    keys = _distinct_sorted(np.sort((ewin * graph.l + eu) * wsize + elocal))
-    return _Cell(keys, slot_v, wsize, c, max_path_len, int(ev.size))
+    keys = (ewin * graph.l + eu) * wsize + elocal
+    keys.sort()
+    return _Cell(_distinct_sorted(keys), slot_v, wsize, c, max_path_len, int(ev.size))
 
 
 def _match_batch(
@@ -413,7 +418,8 @@ def _match_batch(
     ``spent`` is the milliseconds its layouts took.
 
     The cells become consecutive windows of one key space, each window at
-    its own cell's cap; a lone cell is a batch of one.
+    its own cell's cap; a lone cell is a batch of one, whose keys and slots
+    need no shift.
     """
     t0 = time.perf_counter()
     l = graph.l
@@ -422,7 +428,9 @@ def _match_batch(
     offsets = list(accumulate((cell.windows for cell in batch), initial=0))
     if l and graph.r:
         # A cell whose windows follow ``at`` others' is shifted by ``at`` windows.
-        keys = np.concatenate([cell.keys + at * l * wsize for cell, at in zip(batch, offsets)])
+        keys = batch[0].keys
+        if len(batch) > 1:
+            keys = np.concatenate([cell.keys + at * l * wsize for cell, at in zip(batch, offsets)])
         caps = [(cell.max_path_len, cell.windows) for cell in batch]
         ml, _, _, _, scans = _match(keys, l, wsize, caps)
     else:  # l == 0 or r == 0: no cell has a window
@@ -430,11 +438,14 @@ def _match_batch(
     out = []
     for cell, at, end in zip(batch, offsets, offsets[1:]):
         part = ml[at * l : end * l]
-        matched = np.flatnonzero(part >= 0)
-        u = matched % l
-        v = cell.slot_v[part[matched] - at * wsize]
+        matched = (part >= 0).nonzero()[0]
+        slot = part[matched]
+        if at:
+            slot -= at * wsize
+        sel_keys = matched % l * graph.r + cell.slot_v[slot]
         # Parallel candidates can land the same (u, v) in two windows; keep one.
-        sel_keys = _distinct_sorted(np.sort(u * graph.r + v))
+        sel_keys.sort()
+        sel_keys = _distinct_sorted(sel_keys)
         stats = SolveStats(edges_touched=graph.m + sum(scans[at:end]), peak_aux=cell.kept)
         out.append((RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats))
     ms = (spent + (time.perf_counter() - t0) * 1e3) / len(batch)

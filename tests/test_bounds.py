@@ -103,6 +103,31 @@ def test_approx_ratio_floor_on_grid():
         ck += 0.01
 
 
+def test_approx_ratio_stays_in_its_range_down_to_the_smallest_density():
+    # 1 - exp(-ck) cancels to 0 (or rounds past ck) below ck ~ 1e-16 unless
+    # it is taken as -expm1(-ck); the grid starts at the smallest positive double.
+    lo = 1 - 1 / math.e
+    grid = [5e-324] + [m * 10.0**e for e in range(-323, 1) for m in (1, 2, 5)] + [10.0]
+    for ck in grid:
+        assert lo <= sampling_approx_ratio(ck) <= 1.0, ck
+
+
+def test_bounds_keep_their_precision_at_tiny_density():
+    # Each reference is the formula with 1 - exp(x) taken as -expm1(x).
+    for ck in (1e-16, 1e-17, 5e-324):
+        assert sampling_approx_ratio(ck) == pytest.approx(-math.expm1(-ck) / ck, rel=1e-15)
+    assert sampling_approx_ratio(1e-17) == pytest.approx(1.0, rel=1e-15)
+    # ck = 1e-17: r * (1 - exp(-ck)) is about r * ck = 1.
+    got = sampling_lower_bound(l=1, r=10**17, c=1, a=1)
+    assert got == pytest.approx(10**17 * -math.expm1(-1e-17), rel=1e-12)
+    assert got == pytest.approx(1.0, rel=1e-12)
+    # The exponent is about r * ck * (1 - ln 4) = 10 * (1 - ln 4): (e/4)^10.
+    _, prob = concentration_bound(r=10**18, ck=1e-17)
+    want = math.exp(10**18 * -math.expm1(-1e-17) * (1 - math.log(4)))
+    assert prob == pytest.approx(want, rel=1e-12)
+    assert prob == pytest.approx((math.e / 4) ** 10, rel=1e-9)
+
+
 def test_approx_ratio_rejects_nonpositive():
     with pytest.raises(ValueError):
         sampling_approx_ratio(0.0)

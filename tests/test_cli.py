@@ -296,6 +296,29 @@ def test_bounds_approx_ratio_floor(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["bounds", "approx-ratio", "--ck-min", "1e-320", "--ck-max", "1e-319",
+          "--step", "1e-321"], None),
+        (["bounds", "sampling", "--l", "1", "--r", "100000000000000000", "--c", "1", "--a", "1"],
+         "1.000000\n"),
+        (["bounds", "concentration", "--r", "1000000000000000000", "--c", "1", "--l", "10",
+          "--a", "1"], "threshold=-1000000000000000000.000000 prob_bound=2.100607e-02\n"),
+    ],
+    ids=["approx-ratio", "sampling", "concentration"],
+)
+def test_bounds_keep_their_precision_at_tiny_density(capsys, argv, want):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if want is None:  # every ratio of the table is 1 to ten places
+        rows = out.splitlines()[1:]
+        assert len(rows) == 91
+        assert {row.split()[1] for row in rows} == {"1.0000000000"}
+    else:
+        assert out == want
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["solve", "--algo", "greedy", "--c", "1", "--a", "1"],

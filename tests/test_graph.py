@@ -98,6 +98,23 @@ def test_key_space_must_fit_int64():
         build_graph(1 << 32, 1 << 31, [])
 
 
+def test_keys_decode_as_divmod_at_the_widest_r():
+    # r = 2**31 - 1: keys at both ends of the first and last sources' ranges.
+    # Only l- and key-sized views are read; an r-sized one (in-degrees, the
+    # by-target index) would allocate 2**31 entries.
+    l, r = 3, 2**31 - 1
+    keys = [0, r - 1, r, l * r - 1]
+    pairs = [divmod(k, r) for k in keys]
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    assert pairs == [(0, 0), (0, r - 1), (1, 0), (2, r - 1)]
+    indptr = [0, 2, 3, 4]
+    g = build_graph(l, r, pairs)
+    assert g.edge_keys().tolist() == keys
+    assert (g.edge_u.tolist(), g.edge_v.tolist(), g.indptr_l.tolist()) == (us, vs, indptr)
+    sel = RecSubgraph._from_keys(l, r, np.array(keys, dtype=np.int64))
+    assert (sel.indptr.tolist(), sel.targets.tolist()) == (indptr, vs)
+
+
 @st.composite
 def shuffled_multigraph(draw):
     l = draw(st.integers(1, 8))
