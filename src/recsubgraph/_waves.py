@@ -1,5 +1,5 @@
-"""The wave engine of ``solvers.greedy_with_stats``, for large graphs and for
-a trial's greedy cells decided together.
+"""Greedy's wave engine, for large graphs and for a batch of greedy cells
+that ``solvers._solve_cells`` decides together.
 
 ``greedy_waves`` returns exactly the selection of greedy's target loop (input
 order, least-spent sources first, ties by index), with whole waves of targets

@@ -173,11 +173,10 @@ def run_experiment(
 
     Cells an algorithm cannot run (partition with a > c) become skipped rows
     and the sweep continues.  A row's elapsed time is its solver's, without
-    validation, scoring, instance generation or I/O.  A trial's greedy
-    cells are decided together, in shared wave passes up to a size bound
-    (``solvers._greedy``), and its partition cells are matched together, in
-    shared ``_match`` calls up to a size bound (``solvers._partition``).
-    Each cell of one pass or call reports an equal share of its solver time.
+    validation, scoring, instance generation or I/O.  A trial's cells of
+    one algorithm go through ``solvers._solve_cells`` together: greedy cells
+    share wave passes, and partition cells share ``_match`` calls, up to a
+    size bound.  Each cell of one batch reports an equal share of its time.
     """
     file_graph = read_edge_list(spec.path) if spec.model == "file" else None
     rows: list[ExperimentRow] = []

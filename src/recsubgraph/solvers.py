@@ -17,23 +17,25 @@ and window matching.
   matchings is the selection.
 
 All three emit selections that satisfy the per-source budget and never invent
-edges; ``solve`` is the timed, validating entry point.  Repeated solves on one
-graph share what the graph keeps (see ``graph.BipartiteGraph``): greedy and
-the oracle read its by-target index, 8 bytes per distinct edge, and sampling
-its ranking for the last seed, 4 bytes per edge.  The harness solves a
-trial's cells through ``_solve_cells``: consecutive greedy cells share a
+edges.  ``_solve_cells`` runs all three, each through its ``_Runner``: it
+packs consecutive cells into batches, times them, and checks and scores every
+selection; ``solve`` is its batch of one.  Consecutive greedy cells share a
 wave pass once their copies of the graph hold ``_WAVES_MIN_EDGES`` distinct
-edges, and consecutive partition cells share matching calls.  The cells of
-one batch report equal shares of its time.
+edges, consecutive partition cells share matching calls, and a sampling cell
+is a batch of one.  The cells of one batch report equal shares of its time.
+Repeated solves on one graph share what the graph keeps (see
+``graph.BipartiteGraph``): greedy and the oracle read its by-target index,
+8 bytes per distinct edge, and sampling its ranking for the last seed, 4 bytes
+per edge.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -141,16 +143,25 @@ def sampling_with_stats(
     Apart from the ranking, a call holds only the ``c``-slot buffer that
     ``peak_aux`` counts.
     """
+    return _selections(graph, _sampling_keys(graph, [config]))[0]
+
+
+def _sampling_keys(
+    graph: BipartiteGraph, configs: list[SolverConfig]
+) -> list[tuple[np.ndarray, int, int]]:
+    """Sampling's batch step: the config's ascending ``u*r + v`` keys,
+    ``edges_touched`` and ``peak_aux``; every sampling cell is a batch of one."""
+    (config,) = configs
     c = config.params.c
     deg = graph.left_degrees
     order = _sampling_rank(graph, config.seed)
-    # The first min(degree, c) sorted positions of every source.
+    # The first min(degree, c) sorted positions of every source.  take() and
+    # the ufunc cost less than fancy indexing and ndarray.max.
     pos = _segments(graph.indptr_l[:-1], np.minimum(deg, c))
-    picks = graph.edge_keys()[order[pos]]
+    picks = graph.edge_keys().take(order[pos])
     picks.sort()
     picks = _distinct_sorted(picks)
-    stats = SolveStats(edges_touched=graph.m, peak_aux=min(c, int(deg.max(initial=0))))
-    return RecSubgraph._from_keys(graph.l, graph.r, picks), stats
+    return [(picks, graph.m, min(c, int(np.maximum.reduce(deg, initial=0))))]
 
 
 def _sampling_rank(graph: BipartiteGraph, seed: int) -> np.ndarray:
@@ -202,15 +213,12 @@ def greedy_with_stats(
     as a Python loop, one target at a time.  Larger ones run it in
     ``_waves.greedy_waves``, imported on first use, which decides together
     all targets that share no spare source with an earlier undecided
-    target; the selection is the same.  ``run_experiment`` decides a
-    trial's greedy cells together (``_greedy``): a batch of cells whose
-    copies of the graph hold ``_WAVES_MIN_EDGES`` distinct edges in all
-    shares one wave pass, and each cell gets the selection it gets here.
+    target; the selection is the same.  ``_solve_cells`` decides
+    consecutive greedy cells together: a batch of cells whose copies of the
+    graph hold ``_WAVES_MIN_EDGES`` distinct edges in all shares one wave
+    pass, and each cell gets the selection it gets here.
     """
-    # The batch of one that _greedy makes of a lone config, untimed.
-    (keys,) = _greedy_keys(graph, [(config.params.c, config.params.a)])
-    stats = SolveStats(edges_touched=graph.m, peak_aux=graph.l)
-    return RecSubgraph._from_keys(graph.l, graph.r, keys), stats
+    return _selections(graph, _greedy_keys(graph, [config]))[0]
 
 
 # Entries of one wave pass's union of greedy cells, ``K*(l + r + m)`` for
@@ -223,38 +231,23 @@ def greedy_with_stats(
 _WAVES_BATCH_MAX = 1 << 18
 
 
-def _greedy(
+def _greedy_keys(
     graph: BipartiteGraph, configs: list[SolverConfig]
-) -> Iterator[tuple[RecSubgraph, SolveStats, float]]:
-    """Greedy on ``graph`` at each of ``configs`` in turn: the selection, its
-    counters and the milliseconds it took.
-
-    Every cell's copy of the graph is the same size, so consecutive cells
-    form batches of as many as ``_WAVES_BATCH_MAX`` admits, at least one.
-    The cells of one batch share its time equally.
-    """
-    k = max(1, _WAVES_BATCH_MAX // (graph.l + graph.r + graph.distinct_keys().size))
-    for i in range(0, len(configs), k):
-        batch = configs[i : i + k]
-        t0 = time.perf_counter()
-        found = _greedy_keys(graph, [(config.params.c, config.params.a) for config in batch])
-        sels = [RecSubgraph._from_keys(graph.l, graph.r, keys) for keys in found]
-        ms = (time.perf_counter() - t0) * 1e3 / len(batch)
-        for sel in sels:
-            yield sel, SolveStats(edges_touched=graph.m, peak_aux=graph.l), ms
-
-
-def _greedy_keys(graph: BipartiteGraph, cells: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Ascending ``u*r + v`` keys of greedy's selection at each ``(c, a)`` of
-    ``cells``: one wave pass when their copies of the graph hold
-    ``_WAVES_MIN_EDGES`` distinct edges in all, else the loop, cell by cell."""
+) -> list[tuple[np.ndarray, int, int]]:
+    """Greedy's batch step: each config's ascending ``u*r + v`` keys,
+    ``edges_touched`` and ``peak_aux``.  One wave pass decides them all when
+    their copies of the graph hold ``_WAVES_MIN_EDGES`` distinct edges in
+    all, else the loop runs cell by cell."""
+    cells = [(config.params.c, config.params.a) for config in configs]
     if len(cells) * graph.distinct_keys().size >= _WAVES_MIN_EDGES:
         # Imported on first use, like the layered matching engine: a process
         # that never solves a large graph need not compile it.
         from ._waves import greedy_waves
 
-        return greedy_waves(graph, cells)
-    return [_greedy_loop(graph, c, a) for c, a in cells]
+        found = greedy_waves(graph, cells)
+    else:
+        found = [_greedy_loop(graph, c, a) for c, a in cells]
+    return [(keys, graph.m, graph.l) for keys in found]
 
 
 def _greedy_loop(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
@@ -263,7 +256,10 @@ def _greedy_loop(graph: BipartiteGraph, c: int, a: int) -> np.ndarray:
     used = [0] * graph.l  # budget spent per source — the whole persistent state
     picks: list[int] = []
     for v in range(graph.r):
-        spare = [u for u in sources[offsets[v] : offsets[v + 1]] if used[u] < c]
+        spare = []  # a loop, not a comprehension: cheaper at a few sources per target
+        for u in sources[offsets[v] : offsets[v + 1]]:
+            if used[u] < c:
+                spare.append(u)
         if len(spare) < a:
             continue
         if len(spare) > a:
@@ -306,12 +302,11 @@ def partition_with_stats(
     each as if alone and numbers window ``i``'s right vertex ``j`` as
     ``i*wsize + j``: a matched partner is a slot.  Their sources in all,
     ``c * l``, pick the engine.  When ``c / eps`` overflows a float the depth
-    cap is dropped, since no window path is that long.  The cell is a batch
-    of one (``_match_batch``); ``run_experiment`` batches several cells'
-    windows into one call (``_partition``), with the same result for each.
+    cap is dropped, since no window path is that long.  ``_solve_cells``
+    matches several cells' windows in one call, with the same result for
+    each.
     """
-    sel, stats, _ = _match_batch(graph, [_layout(graph, config)], 0.0)[0]
-    return sel, stats
+    return _selections(graph, _match_batch(graph, [_layout(graph, config)]))[0]
 
 
 # Keys, and window sources, that one ``_match`` call may take from several
@@ -334,36 +329,6 @@ class _Cell(NamedTuple):
     windows: int
     max_path_len: int | None
     kept: int  # edges routed to a window
-
-
-def _partition(
-    graph: BipartiteGraph, configs: list[SolverConfig]
-) -> Iterator[tuple[RecSubgraph, SolveStats, float]]:
-    """Partition on ``graph`` at each of ``configs`` in turn: the selection,
-    its counters and the milliseconds it took.
-
-    Each cell is laid out alone, then consecutive cells are matched together
-    in one ``_match`` call as long as their keys, and their window sources,
-    each stay within ``_BATCH_MAX``.  A cell with more of either is a batch
-    of one, as every ``partition_with_stats`` cell is.  The cells of one
-    batch share its time equally, and come out as soon as it is matched.
-    """
-    batch: list[_Cell] = []
-    spent = 0.0
-    for config in configs:
-        t0 = time.perf_counter()
-        cell = _layout(graph, config)
-        ms = (time.perf_counter() - t0) * 1e3
-        if batch and (
-            sum(x.keys.size for x in batch) + cell.keys.size > _BATCH_MAX
-            or sum(x.windows for x in batch) * graph.l + cell.windows * graph.l > _BATCH_MAX
-        ):
-            yield from _match_batch(graph, batch, spent)
-            batch, spent = [], 0.0
-        batch.append(cell)
-        spent += ms
-    if batch:
-        yield from _match_batch(graph, batch, spent)
 
 
 def _layout(graph: BipartiteGraph, config: SolverConfig) -> _Cell:
@@ -411,17 +376,15 @@ def _layout(graph: BipartiteGraph, config: SolverConfig) -> _Cell:
     return _Cell(_distinct_sorted(keys), slot_v, wsize, c, max_path_len, int(ev.size))
 
 
-def _match_batch(
-    graph: BipartiteGraph, batch: list[_Cell], spent: float
-) -> list[tuple[RecSubgraph, SolveStats, float]]:
-    """Match ``batch``'s windows in one ``_match`` call and decode each cell;
-    ``spent`` is the milliseconds its layouts took.
+def _match_batch(graph: BipartiteGraph, batch: list[_Cell]) -> list[tuple[np.ndarray, int, int]]:
+    """Partition's batch step: match ``batch``'s windows in one ``_match``
+    call and decode each cell's ascending ``u*r + v`` keys,
+    ``edges_touched`` and ``peak_aux``.
 
     The cells become consecutive windows of one key space, each window at
     its own cell's cap; a lone cell is a batch of one, whose keys and slots
     need no shift.
     """
-    t0 = time.perf_counter()
     l = graph.l
     # a <= c puts min(l, r) positions in every window of every cell.
     wsize = batch[0].wsize
@@ -445,21 +408,43 @@ def _match_batch(
         sel_keys = matched % l * graph.r + cell.slot_v[slot]
         # Parallel candidates can land the same (u, v) in two windows; keep one.
         sel_keys.sort()
-        sel_keys = _distinct_sorted(sel_keys)
-        stats = SolveStats(edges_touched=graph.m + sum(scans[at:end]), peak_aux=cell.kept)
-        out.append((RecSubgraph._from_keys(graph.l, graph.r, sel_keys), stats))
-    ms = (spent + (time.perf_counter() - t0) * 1e3) / len(batch)
-    return [(sel, stats, ms) for sel, stats in out]
+        out.append((_distinct_sorted(sel_keys), graph.m + sum(scans[at:end]), cell.kept))
+    return out
 
 
-# -- dispatch -----------------------------------------------------------------
+# -- the runner ---------------------------------------------------------------
 
-_WITH_STATS = {
-    "sampling": sampling_with_stats,
-    "greedy": greedy_with_stats,
-    "partition": partition_with_stats,
+
+class _Runner(NamedTuple):
+    """One strategy as ``_solve_cells`` runs it."""
+
+    # A config's cell; None when the config is the cell.
+    lay_out: Callable[[BipartiteGraph, SolverConfig], Any] | None
+    # Whether a cell joins a batch of cells: its sizes summed with theirs stay
+    # within their bounds, read at every call.
+    fits: Callable[[BipartiteGraph, list[Any], Any], bool]
+    # The batch step: each cell's ascending u*r + v keys, edges_touched and peak_aux.
+    run: Callable[[BipartiteGraph, list[Any]], list[tuple[np.ndarray, int, int]]]
+
+
+_RUNNERS = {
+    "sampling": _Runner(None, lambda graph, cells, cell: False, _sampling_keys),
+    "greedy": _Runner(
+        None,
+        lambda graph, cells, cell: (
+            (len(cells) + 1) * (graph.l + graph.r + graph.distinct_keys().size) <= _WAVES_BATCH_MAX
+        ),
+        _greedy_keys,
+    ),
+    "partition": _Runner(
+        _layout,
+        lambda graph, cells, cell: (
+            sum(x.keys.size for x in cells) + cell.keys.size <= _BATCH_MAX
+            and (sum(x.windows for x in cells) + cell.windows) * graph.l <= _BATCH_MAX
+        ),
+        _match_batch,
+    ),
 }
-_BATCHED = {"greedy": _greedy, "partition": _partition}
 
 
 def solve(
@@ -467,49 +452,62 @@ def solve(
 ) -> tuple[RecSubgraph, CoverageReport]:
     """Run one strategy and measure it.
 
-    Times the solver call only (not validation or scoring), then checks the
+    Times the strategy only (not validation or scoring), then checks the
     selection, degree cap included, and scores it in one ``bounds._score`` call.
     A ``config`` that is not a ``SolverConfig`` raises ``ConfigError``.
     """
     _check_type("config", config, SolverConfig, ConfigError)
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    runner = _WITH_STATS[algo]
-    t0 = time.perf_counter()
-    sel, stats = runner(graph, config)
-    return sel, _report(graph, algo, config, sel, stats, (time.perf_counter() - t0) * 1e3)
+    (result,) = _solve_cells(graph, algo, [config])
+    return result
 
 
 def _solve_cells(
     graph: BipartiteGraph, algo: str, configs: list[SolverConfig]
 ) -> Iterator[tuple[RecSubgraph, CoverageReport]]:
-    """``solve`` at each of ``configs`` in turn.  Greedy cells go through
-    ``_greedy`` together, so they share its wave passes, and partition cells
-    through ``_partition``, so they share its ``_match`` calls; the cells of
-    one batch share its time."""
-    if algo not in _BATCHED:
-        for config in configs:
-            yield solve(graph, algo, config)
-        return
-    for config, (sel, stats, elapsed_ms) in zip(configs, _BATCHED[algo](graph, configs)):
-        yield sel, _report(graph, algo, config, sel, stats, elapsed_ms)
+    """``solve`` at each of ``configs`` in turn, in batches.
 
-
-def _report(
-    graph: BipartiteGraph,
-    algo: str,
-    config: SolverConfig,
-    sel: RecSubgraph,
-    stats: SolveStats,
-    elapsed_ms: float,
-) -> CoverageReport:
-    """Check ``sel``, degree cap included, and score it in one ``bounds._score`` call."""
+    Consecutive cells share one batch step while the strategy's ``fits``
+    admits them.  A cell's layout is timed apart and charged to the batch it
+    joins, also when it is laid out before the batch ahead of it runs.  The
+    cells of a batch report equal shares of their layouts' time and its
+    step's.
+    """
+    lay_out, fits, run = _RUNNERS[algo]
     prefix = f"{algo} produced an invalid selection: "
-    covered, bound, ratio = _score(graph, sel, config.params, prefix=prefix)
-    return CoverageReport(
-        covered=covered,
-        upper_bound=bound,
-        ratio=ratio,
-        elapsed_ms=elapsed_ms,
-        peak_edges_held=stats.peak_aux,
-    )
+    batch: list[SolverConfig] = []  # the configs that share one batch step
+    cells: list[Any] = []  # and their cells
+    spent = 0.0  # milliseconds their layouts took
+    for config in [*configs, None]:  # None ends the last batch
+        cell, ms = config, 0.0
+        if lay_out is not None and config is not None:
+            t0 = time.perf_counter()
+            cell = lay_out(graph, config)
+            ms = (time.perf_counter() - t0) * 1e3
+        if config is not None and (not cells or fits(graph, cells, cell)):
+            batch.append(config)
+            cells.append(cell)
+            spent += ms
+            continue
+        if cells:
+            t0 = time.perf_counter()
+            found = _selections(graph, run(graph, cells))
+            share = (spent + (time.perf_counter() - t0) * 1e3) / len(cells)
+            # Only ``cells`` holds the batch's layouts: free them before the checks.
+            cells.clear()
+            for member, (sel, stats) in zip(batch, found):
+                # Checked, degree cap included, and scored in one call.
+                covered, bound, ratio = _score(graph, sel, member.params, prefix=prefix)
+                yield sel, CoverageReport(covered, bound, ratio, share, stats.peak_aux)
+        batch, cells, spent = [config], [cell], ms
+
+
+def _selections(
+    graph: BipartiteGraph, found: list[tuple[np.ndarray, int, int]]
+) -> list[tuple[RecSubgraph, SolveStats]]:
+    """A batch step's keys and counters as each cell's selection and stats."""
+    out = []
+    for keys, touched, aux in found:
+        out.append((RecSubgraph._from_keys(graph.l, graph.r, keys), SolveStats(touched, aux)))
+    return out

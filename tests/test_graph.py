@@ -318,7 +318,8 @@ def test_coverage_rejects_invalid_selection(monkeypatch):
     with pytest.raises(SubgraphValidationError, match=r"^non-candidate edge \(0,3\)$"):
         coverage(g, bad, 1)
     # solve() names the strategy that produced the selection.
-    monkeypatch.setitem(solvers._WITH_STATS, "greedy", lambda graph, config: (bad, None))
+    runner = solvers._RUNNERS["greedy"]._replace(run=lambda graph, cells: [(bad._keys, 0, 0)])
+    monkeypatch.setitem(solvers._RUNNERS, "greedy", runner)
     want = r"^greedy produced an invalid selection: non-candidate edge \(0,3\)$"
     with pytest.raises(SubgraphValidationError, match=want):
         solve(g, "greedy", SolverConfig(ProblemParams(c=1, a=1)))

@@ -319,6 +319,24 @@ def test_greedy_engines_agree_at_scale(make, spec, greedy_engines):
         assert np.array_equal(got[0].targets, got[1].targets)
 
 
+def _batched(graph, algo, configs):
+    """``(selection, counters, report)`` of each of ``configs`` as
+    ``_solve_cells`` makes them, in its batches."""
+    made = []
+    real = solvers._selections
+
+    def spy(graph, found):
+        out = real(graph, found)
+        made.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "_selections", spy)
+        got = list(solvers._solve_cells(graph, algo, configs))
+    assert [sel for sel, _ in got] == [sel for sel, _ in made]
+    return [(sel, stats, report) for (sel, stats), (_, report) in zip(made, got)]
+
+
 def test_batched_greedy_equals_per_cell_greedy(rng, greedy_engines, monkeypatch):
     # Each cell of a batch must come out as it does alone.  On the wave
     # engine a batch is one pass over copies of the graph, one per cell.
@@ -354,15 +372,13 @@ def test_batched_greedy_equals_per_cell_greedy(rng, greedy_engines, monkeypatch)
             for bound, most in ((len(cells) * size, len(cells)), (3 * size, 3)):
                 monkeypatch.setattr(solvers, "_WAVES_BATCH_MAX", bound)
                 calls.clear()
-                got = list(solvers._greedy(g, configs))
-                reports = [report for _, report in solvers._solve_cells(g, "greedy", configs)]
+                got = _batched(g, "greedy", configs)
                 if engine == "waves":
-                    assert sum(calls) == 2 * len(cells) and max(calls) == most
+                    assert sum(calls) == len(cells) and max(calls) == most
                 else:
                     assert calls == []
-                for (sel, stats, _), report, (ref, ref_stats), (_, a) in zip(
-                    got, reports, alone, cells
-                ):
+                assert len(got) == len(cells)
+                for (sel, stats, report), (ref, ref_stats), (_, a) in zip(got, alone, cells):
                     assert sel._keys.tolist() == ref._keys.tolist()
                     assert (stats.edges_touched, stats.peak_aux) == (
                         ref_stats.edges_touched,
@@ -473,7 +489,8 @@ def test_partition_batches_keep_each_cells_selection_and_scans(monkeypatch, boun
     # the selection and counters it gets from its own call.  Epsilon 1 and
     # 0.1 give cells of one c different caps, and the caps bind at 1.  On
     # the l = 0 and r = 0 graphs no cell has a window; the edgeless one has
-    # windows with no keys.
+    # windows with no keys.  Sampling cells, each a batch of one, at several
+    # c and seeds, must also come out of the runner as they do alone.
     graphs = [
         gen_fixed_degree(FixedDegreeSpec(l=60, r=200, d=6, seed=3)),
         build_graph(0, 7, []),
@@ -481,21 +498,54 @@ def test_partition_batches_keep_each_cells_selection_and_scans(monkeypatch, boun
         build_graph(6, 9, []),
     ]
     cells = [(c, a) for c in range(1, 5) for a in range(1, c + 1)]
-    configs = [_cfg(c, a, seed=9, epsilon=eps) for c, a in cells for eps in (1.0, 0.1)]
+    runs = [
+        (
+            "partition",
+            partition_with_stats,
+            [_cfg(c, a, seed=9, epsilon=eps) for c, a in cells for eps in (1.0, 0.1)],
+        ),
+        ("sampling", sampling_with_stats, [_cfg(c, 1, seed=s) for c in (1, 5) for s in (0, 9, 0)]),
+    ]
     for g in graphs:
-        want = []
-        for config in configs:
-            sel, stats = partition_with_stats(g, config)
-            want.append((sel.indptr.tobytes(), sel.targets.tobytes(), stats))
-        with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_BATCH_MAX", bound)
-            got = [
-                (sel.indptr.tobytes(), sel.targets.tobytes(), stats)
-                for sel, stats, _ in solvers._partition(g, configs)
-            ]
-        assert got == want
-        if g.m == 0:
-            assert all(stats.edges_touched == 0 for _, _, stats in got)
+        for algo, alone, configs in runs:
+            want = []
+            for config in configs:
+                sel, stats = alone(g, config)
+                want.append((sel.indptr.tobytes(), sel.targets.tobytes(), stats))
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_BATCH_MAX", bound)
+                got = [
+                    (sel.indptr.tobytes(), sel.targets.tobytes(), stats)
+                    for sel, stats, _ in _batched(g, algo, configs)
+                ]
+            assert got == want
+            if g.m == 0:
+                assert all(stats.edges_touched == 0 for _, _, stats in got)
+
+
+def test_batched_cells_report_their_share_of_the_clock(monkeypatch):
+    # A clock that moves one tick per read pins the reads each cell's
+    # elapsed_ms spans.  Greedy: batches of two cells share one step.
+    # Partition: a cell's layout is charged to the batch it joins, so the
+    # c = 3 cell that overflows the first batch is charged to its own, and
+    # the first batch's cells each get half of two layouts and one step.
+    # Sampling: every cell is its own step.
+    g = build_graph(10, 3, [(0, 0), (1, 1), (2, 2), (3, 0)])
+    tick = 2.0**-10  # seconds per read
+    reads = itertools.count()
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(reads) * tick)
+    monkeypatch.setattr(solvers, "_WAVES_BATCH_MAX", 2 * (g.l + g.r + g.distinct_keys().size))
+    # Three windows of l sources fill a batch; the cells' keys are far below.
+    monkeypatch.setattr(solvers, "_BATCH_MAX", 3 * g.l)
+    cases = {
+        "sampling": ([(1, 1), (2, 1), (3, 1)], [1, 1, 1]),
+        "greedy": ([(1, 1), (2, 1), (3, 1), (1, 1), (2, 2)], [1 / 2, 1 / 2, 1 / 2, 1 / 2, 1]),
+        "partition": ([(1, 1), (2, 1), (3, 1), (1, 1), (1, 1)], [3 / 2, 3 / 2, 2, 3 / 2, 3 / 2]),
+    }
+    for algo, (cells, ticks) in cases.items():
+        configs = [_cfg(c, a) for c, a in cells]
+        got = [report.elapsed_ms for _, report in solvers._solve_cells(g, algo, configs)]
+        assert got == pytest.approx([n * tick * 1e3 for n in ticks], rel=1e-12), algo
 
 
 # ------------------------------------------------------------ selection pins
