@@ -12,18 +12,20 @@ sizes must be below ``2**31``.  Graph files are simple: duplicate edge lines
 are dropped with a warning.  Writers emit edges in canonical (u, v) order with
 a trailing newline, so identical graphs produce byte-identical files.
 
-Readers read a file once.  A writer-style file -- the header on the first
-line, then ``m`` lines of ``digits SPACE digits`` of at most 10 digits each,
-every line ended by a newline except perhaps the last -- is parsed in one
-:func:`numpy.fromstring` call.  Every other file (tabs, padding, blank lines,
-comments, signs) and any writer-style file with an out-of-range endpoint
-goes through a line loop over the same text, which returns the same arrays or
-names the first malformed line in its :class:`EdgeListError`.
+Readers read a file's bytes once, with newlines as text mode reads them
+(``\\r\\n`` and a lone ``\\r`` are ``\\n``).  A writer-style file -- the header
+on the first line, then ``m`` lines of ``digits SPACE digits`` of at most 10
+digits each, every line ended by a newline except perhaps the last -- is
+checked and parsed from those bytes in one :func:`numpy.fromstring` call.
+Every other file (tabs, padding, blank lines, comments, signs) and any
+writer-style file with an out-of-range endpoint is decoded as UTF-8 and goes
+through a line loop, which returns the same arrays or names the first
+malformed line in its :class:`EdgeListError`.  Writers format the lines in
+numpy, a block of lines at a time, and write bytes.
 """
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +41,8 @@ __all__ = [
 
 GRAPH_MAGIC = "bipartite"
 SUBGRAPH_MAGIC = "recsubgraph"
+# Lines formatted per numpy pass: bounds the writer's scratch at any m.
+_WRITE_BLOCK = 1 << 15
 
 
 class EdgeListError(ValueError):
@@ -48,49 +52,62 @@ class EdgeListError(ValueError):
 def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     """Header sides and the int64 endpoint arrays of the edge lines, in file order.
 
-    The file is read once.  A writer-style file (see the module docstring) is
-    parsed by :func:`_parse_plain` in one :func:`numpy.fromstring` call.  Every
-    other file, and a writer-style file with an out-of-range endpoint, goes
-    through :func:`_parse_lines`, which reads the same text line by line and
-    raises :class:`EdgeListError` naming the first bad line.
+    The file's bytes are read once, with newlines as text mode reads them
+    (``\\r\\n`` and a lone ``\\r`` are ``\\n``).  A writer-style file (see the
+    module docstring) is parsed from those bytes by :func:`_parse_plain` in
+    one :func:`numpy.fromstring` call.  Every other file, and a writer-style
+    file with an out-of-range endpoint, is decoded and goes through
+    :func:`_parse_lines`, which reads it line by line and raises
+    :class:`EdgeListError` naming the first bad line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    parsed = _parse_plain(text, magic)
+    if parsed is not None:
+        return parsed
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # The bytes as stored, so that the error names the file's own offset.
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EdgeListError(
             f"{path}: not valid UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    parsed = _parse_plain(text, magic)
-    return parsed if parsed is not None else _parse_lines(path, text, magic)
+    return _parse_lines(path, text.replace("\r\n", "\n").replace("\r", "\n"), magic)
 
 
-def _parse_plain(text: str, magic: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
-    """:func:`_parse_lines`' result for a writer-style file in one numpy call, else None."""
-    head, _, body = text.partition("\n")
-    tokens = head.split()
+def _parse_plain(text: bytes, magic: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """:func:`_parse_lines`' result for a writer-style file in one numpy call, else None.
+
+    ``text`` is the file's bytes with its newlines already ``\\n``.  A body
+    of digits, spaces and newlines is ASCII, so a file taken here is valid
+    UTF-8 whenever its header line is.
+    """
+    head, _, body = text.partition(b"\n")
+    try:
+        tokens = head.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return None
     if len(tokens) != 4 or tokens[0] != magic or not body:
         return None
     try:
         l, r, m = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
         return None
-    data = (body if body.endswith("\n") else body + "\n").encode()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # Writer-style: the non-digit bytes alternate space, newline (m of each),
-    # and every token has 1-10 digits, so int64 holds it.
-    seps = np.flatnonzero((raw < 48) | (raw > 57))
-    gaps = np.diff(seps, prepend=-1)
-    if (
-        seps.size != 2 * m
-        or (raw[seps[0::2]] != 32).any()
-        or (raw[seps[1::2]] != 10).any()
-        or gaps.min() < 2
-        or gaps.max() > 11
-    ):
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    raw = np.frombuffer(body, dtype=np.uint8)
+    # Writer-style: no byte above "9", the bytes below "0" alternate space,
+    # newline (m of each), and every token has 1-10 digits, so int64 holds it.
+    seps = np.flatnonzero(raw < 48)
+    if raw.max() > 57 or seps.size != 2 * m or not 1 <= seps[0] <= 10:
         return None
-    flat = np.fromstring(data, dtype=np.int64, sep=" ")
-    us, vs = flat[0::2].copy(), flat[1::2].copy()
+    gaps = seps[1:] - seps[:-1]
+    if gaps.min() < 2 or gaps.max() > 11 or (raw[seps].view("<u2") != 0x0A20).any():
+        return None
+    # Read as uint64, which numpy scans faster than int64; both hold 10 digits.
+    flat = np.fromstring(body, dtype=np.uint64, sep=" ").view(np.int64)
+    us, vs = flat[0::2], flat[1::2]
     if int(us.max()) >= l or int(vs.max()) >= r:
         return None
     return l, r, us, vs
@@ -164,7 +181,11 @@ def read_edge_list(path) -> BipartiteGraph:
 
 
 def write_edge_list(graph: BipartiteGraph, path) -> None:
-    """Write a graph file; inverse of :func:`read_edge_list` up to edge order."""
+    """Write a graph file in canonical edge order.
+
+    :func:`read_edge_list` reads it back as ``graph``, except that a
+    multigraph's parallel edges come back collapsed to one, with a warning.
+    """
     _write(path, GRAPH_MAGIC, graph.l, graph.r, graph.edge_u, graph.edge_v)
 
 
@@ -186,6 +207,33 @@ def write_subgraph(sub: RecSubgraph, path) -> None:
 
 
 def _write(path, magic: str, l: int, r: int, us: np.ndarray, vs: np.ndarray) -> None:
-    pairs = tuple(np.column_stack((us, vs)).ravel().tolist())
-    body = ("%d %d\n" * us.size) % pairs
-    Path(path).write_text(f"{magic} {l} {r} {us.size}\n{body}", encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write(f"{magic} {l} {r} {us.size}\n".encode())
+        for start in range(0, us.size, _WRITE_BLOCK):
+            fh.write(_format(us[start : start + _WRITE_BLOCK], vs[start : start + _WRITE_BLOCK]))
+
+
+def _format(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%d %d\\n"`` for every pair ``(us[i], vs[i])``, as one uint8 array.
+
+    Endpoints lie in ``[0, 2**31)``.  Each column is laid out at the width of
+    its largest value, right-aligned, with digits found by division by 10 on
+    uint32; one compress then drops every leading zero.
+    """
+    xs = [x.astype(np.uint32) for x in (us, vs)]
+    widths = [len(str(int(x.max()) if x.size else 0)) for x in xs]
+    buf = np.empty((us.size, widths[0] + widths[1] + 2), dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    at = 0
+    for x, width, sep in zip(xs, widths, b" \n"):
+        q = x
+        for col in range(at + width - 1, at, -1):
+            nq = q // 10
+            buf[:, col] = q - nq * 10 + 48
+            # The digit left of ``col`` is a leading zero where nothing is left.
+            np.greater(nq, 0, out=keep[:, col - 1])
+            q = nq
+        buf[:, at] = q + 48
+        buf[:, at + width] = sep
+        at += width + 1
+    return buf[keep]

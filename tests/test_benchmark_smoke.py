@@ -1,8 +1,9 @@
-"""One small benchmark run, so the suite sees the benchmark work end to end.
+"""Two small benchmark runs, so the suite sees the benchmark work end to end.
 
 ``perfbench/test_smoke.py`` runs every workload, traced and untraced; it
-lies outside ``testpaths``.  This runs only ``certify`` at smoke size, the
-workload that checks every strategy against the exact optimum.
+lies outside ``testpaths``.  This runs two at smoke size: ``certify``, which
+checks every strategy against the exact optimum, and ``files``, which runs
+the command line's file round trip through the benchmark's own checks.
 """
 import json
 import subprocess
@@ -12,9 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_certify_smoke_run_checks_clean():
+def _run_smoke(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "certify", "--seed", "5",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "5",
          "--seconds", "1", "--trace", "0", "--size", "smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -22,3 +23,11 @@ def test_certify_smoke_run_checks_clean():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0 and result["attempted"] >= 1
+
+
+def test_certify_smoke_run_checks_clean():
+    _run_smoke("certify")
+
+
+def test_files_smoke_run_checks_clean():
+    _run_smoke("files")

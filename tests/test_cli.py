@@ -209,6 +209,45 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(("bad", "offset"), [("graph", 19), ("selection", 21)])
+def test_eval_names_the_stored_byte_of_a_utf8_error(tmp_path, capsys, bad, offset):
+    # "\r\n" counts as two bytes: the offset is the file's own, not the text's.
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 2 2 1\n0 0\n")
+    path = graph if bad == "graph" else sel
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n").replace(b"0\r\n", b"\xff\r\n"))
+    assert main(["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not valid UTF-8 text (invalid start byte at byte {offset})\n"
+
+
+# sha256 of the files these commands write at these seeds.
+_GOLDEN_GEN = "c6df36a2ca3a42f76c848e4063536ecd8786f95292ce959aae44058aa2ef0a1e"
+_GOLDEN_SELECTIONS = {
+    ("sampling", 3, 1): "7a3cf6c65f4a9589f12e592d08f9114a9f6d6b7a5cd8a99e5a3f5be93af86f83",
+    ("greedy", 3, 2): "c8d69efb4123e866173501662c7e38cfd5ca37c9237b89ab58b8e7d356e21ba8",
+    ("partition", 3, 2): "ef664f85d5ecd1764dd4c8165942ba1f047d625055670af1e2a8821ad34a795a",
+}
+
+
+def test_gen_and_solve_files_keep_their_golden_bytes(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    assert main([
+        "gen", "erdos-renyi", "--l", "300", "--r", "300", "--p", "0.02",
+        "--seed", "301", "-o", str(graph),
+    ]) == 0
+    assert hashlib.sha256(graph.read_bytes()).hexdigest() == _GOLDEN_GEN
+    for (algo, c, a), digest in _GOLDEN_SELECTIONS.items():
+        sel = tmp_path / f"{algo}.sel"
+        assert main([
+            "solve", "--graph", str(graph), "--algo", algo, "--c", str(c), "--a", str(a),
+            "--seed", "301", "-o", str(sel),
+        ]) == 0
+        assert hashlib.sha256(sel.read_bytes()).hexdigest() == digest, algo
+
+
 def test_eval_negative_selection_header_exits_2(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("bipartite 2 2 1\n0 0\n")

@@ -141,6 +141,48 @@ def test_writers_emit_canonical_bytes(tmp_path):
     assert spy.call_count == 2
 
 
+# Both ends of every width from 1 to 10 digits, up to the largest endpoint.
+_EDGE_VALUES = [0] + [x for k in range(1, 10) for x in (10**k - 1, 10**k)] + [2**31 - 1]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(u, v) for u in _EDGE_VALUES for v in _EDGE_VALUES],
+        [(v, u) for u, v in zip(_EDGE_VALUES, _EDGE_VALUES[::-1])] * 3,
+        [(2**31 - 1, 0)],
+        [(0, 2**31 - 1)],
+        [],
+    ],
+    ids=["all-widths", "widths-change-per-line", "one-line-wide-u", "one-line-wide-v", "no-line"],
+)
+def test_formatter_matches_percent_d(pairs):
+    us = np.array([u for u, _ in pairs], dtype=np.int64)
+    vs = np.array([v for _, v in pairs], dtype=np.int64)
+    want = (("%d %d\n" * len(pairs)) % tuple(x for pair in pairs for x in pair)).encode()
+    got = rio._format(us, vs)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == want
+
+
+def test_writer_blocks_join_seamlessly(tmp_path):
+    g = gen_erdos_renyi(ErdosRenyiSpec(l=1500, r=1200, p=0.004, seed=17))
+    whole, blocked = tmp_path / "whole.txt", tmp_path / "blocked.txt"
+    write_edge_list(g, whole)
+    # Blocks of 7 lines: most boundaries fall mid-source, one may change widths.
+    with mock.patch.object(rio, "_WRITE_BLOCK", 7):
+        write_edge_list(g, blocked)
+    assert blocked.read_bytes() == whole.read_bytes()
+
+
+def test_utf8_error_names_the_stored_byte_offset(tmp_path):
+    # The offset counts the file's own bytes, "\r\n" as two.
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"bipartite 2 2 1\r\n0 \xff\r\n")
+    with pytest.raises(EdgeListError, match=r"not valid UTF-8 text \(invalid start byte at byte 19\)$"):
+        read_edge_list(p)
+
+
 def test_subgraph_rejects_duplicates(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("recsubgraph 2 2 2\n0 0\n0 0\n")
@@ -220,7 +262,7 @@ def edge_file_text(draw):
     head = [f"{magic} {l} {r} {m}"]
     if draw(st.integers(0, 9)) == 5:
         head.insert(0, "# made by hand")
-    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     return magic, newline.join(head + lines) + draw(st.sampled_from(["", newline]))
 
 
@@ -255,7 +297,7 @@ def test_one_pass_parse_matches_line_loop(tmp_path_factory, case):
     with open(path, encoding="utf-8") as fh:
         loop = _outcome(lambda: rio._parse_lines(path, fh.read(), magic))
     assert fast == loop
-    first, _, body = text.replace("\r\n", "\n").partition("\n")
+    first, _, body = text.replace("\r\n", "\n").replace("\r", "\n").partition("\n")
     if first.startswith(magic) and _WRITER_BODY.fullmatch(body) and not isinstance(loop, str):
         # Writer-style files with edges take the one-call path.
         assert bodies == [body if body.endswith("\n") else body + "\n"]
