@@ -101,11 +101,13 @@ class ErdosRenyiSpec:
 
 
 def gen_fixed_degree(spec: FixedDegreeSpec) -> BipartiteGraph:
-    """Sample the fixed out-degree model; exactly ``l * d`` edges, duplicates kept."""
+    """Sample the fixed out-degree model; exactly ``l * d`` edges, duplicates kept.
+    Each source's row of draws is sorted, so its ``u*r + v`` keys ascend with no global sort."""
     rng = philox_stream(spec.seed, STREAM_GENERATE)
-    ev = rng.integers(0, spec.r, size=spec.l * spec.d, dtype=np.int64)
-    eu = np.repeat(np.arange(spec.l, dtype=np.int64), spec.d)
-    return BipartiteGraph(spec.l, spec.r, eu, ev)
+    keys = rng.integers(0, spec.r, size=(spec.l, spec.d), dtype=np.int64)
+    keys.sort(axis=1)
+    keys += (np.arange(spec.l, dtype=np.int64) * spec.r)[:, None]
+    return BipartiteGraph._from_keys(spec.l, spec.r, keys.ravel())
 
 
 def gen_erdos_renyi(spec: ErdosRenyiSpec) -> BipartiteGraph:
@@ -116,14 +118,13 @@ def gen_erdos_renyi(spec: ErdosRenyiSpec) -> BipartiteGraph:
     edges cost work.
     """
     total = spec.l * spec.r
-    empty = np.empty(0, dtype=np.int64)
     if total == 0 or spec.p <= 0.0:
-        return BipartiteGraph(spec.l, spec.r, empty, empty)
-    if spec.p >= 1.0:
+        idx = np.empty(0, dtype=np.int64)
+    elif spec.p >= 1.0:
         idx = np.arange(total, dtype=np.int64)
     else:
         idx = _gap_walk(total, spec.p, philox_stream(spec.seed, STREAM_GENERATE))
-    return BipartiteGraph(spec.l, spec.r, idx // spec.r, idx % spec.r)
+    return BipartiteGraph._from_keys(spec.l, spec.r, idx)
 
 
 def _gap_walk(total: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -5,13 +5,12 @@ vertices in L to target vertices in R.  A selection keeps at most ``c`` of the
 candidate links per source, and a target counts as covered once it receives at
 least ``a`` distinct selected links.
 
-Adjacency is stored once, as flat CSR-style arrays sorted by source, so
-solvers scan it without per-vertex allocations.  A graph also keeps what its
-solvers derive from it and would otherwise derive again on every solve, each
-computed on first use and read-only: the distinct edge keys and in-degrees,
-each target's distinct sources (``_by_target``: 8 bytes per distinct edge and
-8 per target), and the sampling ranking of the last seed sampled (4 bytes per
-edge).
+Adjacency is stored once, as ascending ``u*r + v`` keys and the flat
+CSR-style arrays decoded from them, so solvers scan it without per-vertex
+allocations.  Endpoint arrays from users are checked pair by pair and sorted;
+generators, readers and :func:`simplify` hand over keys that already ascend,
+which get one check.  A graph also keeps, read-only, what its solvers would
+otherwise derive again on every solve (see :class:`BipartiteGraph`).
 """
 from __future__ import annotations
 
@@ -61,7 +60,8 @@ class BipartiteGraph:
     Edges are kept sorted by (u, v) — ``edge_u``/``edge_v`` with offsets
     ``indptr_l``, so ``edge_v[indptr_l[u]:indptr_l[u+1]]`` is N(u) ascending.
     Parallel edges are preserved: generators that sample with replacement may
-    produce them, file input may not.
+    produce them, file input may not.  The constructor checks and sorts the
+    caller's endpoints; ``_from_keys`` checks keys that already ascend, once.
 
     Views that solvers read at every ``(c, a)`` are computed on first use and
     kept, read-only: :meth:`distinct_keys` and :meth:`distinct_in_degrees`,
@@ -86,16 +86,24 @@ class BipartiteGraph:
     )
 
     def __init__(self, l: int, r: int, edge_u, edge_v) -> None:
-        keys = _pair_keys(l, r, edge_u, edge_v, GraphError)
-        indptr_l, eu, ev = _csr(keys, l, r)
+        self._set_keys(l, r, _pair_keys(l, r, edge_u, edge_v, GraphError))
+
+    @classmethod
+    def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "BipartiteGraph":
+        """Graph of ascending ``u*r + v`` keys, kept as given; refused keys raise GraphError."""
+        _check_keys(l, r, keys, "edge", GraphError)
+        graph = cls.__new__(cls)
+        graph._set_keys(l, r, keys)
+        return graph
+
+    def _set_keys(self, l: int, r: int, keys: np.ndarray) -> None:
+        """Keep checked ascending keys, decoded once into the CSR arrays, read-only."""
         self.l = l
         self.r = r
-        self.m = int(eu.size)
-        self.edge_u = eu
-        self.edge_v = ev
-        self.indptr_l = indptr_l
+        self.indptr_l, self.edge_u, self.edge_v = _csr(keys, l, r)
+        self.m = int(keys.size)
         self._keys = keys
-        for arr in (eu, ev, indptr_l, keys):
+        for arr in (self.edge_u, self.edge_v, self.indptr_l, keys):
             arr.flags.writeable = False
         self._distinct_keys = None
         self._distinct_in_deg = None
@@ -146,8 +154,7 @@ def build_graph(l: int, r: int, edges) -> BipartiteGraph:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise GraphError("edges must be (u, v) pairs")
         return BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
-    empty = np.empty(0, dtype=np.int64)
-    return BipartiteGraph(l, r, empty, empty)
+    return BipartiteGraph._from_keys(l, r, np.empty(0, dtype=np.int64))
 
 
 class RecSubgraph:
@@ -214,19 +221,9 @@ class RecSubgraph:
 
     @classmethod
     def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "RecSubgraph":
-        """Selection of ascending ``u*r + v`` keys; a repeated key is a duplicate pick.
-
-        ``keys`` must be an int64 array that does not decrease, within
-        ``[0, l*r)``; else ``ValueError``.  That implies every check of the
-        raw constructor, so the keys are kept without a copy.
-        """
-        _check_side_limit(l, r, ValueError)
-        if keys.dtype != np.int64:
-            raise ValueError(f"selection keys must be int64, got {keys.dtype}")
-        if keys.size and (
-            keys[0] < 0 or keys[-1] >= l * r or np.count_nonzero(keys[1:] < keys[:-1])
-        ):
-            raise ValueError(f"selection keys must ascend within [0, {l * r})")
+        """Selection of ascending ``u*r + v`` keys, kept as given; a repeat is a duplicate
+        pick.  :func:`_check_keys` implies every check of the raw constructor."""
+        _check_keys(l, r, keys, "selection", ValueError)
         sel = cls.__new__(cls)
         sel._set_keys(l, r, keys)
         return sel
@@ -273,7 +270,7 @@ def simplify(graph: BipartiteGraph) -> BipartiteGraph:
     """The same graph with parallel edges collapsed to one."""
     if not graph.has_parallel_edges():
         return graph
-    return BipartiteGraph(graph.l, graph.r, *np.divmod(graph.distinct_keys(), graph.r))
+    return BipartiteGraph._from_keys(graph.l, graph.r, graph.distinct_keys())
 
 
 def validate(
@@ -375,6 +372,16 @@ def _check_side_limit(l: int, r: int, error: type[ValueError]) -> None:
         raise error(
             f"side sizes must be < 2**31 (so l*r < 2**63 fits int64 edge keys), got l={l}, r={r}"
         )
+
+
+def _check_keys(l: int, r: int, keys: np.ndarray, noun: str, error: type[ValueError]) -> None:
+    """Raise ``error`` unless the sides pass :func:`_check_side_limit` and
+    ``keys`` is an int64 array that does not decrease, within ``[0, l*r)``."""
+    _check_side_limit(l, r, error)
+    if keys.dtype != np.int64:
+        raise error(f"{noun} keys must be int64, got {keys.dtype}")
+    if keys.size and (keys[0] < 0 or keys[-1] >= l * r or np.count_nonzero(keys[1:] < keys[:-1])):
+        raise error(f"{noun} keys must ascend within [0, {l * r})")
 
 
 def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.ndarray:

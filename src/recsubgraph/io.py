@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .graph import BipartiteGraph, GraphError, RecSubgraph, _distinct_sorted, simplify
+from .graph import BipartiteGraph, RecSubgraph, _check_side_limit, _distinct_sorted, simplify
 
 __all__ = [
     "EdgeListError",
@@ -164,13 +164,24 @@ def _parse_lines(path, text: str, magic: str) -> tuple[int, int, np.ndarray, np.
     return l, r, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
 
+def _parse_keys(path, magic: str) -> tuple[int, int, np.ndarray]:
+    """Header sides and the ascending ``u*r + v`` keys of the edge lines, encoded
+    once the sides pass and sorted only if a line descends (a writer's never does)."""
+    l, r, us, vs = _parse(path, magic)
+    try:
+        _check_side_limit(l, r, ValueError)
+    except ValueError as exc:
+        raise EdgeListError(f"{path}: {exc}") from exc
+    keys = us * r
+    keys += vs
+    if np.count_nonzero(keys[1:] < keys[:-1]):
+        keys.sort()
+    return l, r, keys
+
+
 def read_edge_list(path) -> BipartiteGraph:
     """Read a graph file; duplicate edge lines are dropped with a warning."""
-    l, r, us, vs = _parse(path, GRAPH_MAGIC)
-    try:
-        graph = BipartiteGraph(l, r, us, vs)
-    except GraphError as exc:
-        raise EdgeListError(f"{path}: {exc}") from exc
+    graph = BipartiteGraph._from_keys(*_parse_keys(path, GRAPH_MAGIC))
     if graph.has_parallel_edges():
         warnings.warn(
             f"{path}: {graph.m - graph.distinct_keys().size} duplicate edge line(s) ignored",
@@ -191,14 +202,10 @@ def write_edge_list(graph: BipartiteGraph, path) -> None:
 
 def read_subgraph(path) -> RecSubgraph:
     """Read a selection file.  Duplicate picks are an error, not a warning."""
-    l, r, us, vs = _parse(path, SUBGRAPH_MAGIC)
-    try:
-        sub = RecSubgraph.from_edges(l, r, us, vs)
-    except ValueError as exc:
-        raise EdgeListError(f"{path}: {exc}") from exc
-    if _distinct_sorted(sub._keys).size < sub.n_selected:
+    l, r, keys = _parse_keys(path, SUBGRAPH_MAGIC)
+    if _distinct_sorted(keys).size < keys.size:
         raise EdgeListError(f"{path}: duplicate selection lines")
-    return sub
+    return RecSubgraph._from_keys(l, r, keys)
 
 
 def write_subgraph(sub: RecSubgraph, path) -> None:

@@ -1,9 +1,10 @@
-"""Two small benchmark runs, so the suite sees the benchmark work end to end.
+"""Three small benchmark runs, so the suite sees the benchmark work end to end.
 
 ``perfbench/test_smoke.py`` runs every workload, traced and untraced; it
-lies outside ``testpaths``.  This runs two at smoke size: ``certify``, which
-checks every strategy against the exact optimum, and ``files``, which runs
-the command line's file round trip through the benchmark's own checks.
+lies outside ``testpaths``.  This runs three at smoke size: ``certify``,
+which checks every strategy against the exact optimum, ``files``, which runs
+the command line's file round trip through the benchmark's own checks, and
+``bulk``, which runs the fixed-degree generator's graph through them.
 """
 import json
 import subprocess
@@ -31,3 +32,7 @@ def test_certify_smoke_run_checks_clean():
 
 def test_files_smoke_run_checks_clean():
     _run_smoke("files")
+
+
+def test_bulk_smoke_run_checks_clean():
+    _run_smoke("bulk")

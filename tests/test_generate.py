@@ -1,4 +1,5 @@
 """Random instance generators: exact shapes, determinism, and distribution checks."""
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +34,31 @@ def test_fixed_degree_tiny_target_space():
     assert g.m == 6
     assert g.edge_v[g.indptr_l[0] : g.indptr_l[1]].tolist() == [0, 0]
     assert g.has_parallel_edges()
+
+
+@pytest.mark.parametrize(
+    ("make", "digest"),
+    [
+        # Parallel edges: equal draws of one source stay side by side.
+        (lambda: gen_fixed_degree(FixedDegreeSpec(300, 1200, 20, 301)),
+         "6e323c37c5ca3e11626f4afe21b88cb24a4d8c6f6c50dd929814f44962f532a7"),
+        (lambda: gen_fixed_degree(FixedDegreeSpec(0, 5, 3, 1)),
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (lambda: gen_fixed_degree(FixedDegreeSpec(7, 1, 4, 2)),
+         "a5ae1d9043dc7b09b31640302acb9adc55be38b127548510ba39a0b7d56f3544"),
+        (lambda: gen_fixed_degree(FixedDegreeSpec(1000, 50, 1, 3)),
+         "979f6cc7ee533f2680b64f704b6e9f5484a2c2b333e34221a9ee2f42f4af7580"),
+        (lambda: gen_erdos_renyi(ErdosRenyiSpec(300, 300, 0.02, 301)),
+         "bb3b4a513346bcdfb70395cabde64b743aeb4970283b395b2392ed92c79ce7c9"),
+        (lambda: gen_erdos_renyi(ErdosRenyiSpec(4, 5, 1.0, 0)),
+         "f5c4cb24f4c9b43e624e0a83cb11934f932dbd5db24eee67fed696354ac88a61"),
+    ],
+    ids=["fd-300x1200", "fd-edgeless", "fd-one-target", "fd-d1", "er-300x300", "er-p1"],
+)
+def test_generators_keep_their_bytes(make, digest):
+    # Every spec's edge keys are pinned, so a change to the draw order or to
+    # how the draws become keys shows here.
+    assert hashlib.sha256(make().edge_keys().tobytes()).hexdigest() == digest
 
 
 def test_fixed_degree_deterministic():

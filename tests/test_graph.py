@@ -581,6 +581,68 @@ def test_from_keys_refuses_keys_that_do_not_ascend_in_range_as_int64(keys):
         RecSubgraph._from_keys(2, 3, keys)
 
 
+@pytest.mark.parametrize(
+    ("l", "r", "keys", "message"),
+    [
+        (2, 3, np.array([0, 1], dtype=np.int32), r"edge keys must be int64, got int32"),
+        (2, 3, np.array([0.0, 1.0]), r"edge keys must be int64, got float64"),
+        (2, 3, np.array([3, 1], dtype=np.int64), r"edge keys must ascend within \[0, 6\)"),
+        (2, 3, np.array([-1, 2], dtype=np.int64), r"edge keys must ascend within \[0, 6\)"),
+        (2, 3, np.array([0, 6], dtype=np.int64), r"edge keys must ascend within \[0, 6\)"),
+        (2, 3, np.array([7], dtype=np.int64), r"edge keys must ascend within \[0, 6\)"),
+        (2**31, 1, np.empty(0, dtype=np.int64), r"side sizes must be < 2\*\*31"),
+        (1, 2**31, np.empty(0, dtype=np.int64), r"side sizes must be < 2\*\*31"),
+    ],
+    ids=["int32", "float", "descending", "negative", "l*r", "past-l*r", "huge-l", "huge-r"],
+)
+def test_graph_from_keys_refuses_keys_that_do_not_ascend_in_range_as_int64(l, r, keys, message):
+    with pytest.raises(GraphError, match=message):
+        BipartiteGraph._from_keys(l, r, keys)
+
+
+@st.composite
+def keyed_multigraph(draw):
+    """Sides (edgeless and one-target graphs included) and endpoint pairs that may repeat."""
+    l = draw(st.integers(0, 6))
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 30)) if l else 0
+    us = draw(st.lists(st.integers(0, max(l - 1, 0)), min_size=n, max_size=n))
+    vs = draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    return l, r, np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+@given(keyed_multigraph())
+@settings(max_examples=300)
+@example((0, 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+@example((2, 1, np.array([1, 0, 1, 1]), np.array([0, 0, 0, 0])))
+def test_graph_from_keys_equals_the_checked_constructor(pack):
+    l, r, us, vs = pack
+    want = BipartiteGraph(l, r, us, vs)
+    keys = np.sort(us * r + vs)
+    got = BipartiteGraph._from_keys(l, r, keys)
+    assert got.edge_keys() is keys
+    assert (got.l, got.r, got.m) == (want.l, want.r, want.m)
+    for name in ("edge_keys", "distinct_keys", "distinct_in_degrees"):
+        assert getattr(got, name)().tolist() == getattr(want, name)().tolist()
+    for name in ("edge_u", "edge_v", "indptr_l"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for arr in (got.edge_keys(), got.edge_u, got.edge_v, got.indptr_l):
+        assert not arr.flags.writeable
+    assert got.has_parallel_edges() == want.has_parallel_edges()
+
+    # simplify builds from the graph's distinct keys, which it shares.
+    s = simplify(got)
+    again = BipartiteGraph(l, r, *np.divmod(got.distinct_keys(), r))
+    assert not s.has_parallel_edges()
+    assert s.edge_keys().tolist() == again.edge_keys().tolist()
+    assert (s.edge_u.tolist(), s.edge_v.tolist()) == (again.edge_u.tolist(), again.edge_v.tolist())
+    assert s.indptr_l.tolist() == again.indptr_l.tolist()
+    if got.has_parallel_edges():
+        assert s.edge_keys() is got.distinct_keys()
+    else:
+        assert s is got
+
+
 @st.composite
 def keyed_selection(draw):
     """A multigraph, edgeless ones included, and a multiset of pick keys

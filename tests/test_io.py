@@ -193,9 +193,12 @@ def test_subgraph_rejects_duplicates(tmp_path):
 @pytest.mark.parametrize(
     ("read", "magic"), [(read_edge_list, "bipartite"), (read_subgraph, "recsubgraph")]
 )
-@pytest.mark.parametrize("sides", [(10**11, 5), (5, 10**11), (2**31, 1), (1, 2**31)])
+@pytest.mark.parametrize(
+    "sides", [(10**11, 5), (5, 10**11), (2**31, 1), (1, 2**31), (2, 2**64), (2**64, 2)]
+)
 def test_huge_header_sides_are_malformed(tmp_path, read, magic, sides):
-    # The side cap is checked before anything of size l or r is allocated.
+    # The side cap is checked before anything of size l or r is allocated,
+    # and before the keys u*r + v are encoded: numpy cannot hold a side of 2**64.
     p = tmp_path / "huge.txt"
     p.write_text(f"{magic} {sides[0]} {sides[1]} 1\n0 0\n")
     with pytest.raises(EdgeListError, match=r"huge\.txt: side sizes must be < 2\*\*31"):
