@@ -7,8 +7,10 @@ least ``a`` distinct selected links.
 
 Adjacency is stored once, as ascending ``u*r + v`` keys and the flat
 CSR-style arrays decoded from them, so solvers scan it without per-vertex
-allocations.  Endpoint arrays from users are checked pair by pair and sorted;
-generators, readers and :func:`simplify` hand over keys that already ascend,
+allocations.  Users build graphs and selections alike,
+``BipartiteGraph(l, r, u, v)`` and ``RecSubgraph(l, r, u, v)``, from
+endpoint arrays that are checked pair by pair and sorted; generators,
+readers, solvers and :func:`simplify` hand over keys that already ascend,
 which get one check.  A graph also keeps, read-only, what its solvers would
 otherwise derive again on every solve (see :class:`BipartiteGraph`).
 """
@@ -160,69 +162,27 @@ def build_graph(l: int, r: int, edges) -> BipartiteGraph:
 class RecSubgraph:
     """A per-source choice of targets: the links a selection keeps.
 
+    Built, like :class:`BipartiteGraph`, from parallel pick arrays
+    ``(sel_u[i], sel_v[i])`` in any order, with the same checks and
+    messages: a pick outside ``[0,l)×[0,r)`` is named as given, and arrays
+    of more than one dimension, of unequal length or not of integers are
+    refused.  The selection keeps none of the caller's arrays, so later
+    writes to them do not reach it.  Duplicate picks are kept for
+    :func:`validate` to report.
+
     Stored flat: ``targets[indptr[u]:indptr[u+1]]`` are the picks of source u,
-    sorted ascending, beside their ascending ``u*r + v`` keys, all read-only
-    as in ``BipartiteGraph``.  Construction does not deduplicate —
-    :func:`validate` reports duplicate picks as violations.  The raw
-    constructor refuses targets that are not 1-D, non-integer arrays, offsets
-    that do not form a CSR, a source whose picks decrease, and a target
-    outside ``[0, r)``, named as given.  It keeps none of the caller's
-    arrays, so later writes to them do not reach the selection.
+    ascending, beside their ascending ``u*r + v`` keys, all read-only.
     """
 
     __slots__ = ("l", "r", "indptr", "targets", "_keys")
 
-    def __init__(self, l: int, r: int, indptr, targets) -> None:
-        _check_side_limit(l, r, ValueError)
-        indptr = np.asarray(indptr)
-        targets = np.asarray(targets)
-        if targets.ndim != 1:
-            raise ValueError(f"selection targets must be 1-D, got {targets.ndim}-D")
-        if indptr.dtype.kind not in "iu" or (targets.size and targets.dtype.kind not in "iu"):
-            raise ValueError(
-                f"selection offsets and targets must be integers, got {indptr.dtype} and "
-                f"{targets.dtype} arrays"
-            )
-        ptr = indptr.astype(np.int64, copy=False)
-        if ptr.shape != (l + 1,) or ptr[0] != 0 or ptr[-1] != targets.size:
-            raise ValueError("inconsistent selection offsets")
-        if (ptr[1:] < ptr[:-1]).any():
-            raise ValueError("selection offsets must not decrease")
-        # Both checks below read the targets as given, so an unsigned target
-        # of 2**63 or more neither wraps negative nor is named as another value.
-        # falls[j]: pick j is below pick j-1 of the same source.  The offsets
-        # hold 0 and the pick count, so clearing them also clears the two
-        # unwritten end slots.  Equal neighbours are left for validate.
-        falls = np.empty(targets.size + 1, dtype=bool)
-        np.less(targets[1:], targets[:-1], out=falls[1:-1])
-        falls[ptr] = False
-        if np.count_nonzero(falls):
-            u = int(np.searchsorted(ptr, falls.argmax(), side="right")) - 1
-            raise ValueError(f"targets of source {u} must not decrease")
-        # An out-of-range target would alias another pick's key.
-        bad = (targets < 0) | (targets >= r)
-        if bad.any():
-            j = int(bad.argmax())
-            u = int(np.searchsorted(ptr, j, side="right")) - 1
-            raise ValueError(f"target out of range ({u},{int(targets[j])})")
-        # Sources ascend and each source's targets do not decrease, so the keys ascend.
-        keys = np.repeat(np.arange(l, dtype=np.int64), np.diff(ptr)) * r
-        keys += targets.astype(np.int64, copy=False)
-        self._set_keys(l, r, keys)
-
-    @classmethod
-    def from_edges(cls, l: int, r: int, sel_u, sel_v) -> "RecSubgraph":
-        """Selection of the picks ``(sel_u[i], sel_v[i])``, given in any order.
-
-        Raises ``ValueError`` naming the first pick outside ``[0,l)×[0,r)``;
-        duplicate picks are kept for :func:`validate` to report.
-        """
-        return cls._from_keys(l, r, _pair_keys(l, r, sel_u, sel_v, ValueError))
+    def __init__(self, l: int, r: int, sel_u, sel_v) -> None:
+        self._set_keys(l, r, _pair_keys(l, r, sel_u, sel_v, ValueError))
 
     @classmethod
     def _from_keys(cls, l: int, r: int, keys: np.ndarray) -> "RecSubgraph":
         """Selection of ascending ``u*r + v`` keys, kept as given; a repeat is a duplicate
-        pick.  :func:`_check_keys` implies every check of the raw constructor."""
+        pick.  Refused keys raise ValueError."""
         _check_keys(l, r, keys, "selection", ValueError)
         sel = cls.__new__(cls)
         sel._set_keys(l, r, keys)

@@ -18,10 +18,10 @@ on the first line, then ``m`` lines of ``digits SPACE digits`` of at most 10
 digits each, every line ended by a newline except perhaps the last -- is
 checked and parsed from those bytes in one :func:`numpy.fromstring` call.
 Every other file (tabs, padding, blank lines, comments, signs) and any
-writer-style file with an out-of-range endpoint is decoded as UTF-8 and goes
-through a line loop, which returns the same arrays or names the first
-malformed line in its :class:`EdgeListError`.  Writers format the lines in
-numpy, a block of lines at a time, and write bytes.
+writer-style file with an out-of-range side or endpoint is decoded as UTF-8
+and goes through a line loop, which returns the same arrays or names the
+first malformed line in its :class:`EdgeListError`.  Writers format the
+lines in numpy, a block of lines at a time, and write bytes.
 """
 from __future__ import annotations
 
@@ -56,9 +56,10 @@ def _parse(path, magic: str) -> tuple[int, int, np.ndarray, np.ndarray]:
     (``\\r\\n`` and a lone ``\\r`` are ``\\n``).  A writer-style file (see the
     module docstring) is parsed from those bytes by :func:`_parse_plain` in
     one :func:`numpy.fromstring` call.  Every other file, and a writer-style
-    file with an out-of-range endpoint, is decoded and goes through
+    file with an out-of-range side or endpoint, is decoded and goes through
     :func:`_parse_lines`, which reads it line by line and raises
-    :class:`EdgeListError` naming the first bad line.
+    :class:`EdgeListError` for sides past the limit as soon as it reads the
+    header, and otherwise names the first bad line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -92,6 +93,7 @@ def _parse_plain(text: bytes, magic: str) -> tuple[int, int, np.ndarray, np.ndar
         return None
     try:
         l, r, m = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        _check_side_limit(l, r, ValueError)
     except ValueError:
         return None
     if not body.endswith(b"\n"):
@@ -135,6 +137,11 @@ def _parse_lines(path, text: str, magic: str) -> tuple[int, int, np.ndarray, np.
                 raise EdgeListError(
                     f"{path}: line {lineno}: non-integer header field in {line!r}"
                 ) from None
+            # Before any line: endpoints then lie below 2**31, so int64 holds them.
+            try:
+                _check_side_limit(header[0], header[1], ValueError)
+            except ValueError as exc:
+                raise EdgeListError(f"{path}: {exc}") from None
             continue
         if len(tokens) != 2:
             raise EdgeListError(
@@ -165,13 +172,9 @@ def _parse_lines(path, text: str, magic: str) -> tuple[int, int, np.ndarray, np.
 
 
 def _parse_keys(path, magic: str) -> tuple[int, int, np.ndarray]:
-    """Header sides and the ascending ``u*r + v`` keys of the edge lines, encoded
-    once the sides pass and sorted only if a line descends (a writer's never does)."""
+    """Header sides and the ascending ``u*r + v`` keys of the edge lines, sorted
+    only if a line descends (a writer's never does)."""
     l, r, us, vs = _parse(path, magic)
-    try:
-        _check_side_limit(l, r, ValueError)
-    except ValueError as exc:
-        raise EdgeListError(f"{path}: {exc}") from exc
     keys = us * r
     keys += vs
     if np.count_nonzero(keys[1:] < keys[:-1]):

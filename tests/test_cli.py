@@ -190,6 +190,24 @@ def test_huge_header_sides_exit_2(tmp_path, capsys, huge):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("huge", ["graph", "selection"])
+def test_eval_endpoint_of_2_63_under_a_side_of_2_64_exits_2(tmp_path, capsys, huge):
+    # The endpoint is within the header's side, but int64 cannot hold it:
+    # the side check must come before the lines are converted.
+    graph = tmp_path / "g.txt"
+    graph.write_text("bipartite 2 2 1\n0 0\n")
+    sel = tmp_path / "s.txt"
+    sel.write_text("recsubgraph 2 2 1\n0 0\n")
+    bad = graph if huge == "graph" else sel
+    magic = "bipartite" if huge == "graph" else "recsubgraph"
+    bad.write_text(f"{magic} {2**64} 2 1\n{2**63} 0\n")
+    assert main(["eval", "--graph", str(graph), "--subgraph", str(sel), "--a", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: side sizes must be < 2**31")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["graph", "selection"])
 def test_non_utf8_file_exits_2(tmp_path, capsys, bad):
     graph = tmp_path / "g.txt"

@@ -36,7 +36,7 @@ def test_single_edge_counts():
 def test_reprs_give_the_sizes():
     g = build_graph(2, 3, [(0, 0), (0, 0), (1, 2)])
     assert repr(g) == "BipartiteGraph(l=2, r=3, m=3)"
-    assert repr(RecSubgraph(2, 3, [0, 1, 2], [0, 2])) == "RecSubgraph(l=2, r=3, selected=2)"
+    assert repr(RecSubgraph(2, 3, [0, 1], [0, 2])) == "RecSubgraph(l=2, r=3, selected=2)"
 
 
 def test_adjacency_sorted_both_ways():
@@ -76,12 +76,19 @@ def test_graph_refuses_non_integer_endpoints_and_sides(build):
 
 
 def test_non_integer_picks_refused_and_empty_input_accepted():
-    with pytest.raises(ValueError, match="must be integers"):
-        RecSubgraph.from_edges(2, 3, [1.9], [2.2])  # once picked (1, 2)
+    for sel_u, sel_v in [
+        ([1.9], [2.2]),  # once picked (1, 2)
+        ([0], [2.0]),
+        ([0.0], [2]),
+        ([0], [True]),
+        (np.array([0], dtype=np.float32), np.array([2], dtype=np.int32)),
+    ]:
+        with pytest.raises(ValueError, match="must be integers"):
+            RecSubgraph(2, 3, sel_u, sel_v)
     # An empty list is a float64 array; it is still an empty edge set.
     assert build_graph(2, 3, []).m == 0
     assert BipartiteGraph(2, 3, [], []).m == 0
-    assert RecSubgraph.from_edges(2, 3, [], []).n_selected == 0
+    assert RecSubgraph(2, 3, [], []).n_selected == 0
     unsigned = np.array([1], dtype=np.uint32)
     assert BipartiteGraph(2, 3, unsigned, unsigned).edge_list() == [(1, 1)]
 
@@ -293,28 +300,28 @@ def test_params_validation():
 
 def test_coverage_single_edge():
     g = build_graph(1, 1, [(0, 0)])
-    h = RecSubgraph.from_edges(1, 1, [0], [0])
+    h = RecSubgraph(1, 1, [0], [0])
     assert coverage(g, h, 1) == 1
     assert coverage(g, h, 2) == 0
 
 
 def test_coverage_two_sources_one_target():
     g = build_graph(2, 1, [(0, 0), (1, 0)])
-    h = RecSubgraph.from_edges(2, 1, [0, 1], [0, 0])
+    h = RecSubgraph(2, 1, [0, 1], [0, 0])
     assert coverage(g, h, 2) == 1
 
 
 @pytest.mark.parametrize("a", [1.5, True, 0, "1"])
 def test_coverage_refuses_a_that_is_not_a_positive_integer(a):
     g = build_graph(1, 1, [(0, 0)])
-    h = RecSubgraph.from_edges(1, 1, [0], [0])
+    h = RecSubgraph(1, 1, [0], [0])
     with pytest.raises(ValueError, match="a must be an integer >= 1"):
         coverage(g, h, a)
 
 
 def test_coverage_rejects_invalid_selection(monkeypatch):
     g = build_graph(2, 4, [(0, 0), (1, 1)])
-    bad = RecSubgraph.from_edges(2, 4, [0], [3])
+    bad = RecSubgraph(2, 4, [0], [3])
     with pytest.raises(SubgraphValidationError, match=r"^non-candidate edge \(0,3\)$"):
         coverage(g, bad, 1)
     # solve() names the strategy that produced the selection.
@@ -327,42 +334,38 @@ def test_coverage_rejects_invalid_selection(monkeypatch):
 
 def test_validate_clean():
     g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
-    h = RecSubgraph.from_edges(2, 2, [0, 1], [0, 0])
+    h = RecSubgraph(2, 2, [0, 1], [0, 0])
     assert validate(g, h, ProblemParams(c=1, a=1)) == []
 
 
 def test_validate_reports_cap():
     g = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
-    h = RecSubgraph.from_edges(1, 3, [0, 0], [0, 1])
+    h = RecSubgraph(1, 3, [0, 0], [0, 1])
     assert validate(g, h, ProblemParams(c=1, a=1)) == ["degree cap violated at u=0"]
 
 
 def test_validate_reports_duplicate():
     g = build_graph(1, 2, [(0, 0), (0, 1)])
-    h = RecSubgraph.from_edges(1, 2, [0, 0], [0, 0])
+    h = RecSubgraph(1, 2, [0, 0], [0, 0])
     problems = validate(g, h, ProblemParams(c=3, a=1))
     assert problems == ["duplicate edge (0,0)"]
 
 
 def test_raw_selection_refuses_target_out_of_range():
     # Target 4 of source 0 would alias the key of candidate (1, 1) at r=3.
-    with pytest.raises(ValueError, match=r"^target out of range \(0,4\)$"):
-        RecSubgraph(2, 3, [0, 1, 1], [4])
-    with pytest.raises(ValueError, match=r"^target out of range \(1,-1\)$"):
-        RecSubgraph(2, 3, [0, 1, 2], [0, -1])
     with pytest.raises(ValueError, match=r"out of range at index 0: \(0, 4\)"):
-        RecSubgraph.from_edges(2, 3, [0], [4])
+        RecSubgraph(2, 3, [0], [4])
+    with pytest.raises(ValueError, match=r"out of range at index 1: \(1, -1\)"):
+        RecSubgraph(2, 3, [0, 1], [0, -1])
     # An unsigned target too large for int64 is refused as given, not as -1.
-    with pytest.raises(ValueError, match=r"^target out of range \(1,18446744073709551615\)$"):
-        RecSubgraph(2, 2, [0, 0, 1], np.array([2**64 - 1], np.uint64))
+    with pytest.raises(ValueError, match=r"at index 0: \(1, 18446744073709551615\)"):
+        RecSubgraph(2, 2, np.array([1], np.uint64), np.array([2**64 - 1], np.uint64))
 
 
-@pytest.mark.parametrize("targets, ndim", [(5, 0), ([[2]], 2)])
-def test_raw_selection_refuses_targets_that_are_not_1d(targets, ndim):
-    # Refused before anything indexes them: a scalar once died with
-    # IndexError, a 2-D array with numpy's broadcasting message.
-    with pytest.raises(ValueError, match=rf"^selection targets must be 1-D, got {ndim}-D$"):
-        RecSubgraph(1, 3, [0, 1], targets)
+@pytest.mark.parametrize("l, r", [(-1, 2), (2, -1)])
+def test_selection_refuses_negative_sides(l, r):
+    with pytest.raises(ValueError, match=r"^[lr] must be an integer >= 0, got -1$"):
+        RecSubgraph(l, r, [], [])
 
 
 @pytest.mark.parametrize(
@@ -372,73 +375,47 @@ def test_raw_selection_refuses_targets_that_are_not_1d(targets, ndim):
         ([0, 0], [2]),  # unequal lengths
     ],
 )
-def test_from_edges_refuses_pairs_that_are_not_1d_and_equal_length(sel_u, sel_v):
+def test_selection_refuses_picks_that_are_not_1d_and_equal_length(sel_u, sel_v):
     with pytest.raises(ValueError, match=r"^edge endpoint arrays must be 1-D and equal length$"):
-        RecSubgraph.from_edges(1, 3, sel_u, sel_v)
-
-
-@pytest.mark.parametrize(
-    "l, r, indptr, targets",
-    [
-        (-1, 2, [], []),  # negative side size
-        (2, -1, [0, 0, 0], []),
-        (2, 2, [0, 2, 1], [0]),  # offsets decrease
-        (2, 2, [1, 1, 1], [0]),  # offsets do not start at 0
-        (2, 2, [0, 1], [0]),  # wrong number of offsets
-        (2, 2, [0, 1, 2], [0]),  # last offset is not the target count
-        (1, 3, [0, 2], [2, 0]),  # a source's targets decrease
-    ],
-)
-def test_selection_offsets_must_form_a_csr(l, r, indptr, targets):
-    with pytest.raises(ValueError):
-        RecSubgraph(l, r, indptr, targets)
-
-
-@pytest.mark.parametrize(
-    "indptr, targets",
-    [
-        ([0, 1.7], [2.9]),  # once truncated to indptr [0 1], targets [2]
-        ([0, 1], [2.0]),
-        ([0.0, 1.0], [2]),
-        ([0, 1], [True]),
-        (np.array([0, 1], dtype=np.float32), np.array([2], dtype=np.int32)),
-    ],
-)
-def test_selection_arrays_must_be_integers(indptr, targets):
-    with pytest.raises(ValueError, match="offsets and targets must be integers"):
-        RecSubgraph(1, 3, indptr, targets)
+        RecSubgraph(1, 3, sel_u, sel_v)
 
 
 def test_selection_copies_the_callers_arrays():
-    indptr = np.array([0, 1], dtype=np.int64)
-    targets = np.array([2], dtype=np.int64)
-    h = RecSubgraph(1, 3, indptr, targets)
-    assert indptr.flags.writeable and targets.flags.writeable
-    targets[0] = 1
-    indptr[1] = 0
+    sel_u = np.array([0], dtype=np.int64)
+    sel_v = np.array([2], dtype=np.int64)
+    h = RecSubgraph(2, 3, sel_u, sel_v)
+    assert sel_u.flags.writeable and sel_v.flags.writeable
+    sel_v[0] = 1
+    sel_u[0] = 1
     assert h.edge_list() == [(0, 2)]
-    assert h.indptr.tolist() == [0, 1]
+    assert h.indptr.tolist() == [0, 1, 1]
     assert not (h.indptr.flags.writeable or h.targets.flags.writeable)
 
 
 def test_selection_accepts_any_integer_dtype_and_empty_targets():
-    h = RecSubgraph(1, 3, np.array([0, 1], dtype=np.uint8), np.array([2], dtype=np.int16))
+    h = RecSubgraph(1, 3, np.array([0], dtype=np.uint8), np.array([2], dtype=np.int16))
     assert h.indptr.dtype == h.targets.dtype == np.int64
     assert h.edge_list() == [(0, 2)]
-    assert RecSubgraph(2, 3, [0, 0, 0], []).n_selected == 0
+    assert RecSubgraph(2, 3, np.empty(0, dtype=np.uint8), []).n_selected == 0
 
 
 def _offsets(lists) -> list[int]:
     return [0, *accumulate(len(xs) for xs in lists)]
 
 
+def _picks(lists) -> tuple[list[int], list[int]]:
+    """Pick arrays ``(sel_u, sel_v)`` of per-source target lists."""
+    return [u for u, xs in enumerate(lists) for _ in xs], [v for xs in lists for v in xs]
+
+
 @st.composite
 def raw_selection(draw):
-    """A candidate graph and a raw selection that may break every rule the
-    constructor leaves to :func:`validate`.
+    """A candidate graph and a selection, as per-source target lists, that
+    may break every rule the constructor leaves to :func:`validate`.
 
-    Each source's picks are drawn in range and ascending, as the constructor
-    requires.
+    Each source's picks are drawn in range and ascending, so that the lists
+    also make a valid call of the constructor's old form,
+    ``RecSubgraph(l, r, _offsets(lists), flat_targets)``.
     """
     l = draw(st.integers(1, 5))
     r = draw(st.integers(1, 5))
@@ -462,7 +439,7 @@ def raw_selection(draw):
 def test_validate_reports_exactly_the_bad_picks(pack, c, at, stray):
     l, r, edges, lists = pack
     g = build_graph(l, r, edges)
-    h = RecSubgraph(l, r, _offsets(lists), [v for xs in lists for v in xs])
+    h = RecSubgraph(l, r, *_picks(lists))
     params = None if c is None else ProblemParams(c=c, a=1)
 
     want = []
@@ -483,17 +460,33 @@ def test_validate_reports_exactly_the_bad_picks(pack, c, at, stray):
     # One more pick outside [0, r) is refused before validate sees it.
     u, v = at % l, stray if stray < 0 else r + stray
     bad = [sorted([*xs, v]) if i == u else xs for i, xs in enumerate(lists)]
-    with pytest.raises(ValueError, match=rf"^target out of range \({u},{v}\)$"):
-        RecSubgraph(l, r, _offsets(bad), [x for xs in bad for x in xs])
+    with pytest.raises(ValueError, match=rf"out of range at index \d+: \({u}, {v}\)"):
+        RecSubgraph(l, r, *_picks(bad))
+
+
+@given(raw_selection())
+@settings(max_examples=300)
+def test_old_offsets_form_is_refused_never_misread(pack):
+    # Offsets and flat targets of the same length put the last offset, the
+    # pick count l + 1, among the sources: out of range.
+    l, r, _, lists = pack
+    flat = [v for xs in lists for v in xs]
+    want = (
+        r"^edge endpoint arrays must be 1-D and equal length$"
+        if len(flat) != l + 1
+        else rf"^endpoint out of range at index \d+: \(\d+, \d+\) with l={l}, r={r}$"
+    )
+    with pytest.raises(ValueError, match=want):
+        RecSubgraph(l, r, _offsets(lists), flat)
 
 
 @given(shuffled_multigraph())
 @settings(max_examples=200)
-def test_from_edges_matches_lexsort(pack):
+def test_selection_matches_lexsort(pack):
     l, r, picks = pack
     su = np.array([u for u, _ in picks], dtype=np.int64)
     sv = np.array([v for _, v in picks], dtype=np.int64)
-    h = RecSubgraph.from_edges(l, r, su, sv)
+    h = RecSubgraph(l, r, su, sv)
     order = np.lexsort((sv, su))
     assert h.indptr.tolist() == [0, *np.cumsum(np.bincount(su, minlength=l)).tolist()]
     assert h.targets.tolist() == sv[order].tolist()
@@ -502,14 +495,14 @@ def test_from_edges_matches_lexsort(pack):
 
 def test_validate_reports_dimension_mismatch():
     g = build_graph(2, 2, [(0, 0)])
-    h = RecSubgraph.from_edges(3, 2, [], [])
+    h = RecSubgraph(3, 2, [], [])
     assert "dimension mismatch" in validate(g, h)[0]
 
 
 def _keep_all(g):
     """The no-pruning selection: every distinct candidate link."""
     s = simplify(g)
-    return RecSubgraph.from_edges(s.l, s.r, s.edge_u, s.edge_v)
+    return RecSubgraph(s.l, s.r, s.edge_u, s.edge_v)
 
 
 def test_full_subgraph_coverage_counts_degrees():
@@ -534,7 +527,7 @@ def small_graph_and_selection(draw):
     g = build_graph(l, r, edges)
     keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     chosen = [e for e, flag in zip(sorted(edges), keep) if flag]
-    sel = RecSubgraph.from_edges(l, r, [u for u, _ in chosen], [v for _, v in chosen])
+    sel = RecSubgraph(l, r, [u for u, _ in chosen], [v for _, v in chosen])
     return g, sel, chosen
 
 
@@ -558,7 +551,7 @@ def test_validate_accepts_any_subselection(pack):
 
 def test_selection_round_trips_lists():
     lists = [[1, 3], [], [0]]
-    h = RecSubgraph.from_edges(3, 4, [0, 0, 2], [3, 1, 0])
+    h = RecSubgraph(3, 4, [0, 0, 2], [3, 1, 0])
     assert [h.targets[lo:hi].tolist() for lo, hi in zip(h.indptr[:-1], h.indptr[1:])] == lists
     assert h.n_selected == 3
     assert h.out_degrees().tolist() == [2, 0, 1]
@@ -657,11 +650,15 @@ def keyed_selection(draw):
 
 
 @given(
-    keyed_selection(), st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 4), st.integers(-2, 1)
+    keyed_selection(),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.integers(0, 4),
+    st.integers(-2, 1),
+    st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=300)
-@example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1, 0, 0)
-def test_raw_constructor_from_edges_and_from_keys_agree(pack, c, at, stray):
+@example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1, 0, 0, 0)
+def test_constructor_and_from_keys_agree(pack, c, at, stray, seed):
     l, r, edges, keys = pack
     g = build_graph(l, r, edges)
     us, vs = np.divmod(keys, r)
@@ -670,22 +667,16 @@ def test_raw_constructor_from_edges_and_from_keys_agree(pack, c, at, stray):
     assert sel._keys is keys
     params = None if c is None else ProblemParams(c=c, a=1)
     want = validate(g, sel, params)
-    for made in (
-        sel,
-        RecSubgraph(l, r, indptr, vs),
-        RecSubgraph.from_edges(l, r, us[::-1], vs[::-1]),
-    ):
+    order = np.random.default_rng(seed).permutation(keys.size)
+    for made in (sel, RecSubgraph(l, r, us[order], vs[order])):
         assert made._keys.tolist() == keys.tolist()
         assert made.indptr.tolist() == indptr.tolist()
         assert made.targets.tolist() == vs.tolist()
         assert made.edge_list() == [divmod(k, r) for k in keys.tolist()]
         assert validate(g, made, params) == want
 
-    # Both public constructors refuse the same pick outside [0, r).
+    # The constructor refuses a pick outside [0, r), named as given.
     u, v = at % l, stray if stray < 0 else r + stray
-    picks = sorted([*zip(us.tolist(), vs.tolist()), (u, v)])
-    pu, pv = [p[0] for p in picks], [p[1] for p in picks]
-    with pytest.raises(ValueError, match=rf"^target out of range \({u},{v}\)$"):
-        RecSubgraph(l, r, np.searchsorted(pu, np.arange(l + 1)), pv)
+    picks = [*zip(us.tolist(), vs.tolist()), (u, v)]
     with pytest.raises(ValueError, match=rf"out of range at index \d+: \({u}, {v}\)"):
-        RecSubgraph.from_edges(l, r, pu, pv)
+        RecSubgraph(l, r, [p[0] for p in picks], [p[1] for p in picks])

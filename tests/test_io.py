@@ -110,7 +110,7 @@ def test_graph_round_trip_bytes(tmp_path):
 
 
 def test_subgraph_round_trip(tmp_path):
-    sub = RecSubgraph.from_edges(4, 3, [0, 3, 1], [2, 0, 1])
+    sub = RecSubgraph(4, 3, [0, 3, 1], [2, 0, 1])
     p = tmp_path / "s.txt"
     write_subgraph(sub, p)
     back = read_subgraph(p)
@@ -121,7 +121,7 @@ def test_subgraph_round_trip(tmp_path):
 def test_writers_emit_canonical_bytes(tmp_path):
     g = gen_erdos_renyi(ErdosRenyiSpec(l=1500, r=1200, p=0.004, seed=17))
     picks = sorted(zip(g.edge_u.tolist(), g.edge_v.tolist()))[::3]
-    sub = RecSubgraph.from_edges(g.l, g.r, *map(list, zip(*picks)))
+    sub = RecSubgraph(g.l, g.r, *map(list, zip(*picks)))
     for path, write, obj, head, pairs in [
         (tmp_path / "g.txt", write_edge_list, g, f"bipartite 1500 1200 {g.m}", g.edge_list()),
         (tmp_path / "s.txt", write_subgraph, sub, f"recsubgraph 1500 1200 {len(picks)}", picks),
@@ -130,7 +130,7 @@ def test_writers_emit_canonical_bytes(tmp_path):
         write(obj, path)
         want = "\n".join([head] + [f"{u} {v}" for u, v in sorted(pairs)]) + "\n"
         assert path.read_bytes() == want.encode()
-    none = RecSubgraph(3, 4, [0, 0, 0, 0], [])
+    none = RecSubgraph(3, 4, [], [])
     write_subgraph(none, tmp_path / "none.txt")
     assert (tmp_path / "none.txt").read_bytes() == b"recsubgraph 3 4 0\n"
     # A numpy deprecation of text-mode fromstring must fail here, not in the field.
@@ -199,10 +199,13 @@ def test_subgraph_rejects_duplicates(tmp_path):
 def test_huge_header_sides_are_malformed(tmp_path, read, magic, sides):
     # The side cap is checked before anything of size l or r is allocated,
     # and before the keys u*r + v are encoded: numpy cannot hold a side of 2**64.
+    # It is checked before any line, too: under a side of 2**64, an endpoint
+    # of 2**63 is in range, but int64 cannot hold it.
     p = tmp_path / "huge.txt"
-    p.write_text(f"{magic} {sides[0]} {sides[1]} 1\n0 0\n")
-    with pytest.raises(EdgeListError, match=r"huge\.txt: side sizes must be < 2\*\*31"):
-        read(p)
+    for line in ("0 0", f"{2**63} 0", f"0 {2**63}"):
+        p.write_text(f"{magic} {sides[0]} {sides[1]} 1\n{line}\n")
+        with pytest.raises(EdgeListError, match=r"huge\.txt: side sizes must be < 2\*\*31"):
+            read(p)
 
 
 @pytest.mark.parametrize(

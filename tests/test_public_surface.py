@@ -1,5 +1,6 @@
 """Every exported name has a caller outside the tests, every module reads
-what it imports, and small work leaves the large-graph engines unimported.
+what it imports, small work leaves the large-graph engines unimported, and
+graphs and selections are built in one form.
 
 A name counts as used when it appears in the package's own modules (other
 than ``__init__.py``), a demo, a benchmark script or the README.  Its own
@@ -7,6 +8,7 @@ than ``__init__.py``), a demo, a benchmark script or the README.  Its own
 count, so an export that only tests reach fails here.
 """
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -104,3 +106,12 @@ def test_small_work_leaves_large_graph_engines_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[True, True]"]
+
+
+def test_graphs_and_selections_are_built_in_one_form():
+    # Both take the sides, then a u-array and a v-array, positionally.
+    for cls in (recsubgraph.BipartiteGraph, recsubgraph.RecSubgraph):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4, cls
+        assert [p.name for p in params[:2]] == ["l", "r"], cls
+        assert params[2].name.endswith("_u") and params[3].name.endswith("_v"), cls

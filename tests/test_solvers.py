@@ -764,7 +764,7 @@ _BAD_PARAMS = [(1, 1), None, {"c": 1, "a": 1}]
 def test_params_and_config_of_the_wrong_type_are_refused(call, error, message, bads):
     # Each of these once died with an AttributeError on the tuple.
     g = build_graph(2, 2, [(0, 0), (1, 1)])
-    sel = RecSubgraph.from_edges(2, 2, [0], [0])
+    sel = RecSubgraph(2, 2, [0], [0])
     for bad in bads:
         with pytest.raises(error, match=message):
             call(g, sel, bad)
