@@ -354,10 +354,12 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
     _check_side_limit(l, r, error)
     eu = np.ascontiguousarray(edge_u)
     ev = np.ascontiguousarray(edge_v)
+    # Checked before the shapes, so that non-integer arrays are named as such
+    # whatever their lengths.
+    if any(a.size and a.dtype.kind not in "iu" for a in (eu, ev)):
+        raise error(f"edge endpoints must be integers, got {eu.dtype} and {ev.dtype} arrays")
     if eu.ndim != 1 or eu.shape != ev.shape:
         raise error("edge endpoint arrays must be 1-D and equal length")
-    if eu.size and (eu.dtype.kind not in "iu" or ev.dtype.kind not in "iu"):
-        raise error(f"edge endpoints must be integers, got {eu.dtype} and {ev.dtype} arrays")
     # Checked as given: an unsigned endpoint of 2**63 or more wraps negative
     # in int64 and would be reported as another value.
     bad = np.flatnonzero((eu < 0) | (eu >= l) | (ev < 0) | (ev >= r))

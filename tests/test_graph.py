@@ -380,6 +380,32 @@ def test_selection_refuses_picks_that_are_not_1d_and_equal_length(sel_u, sel_v):
         RecSubgraph(1, 3, sel_u, sel_v)
 
 
+@pytest.mark.parametrize("targets, ndim", [(5, 0), ([[2]], 2)])
+def test_raw_selection_refuses_targets_that_are_not_1d(targets, ndim):
+    # Targets of another shape than the two sources' picks are refused, not
+    # broadcast into the picks (0, 5), (1, 5) or (0, 2), (1, 2).
+    assert np.ndim(targets) == ndim
+    with pytest.raises(ValueError, match=r"^edge endpoint arrays must be 1-D and equal length$"):
+        RecSubgraph(2, 6, [0, 1], targets)
+
+
+@pytest.mark.parametrize(
+    "indptr, targets",
+    [
+        ([0, 1.7], [2.9]),  # once truncated to indptr [0 1], targets [2]
+        ([0, 1], [2.0]),
+        ([0.0, 1.0], [2]),
+        ([0, 1], [True]),
+        (np.array([0, 1], dtype=np.float32), np.array([2], dtype=np.int32)),
+    ],
+)
+def test_selection_arrays_must_be_integers(indptr, targets):
+    # Old offsets-form calls with a non-integer array: refused for their
+    # dtype before their unequal lengths are looked at.
+    with pytest.raises(ValueError, match=r"^edge endpoints must be integers, got \w+ and \w+ arrays$"):
+        RecSubgraph(1, 3, indptr, targets)
+
+
 def test_selection_copies_the_callers_arrays():
     sel_u = np.array([0], dtype=np.int64)
     sel_v = np.array([2], dtype=np.int64)
