@@ -9,10 +9,10 @@ per candidate target set, on a batch of tiny random instances.
 import numpy as np
 
 from recsubgraph import (
+    BipartiteGraph,
     FixedDegreeSpec,
     ProblemParams,
     SolverConfig,
-    build_graph,
     coverage,
     exact_opt,
     gen_fixed_degree,
@@ -24,7 +24,7 @@ from recsubgraph import (
 def main():
     # Source 0 reaches both targets, source 1 only the first.  Greedy meets
     # target 0 first and spends source 0 on it; target 1 is then unreachable.
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     params = ProblemParams(c=1, a=1)
     sub, _ = greedy_with_stats(g, SolverConfig(params=params))
     print("adversarial instance, c=1, a=1")

@@ -40,7 +40,6 @@ from .graph import (
     ProblemParams,
     RecSubgraph,
     SubgraphValidationError,
-    build_graph,
     coverage,
     simplify,
     validate,
@@ -90,7 +89,6 @@ __all__ = [
     "SubgraphValidationError",
     "aggregate_rows",
     "bounded_matching",
-    "build_graph",
     "concentration_bound",
     "coverage",
     "emit_csv",

@@ -35,10 +35,10 @@ from .experiment import (
     run_experiment,
 )
 from .generate import MODEL_PARAMS, generate_instance
-from .graph import BipartiteGraph, GraphError, ProblemParams, simplify
+from .graph import BipartiteGraph, ProblemParams, simplify
 from .io import EdgeListError, read_edge_list, read_subgraph, write_edge_list, write_subgraph
 from .matching import bounded_matching, hopcroft_karp
-from .oracle import OracleSizeError, exact_opt
+from .oracle import exact_opt
 from .solvers import ALGORITHMS, ConfigError, SolverConfig, solve
 
 __all__ = ["main"]
@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         except (EdgeListError, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (GraphError, ConfigError, OracleSizeError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -27,7 +27,6 @@ __all__ = [
     "BipartiteGraph",
     "RecSubgraph",
     "CoverageReport",
-    "build_graph",
     "coverage",
     "validate",
 ]
@@ -146,17 +145,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(l={self.l}, r={self.r}, m={self.m})"
-
-
-def build_graph(l: int, r: int, edges) -> BipartiteGraph:
-    """Build a :class:`BipartiteGraph` from an iterable of integer ``(u, v)`` pairs."""
-    pairs = list(edges)
-    if pairs:
-        arr = np.asarray(pairs)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise GraphError("edges must be (u, v) pairs")
-        return BipartiteGraph(l, r, arr[:, 0], arr[:, 1])
-    return BipartiteGraph._from_keys(l, r, np.empty(0, dtype=np.int64))
 
 
 class RecSubgraph:
@@ -348,12 +336,13 @@ def _pair_keys(l: int, r: int, edge_u, edge_v, error: type[ValueError]) -> np.nd
     """Ascending ``u*r + v`` keys of the pairs ``(edge_u[i], edge_v[i])``.
 
     Raises ``error`` naming the first pair outside ``[0,l)×[0,r)``, whose key
-    would alias another pair's, and for endpoints that are not integers (an
-    empty array of any dtype is fine).
+    would alias another pair's, for endpoints that are not integers (an
+    empty array of any dtype is fine) and for arrays, scalars included, that
+    are not 1-D and of equal length.
     """
     _check_side_limit(l, r, error)
-    eu = np.ascontiguousarray(edge_u)
-    ev = np.ascontiguousarray(edge_v)
+    eu = np.asarray(edge_u)
+    ev = np.asarray(edge_v)
     # Checked before the shapes, so that non-integer arrays are named as such
     # whatever their lengths.
     if any(a.size and a.dtype.kind not in "iu" for a in (eu, ev)):

@@ -143,7 +143,7 @@ def sampling_with_stats(
     Apart from the ranking, a call holds only the ``c``-slot buffer that
     ``peak_aux`` counts.
     """
-    return _selections(graph, _sampling_keys(graph, [config]))[0]
+    return _with_stats(graph, "sampling", config)
 
 
 def _sampling_keys(
@@ -218,7 +218,7 @@ def greedy_with_stats(
     graph hold ``_WAVES_MIN_EDGES`` distinct edges in all shares one wave
     pass, and each cell gets the selection it gets here.
     """
-    return _selections(graph, _greedy_keys(graph, [config]))[0]
+    return _with_stats(graph, "greedy", config)
 
 
 # Entries of one wave pass's union of greedy cells, ``K*(l + r + m)`` for
@@ -306,7 +306,7 @@ def partition_with_stats(
     matches several cells' windows in one call, with the same result for
     each.
     """
-    return _selections(graph, _match_batch(graph, [_layout(graph, config)]))[0]
+    return _with_stats(graph, "partition", config)
 
 
 # Keys, and window sources, that one ``_match`` call may take from several
@@ -501,6 +501,15 @@ def _solve_cells(
                 covered, bound, ratio = _score(graph, sel, member.params, prefix=prefix)
                 yield sel, CoverageReport(covered, bound, ratio, share, stats.peak_aux)
         batch, cells, spent = [config], [cell], ms
+
+
+def _with_stats(graph: BipartiteGraph, algo: str, config) -> tuple[RecSubgraph, SolveStats]:
+    """``algo``'s selection and counters; a ``config`` that is not a
+    ``SolverConfig`` raises ``ConfigError``, as in :func:`solve`."""
+    _check_type("config", config, SolverConfig, ConfigError)
+    lay_out, _, run = _RUNNERS[algo]
+    cell = config if lay_out is None else lay_out(graph, config)
+    return _selections(graph, run(graph, [cell]))[0]
 
 
 def _selections(

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from recsubgraph import BipartiteGraph, build_graph, matching, solvers
+from recsubgraph import BipartiteGraph, matching, solvers
 
 
 def _neighborhoods(graph: BipartiteGraph) -> list[list[int]]:
@@ -67,7 +67,7 @@ def random_simple_graph(rng: np.random.Generator, max_l: int = 7, max_r: int = 7
     r = int(rng.integers(1, max_r + 1))
     mask = rng.random((l, r)) < p
     us, vs = np.nonzero(mask)
-    return build_graph(l, r, list(zip(us.tolist(), vs.tolist())))
+    return BipartiteGraph(l, r, us, vs)
 
 
 def chain_graph(n: int) -> BipartiteGraph:
@@ -76,8 +76,9 @@ def chain_graph(n: int) -> BipartiteGraph:
     Its maximum matching is perfect, but a search that first matches
     u_i -> v_i is then left one augmenting path of about 2n edges.
     """
-    edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
-    return build_graph(n, n, edges + [(n - 1, 0)])
+    us = [*range(n - 1), *range(n - 1), n - 1]
+    vs = [*range(n - 1), *range(1, n), 0]
+    return BipartiteGraph(n, n, us, vs)
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from recsubgraph import (
+    BipartiteGraph,
     ErdosRenyiSpec,
     ExperimentSpec,
     FixedDegreeSpec,
@@ -20,7 +21,6 @@ from recsubgraph import (
     ProblemParams,
     SolverConfig,
     bounded_matching,
-    build_graph,
     coverage,
     exact_opt,
     gen_erdos_renyi,
@@ -160,7 +160,7 @@ def test_criterion_4_greedy_dominates_sampling(hundred_trial_sweep):
 
 def test_criterion_5_greedy_worst_case_instance():
     start = time.perf_counter()
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     params = ProblemParams(c=1, a=1)
     config = SolverConfig(params=params)
     sub, _ = greedy_with_stats(g, config)
@@ -262,7 +262,7 @@ def test_criterion_6_exact_opt_agrees_with_highs():
         l, r = (int(x) for x in rng.integers(4, 13, size=2))
         m = int(rng.integers(0, 3 * (l + r)))
         # Drawn with replacement, so multigraphs with parallel edges occur.
-        g = build_graph(l, r, list(zip(rng.integers(0, l, m).tolist(), rng.integers(0, r, m).tolist())))
+        g = BipartiteGraph(l, r, rng.integers(0, l, m), rng.integers(0, r, m))
         for c, a in ((1, 1), (2, 1), (2, 2), (3, 2)):
             assert exact_opt(g, ProblemParams(c=c, a=a)) == _highs_opt(g, c, a), (g.edge_list(), c, a)
 
@@ -325,7 +325,7 @@ def test_criterion_8_matching_engine():
         r = int(rng.integers(1, 8))
         mask = rng.random((l, r)) < 0.4
         us, vs = np.nonzero(mask)
-        g = build_graph(l, r, list(zip(us.tolist(), vs.tolist())))
+        g = BipartiteGraph(l, r, us, vs)
         got = hopcroft_karp(g)
         want = brute_force_max_matching(g)
         if got.size != want:

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from recsubgraph import (
+    BipartiteGraph,
     ProblemParams,
-    build_graph,
     concentration_bound,
     greedy_expected_bound,
     required_ck,
@@ -308,26 +308,26 @@ def test_bounds_reject_nan_and_out_of_range_points(call):
 
 
 def test_upper_bound_budget_limited():
-    g = build_graph(2, 5, [(u, v) for u in range(2) for v in range(5)])
+    g = BipartiteGraph(2, 5, [0] * 5 + [1] * 5, [*range(5), *range(5)])
     # lc/a = 2*1/1 = 2 beats the 5 reachable targets.
     assert upper_bound_estimate(g, ProblemParams(c=1, a=1)) == 2
 
 
 def test_upper_bound_degree_limited():
-    g = build_graph(4, 4, [(0, 0), (1, 0), (2, 1), (3, 2)])
+    g = BipartiteGraph(4, 4, [0, 1, 2, 3], [0, 0, 1, 2])
     # With a=2 only v=0 has two distinct sources; budget 4*2/2=4.
     assert upper_bound_estimate(g, ProblemParams(c=2, a=2)) == 1
 
 
 def test_upper_bound_counts_distinct_sources():
-    g = build_graph(2, 1, [(0, 0), (0, 0), (1, 0)])
+    g = BipartiteGraph(2, 1, [0, 0, 1], [0, 0, 0])
     assert upper_bound_estimate(g, ProblemParams(c=2, a=2)) == 1
-    g2 = build_graph(1, 1, [(0, 0), (0, 0)])
+    g2 = BipartiteGraph(1, 1, [0, 0], [0, 0])
     assert upper_bound_estimate(g2, ProblemParams(c=2, a=2)) == 0
 
 
 def test_upper_bound_empty():
-    g = build_graph(3, 3, [])
+    g = BipartiteGraph(3, 3, [], [])
     assert upper_bound_estimate(g, ProblemParams(c=2, a=1)) == 0
 
 

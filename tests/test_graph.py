@@ -13,7 +13,6 @@ from recsubgraph import (
     RecSubgraph,
     SolverConfig,
     SubgraphValidationError,
-    build_graph,
     coverage,
     exact_opt,
     read_edge_list,
@@ -27,20 +26,20 @@ from recsubgraph.graph import _by_target
 
 
 def test_single_edge_counts():
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     assert g.m == 1
     assert g.left_degrees.tolist() == [1]
     assert np.bincount(g.edge_v, minlength=g.r).tolist() == [1]
 
 
 def test_reprs_give_the_sizes():
-    g = build_graph(2, 3, [(0, 0), (0, 0), (1, 2)])
+    g = BipartiteGraph(2, 3, [0, 0, 1], [0, 0, 2])
     assert repr(g) == "BipartiteGraph(l=2, r=3, m=3)"
     assert repr(RecSubgraph(2, 3, [0, 1], [0, 2])) == "RecSubgraph(l=2, r=3, selected=2)"
 
 
 def test_adjacency_sorted_both_ways():
-    g = build_graph(2, 2, [(1, 0), (0, 1), (0, 0)])
+    g = BipartiteGraph(2, 2, [1, 0, 0], [0, 1, 0])
     assert g.m == 3
     assert (g.indptr_l.tolist(), g.edge_v.tolist()) == ([0, 2, 3], [0, 1, 0])
     assert np.bincount(g.edge_v, minlength=g.r).tolist() == [2, 1]
@@ -48,9 +47,9 @@ def test_adjacency_sorted_both_ways():
 
 def test_out_of_range_endpoint_named():
     with pytest.raises(GraphError, match=r"endpoint out of range at index 1"):
-        build_graph(2, 2, [(0, 0), (0, 2)])
+        BipartiteGraph(2, 2, [0, 0], [0, 2])
     with pytest.raises(GraphError, match=r"endpoint out of range at index 0"):
-        build_graph(2, 2, [(-1, 0)])
+        BipartiteGraph(2, 2, [-1], [0])
     # An unsigned endpoint is named as given, not as its int64 wrap (-1).
     huge = np.array([2**64 - 1], np.uint64)
     with pytest.raises(GraphError, match=r"at index 0: \(18446744073709551615, 0\)"):
@@ -63,8 +62,8 @@ def test_out_of_range_endpoint_named():
         lambda: BipartiteGraph(2, 3, [0.7], [0]),
         lambda: BipartiteGraph(2, 3, np.array([0]), np.array([1.0])),
         lambda: BipartiteGraph(2, 3, np.array([True]), np.array([0])),
-        lambda: build_graph(2, 3, [(0.5, 1.9)]),
-        lambda: build_graph(2.0, 3, [(0, 1)]),
+        lambda: BipartiteGraph(2, 3, [0.5], [1.9]),
+        lambda: BipartiteGraph(2.0, 3, [0], [1]),
         lambda: BipartiteGraph(2, True, [0], [0]),
     ],
     ids=["float-u", "float-v", "bool-u", "float-pair", "float-side", "bool-side"],
@@ -86,7 +85,6 @@ def test_non_integer_picks_refused_and_empty_input_accepted():
         with pytest.raises(ValueError, match="must be integers"):
             RecSubgraph(2, 3, sel_u, sel_v)
     # An empty list is a float64 array; it is still an empty edge set.
-    assert build_graph(2, 3, []).m == 0
     assert BipartiteGraph(2, 3, [], []).m == 0
     assert RecSubgraph(2, 3, [], []).n_selected == 0
     unsigned = np.array([1], dtype=np.uint32)
@@ -94,7 +92,7 @@ def test_non_integer_picks_refused_and_empty_input_accepted():
 
 
 def test_parallel_edges_kept_and_flagged():
-    g = build_graph(1, 2, [(0, 1), (0, 1), (0, 0)])
+    g = BipartiteGraph(1, 2, [0, 0, 0], [1, 1, 0])
     assert g.m == 3
     assert g.has_parallel_edges()
     assert g.distinct_in_degrees().tolist() == [1, 1]
@@ -102,7 +100,7 @@ def test_parallel_edges_kept_and_flagged():
 
 def test_key_space_must_fit_int64():
     with pytest.raises(GraphError, match=r"2\*\*63"):
-        build_graph(1 << 32, 1 << 31, [])
+        BipartiteGraph(1 << 32, 1 << 31, [], [])
 
 
 def test_keys_decode_as_divmod_at_the_widest_r():
@@ -115,7 +113,7 @@ def test_keys_decode_as_divmod_at_the_widest_r():
     us, vs = [u for u, _ in pairs], [v for _, v in pairs]
     assert pairs == [(0, 0), (0, r - 1), (1, 0), (2, r - 1)]
     indptr = [0, 2, 3, 4]
-    g = build_graph(l, r, pairs)
+    g = BipartiteGraph(l, r, us, vs)
     assert g.edge_keys().tolist() == keys
     assert (g.edge_u.tolist(), g.edge_v.tolist(), g.indptr_l.tolist()) == (us, vs, indptr)
     sel = RecSubgraph._from_keys(l, r, np.array(keys, dtype=np.int64))
@@ -136,9 +134,9 @@ def shuffled_multigraph(draw):
 @settings(max_examples=200)
 def test_one_key_sort_matches_lexsort_and_unique(pack):
     l, r, edges = pack
-    g = build_graph(l, r, edges)
     eu = np.array([u for u, _ in edges], dtype=np.int64)
     ev = np.array([v for _, v in edges], dtype=np.int64)
+    g = BipartiteGraph(l, r, eu, ev)
     by_uv = np.lexsort((ev, eu))
     assert g.edge_u.tolist() == eu[by_uv].tolist()
     assert g.edge_v.tolist() == ev[by_uv].tolist()
@@ -179,14 +177,14 @@ def test_by_target_matches_dict_of_sets(pack):
     sources: dict[int, set[int]] = {v: set() for v in range(r)}
     for u, v in edges:
         sources[v].add(u)
-    offsets, flat = _by_target(build_graph(l, r, edges))
+    offsets, flat = _by_target(BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges]))
     assert offsets.tolist() == [0, *accumulate(len(sources[v]) for v in range(r))]
     got = [flat[offsets[v] : offsets[v + 1]].tolist() for v in range(r)]
     assert got == [sorted(sources[v]) for v in range(r)]
 
 
 def test_by_target_is_kept_read_only():
-    g = build_graph(3, 4, [(2, 1), (0, 1), (0, 1), (1, 3), (2, 0), (1, 1)])
+    g = BipartiteGraph(3, 4, [2, 0, 0, 1, 2, 1], [1, 1, 1, 3, 0, 1])
     offsets, sources = _by_target(g)
     again = _by_target(g)
     assert again[0] is offsets and again[1] is sources
@@ -203,7 +201,7 @@ def test_by_target_is_kept_read_only():
 
 @pytest.mark.parametrize("l, r", [(0, 0), (0, 3), (3, 0), (3, 4)])
 def test_edgeless_graphs_keep_empty_views(l, r):
-    g = build_graph(l, r, [])
+    g = BipartiteGraph(l, r, [], [])
     for seed in (1, 2, 1):
         config = SolverConfig(ProblemParams(2, 1), seed=seed)
         for algo in ("sampling", "greedy"):
@@ -220,7 +218,7 @@ def _report_fields(report):
 
 
 def test_simplified_and_reread_graphs_keep_their_own_views(tmp_path):
-    g = build_graph(4, 5, [(0, 1), (0, 1), (1, 1), (2, 4), (3, 0), (3, 0), (3, 2), (1, 4)])
+    g = BipartiteGraph(4, 5, [0, 0, 1, 2, 3, 3, 3, 1], [1, 1, 1, 4, 0, 0, 2, 4])
     config = SolverConfig(ProblemParams(2, 1), seed=9)
     for algo in ("sampling", "greedy"):
         solve(g, algo, config)
@@ -260,8 +258,7 @@ def _kept_bytes(g):
 def test_kept_views_stay_within_their_byte_budget(l, r, m):
     # The index: 8 bytes per distinct edge and per offset; the ranking: 4 per edge.
     rng = np.random.default_rng(m)
-    edges = zip(rng.integers(l, size=m).tolist(), rng.integers(r, size=m).tolist())
-    g = build_graph(l, r, edges)
+    g = BipartiteGraph(l, r, rng.integers(l, size=m), rng.integers(r, size=m))
     for seed in (1, 2, 3):
         for algo, (c, a) in zip(("sampling", "greedy"), ((3, 1), (3, 2))):
             solve(g, algo, SolverConfig(ProblemParams(c, a), seed=seed))
@@ -270,13 +267,8 @@ def test_kept_views_stay_within_their_byte_budget(l, r, m):
     assert _kept_bytes(g) <= 8 * g.distinct_keys().size + 8 * (g.r + 1) + 4 * g.m
 
 
-def test_build_graph_refuses_rows_that_are_not_pairs():
-    with pytest.raises(GraphError, match=r"edges must be \(u, v\) pairs"):
-        build_graph(2, 2, [(0, 1, 1)])
-
-
 def test_arrays_immutable():
-    g = build_graph(2, 2, [(0, 0)])
+    g = BipartiteGraph(2, 2, [0], [0])
     with pytest.raises(ValueError):
         g.edge_u[0] = 1
 
@@ -299,28 +291,28 @@ def test_params_validation():
 
 
 def test_coverage_single_edge():
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     h = RecSubgraph(1, 1, [0], [0])
     assert coverage(g, h, 1) == 1
     assert coverage(g, h, 2) == 0
 
 
 def test_coverage_two_sources_one_target():
-    g = build_graph(2, 1, [(0, 0), (1, 0)])
+    g = BipartiteGraph(2, 1, [0, 1], [0, 0])
     h = RecSubgraph(2, 1, [0, 1], [0, 0])
     assert coverage(g, h, 2) == 1
 
 
 @pytest.mark.parametrize("a", [1.5, True, 0, "1"])
 def test_coverage_refuses_a_that_is_not_a_positive_integer(a):
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     h = RecSubgraph(1, 1, [0], [0])
     with pytest.raises(ValueError, match="a must be an integer >= 1"):
         coverage(g, h, a)
 
 
 def test_coverage_rejects_invalid_selection(monkeypatch):
-    g = build_graph(2, 4, [(0, 0), (1, 1)])
+    g = BipartiteGraph(2, 4, [0, 1], [0, 1])
     bad = RecSubgraph(2, 4, [0], [3])
     with pytest.raises(SubgraphValidationError, match=r"^non-candidate edge \(0,3\)$"):
         coverage(g, bad, 1)
@@ -333,19 +325,19 @@ def test_coverage_rejects_invalid_selection(monkeypatch):
 
 
 def test_validate_clean():
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     h = RecSubgraph(2, 2, [0, 1], [0, 0])
     assert validate(g, h, ProblemParams(c=1, a=1)) == []
 
 
 def test_validate_reports_cap():
-    g = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = BipartiteGraph(1, 3, [0, 0, 0], [0, 1, 2])
     h = RecSubgraph(1, 3, [0, 0], [0, 1])
     assert validate(g, h, ProblemParams(c=1, a=1)) == ["degree cap violated at u=0"]
 
 
 def test_validate_reports_duplicate():
-    g = build_graph(1, 2, [(0, 0), (0, 1)])
+    g = BipartiteGraph(1, 2, [0, 0], [0, 1])
     h = RecSubgraph(1, 2, [0, 0], [0, 0])
     problems = validate(g, h, ProblemParams(c=3, a=1))
     assert problems == ["duplicate edge (0,0)"]
@@ -368,16 +360,26 @@ def test_selection_refuses_negative_sides(l, r):
         RecSubgraph(l, r, [], [])
 
 
-@pytest.mark.parametrize(
-    "sel_u, sel_v",
-    [
-        ([[0]], [[2]]),  # a 2-D pair
-        ([0, 0], [2]),  # unequal lengths
-    ],
-)
+# Each scalar case once built the one link (0, 2).
+_NOT_1D_AND_EQUAL_LENGTH = [
+    ([[0]], [[2]]),  # a 2-D pair
+    ([0, 0], [2]),  # unequal lengths
+    (0, 2),  # scalars
+    (np.array(0), np.array(2)),  # 0-D arrays
+    ([0], 2),  # a scalar beside a 1-D array
+]
+
+
+@pytest.mark.parametrize("sel_u, sel_v", _NOT_1D_AND_EQUAL_LENGTH)
 def test_selection_refuses_picks_that_are_not_1d_and_equal_length(sel_u, sel_v):
     with pytest.raises(ValueError, match=r"^edge endpoint arrays must be 1-D and equal length$"):
         RecSubgraph(1, 3, sel_u, sel_v)
+
+
+@pytest.mark.parametrize("edge_u, edge_v", _NOT_1D_AND_EQUAL_LENGTH)
+def test_graph_refuses_endpoints_that_are_not_1d_and_equal_length(edge_u, edge_v):
+    with pytest.raises(GraphError, match=r"^edge endpoint arrays must be 1-D and equal length$"):
+        BipartiteGraph(1, 3, edge_u, edge_v)
 
 
 @pytest.mark.parametrize("targets, ndim", [(5, 0), ([[2]], 2)])
@@ -464,7 +466,7 @@ def raw_selection(draw):
 @settings(max_examples=300)
 def test_validate_reports_exactly_the_bad_picks(pack, c, at, stray):
     l, r, edges, lists = pack
-    g = build_graph(l, r, edges)
+    g = BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges])
     h = RecSubgraph(l, r, *_picks(lists))
     params = None if c is None else ProblemParams(c=c, a=1)
 
@@ -520,7 +522,7 @@ def test_selection_matches_lexsort(pack):
 
 
 def test_validate_reports_dimension_mismatch():
-    g = build_graph(2, 2, [(0, 0)])
+    g = BipartiteGraph(2, 2, [0], [0])
     h = RecSubgraph(3, 2, [], [])
     assert "dimension mismatch" in validate(g, h)[0]
 
@@ -532,7 +534,7 @@ def _keep_all(g):
 
 
 def test_full_subgraph_coverage_counts_degrees():
-    g = build_graph(3, 4, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 2)])
+    g = BipartiteGraph(3, 4, [0, 1, 2, 0, 1], [0, 0, 0, 1, 2])
     h = _keep_all(g)
     for a in (1, 2, 3, 4):
         want = int(np.count_nonzero(g.distinct_in_degrees() >= a))
@@ -550,7 +552,7 @@ def small_graph_and_selection(draw):
             max_size=l * r,
         )
     )
-    g = build_graph(l, r, edges)
+    g = BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges])
     keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     chosen = [e for e, flag in zip(sorted(edges), keep) if flag]
     sel = RecSubgraph(l, r, [u for u, _ in chosen], [v for _, v in chosen])
@@ -686,7 +688,7 @@ def keyed_selection(draw):
 @example((2, 2, [], np.array([1, 1, 3], dtype=np.int64)), 1, 0, 0, 0)
 def test_constructor_and_from_keys_agree(pack, c, at, stray, seed):
     l, r, edges, keys = pack
-    g = build_graph(l, r, edges)
+    g = BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges])
     us, vs = np.divmod(keys, r)
     indptr = np.searchsorted(us, np.arange(l + 1))
     sel = RecSubgraph._from_keys(l, r, keys)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from recsubgraph import io as rio
 from recsubgraph import (
+    BipartiteGraph,
     EdgeListError,
     ErdosRenyiSpec,
     RecSubgraph,
-    build_graph,
     gen_erdos_renyi,
     read_edge_list,
     read_subgraph,
@@ -101,7 +101,7 @@ def test_read_count_mismatch(tmp_path):
 
 
 def test_graph_round_trip_bytes(tmp_path):
-    g = build_graph(4, 3, [(0, 2), (3, 0), (1, 1), (0, 0)])
+    g = BipartiteGraph(4, 3, [0, 3, 1, 0], [2, 0, 1, 0])
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
     write_edge_list(g, p1)

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from recsubgraph import (
+    BipartiteGraph,
     ErdosRenyiSpec,
     FixedDegreeSpec,
     ProblemParams,
     SolverConfig,
     _layered,
     bounded_matching,
-    build_graph,
     gen_erdos_renyi,
     gen_fixed_degree,
     hopcroft_karp,
@@ -29,25 +29,25 @@ from conftest import brute_force_max_matching, chain_graph, partition_windows, r
 
 
 def test_identity_graph():
-    g = build_graph(5, 5, [(i, i) for i in range(5)])
+    g = BipartiteGraph(5, 5, np.arange(5), np.arange(5))
     got = hopcroft_karp(g)
     assert got.size == 5
     assert got.match_l == list(range(5))
 
 
 def test_three_edge_path():
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     assert hopcroft_karp(g).size == 2
 
 
 def test_empty_graph():
-    got = hopcroft_karp(build_graph(3, 2, []))
+    got = hopcroft_karp(BipartiteGraph(3, 2, [], []))
     assert got.size == 0
     assert got.match_l == [-1, -1, -1]
 
 
 def test_parallel_edges_ignored():
-    g = build_graph(2, 2, [(0, 0), (0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 0, 1], [0, 0, 1, 0])
     assert hopcroft_karp(g).size == 2
 
 
@@ -83,7 +83,7 @@ def test_phase_count_bound(rng, matching_engines):
 
 def test_bounded_requires_odd_cap():
     # A nan cap used to run uncapped: size 2 on this graph, where cap 1 gives 1.
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     assert bounded_matching(g, 1).size == 1
     for cap in (2, 0, -1, float("nan"), float("inf"), 2.5, 3.0, True, False, "3", None):
         with pytest.raises(ValueError, match="max_path_len must be an odd integer >= 1"):
@@ -136,7 +136,7 @@ def test_matching_sizes_agree_with_networkx(seed):
     # Drawn with replacement, so multigraphs with parallel edges occur.
     eu = rng.integers(0, l, size=m)
     ev = rng.integers(0, r, size=m)
-    g = build_graph(l, r, list(zip(eu.tolist(), ev.tolist())))
+    g = BipartiteGraph(l, r, eu, ev)
     ref = nx.Graph()
     ref.add_nodes_from(("u", u) for u in range(l))
     ref.add_nodes_from(("v", v) for v in range(r))
@@ -165,7 +165,7 @@ def _multigraphs(draw):
     r = draw(st.integers(0, 40))
     pairs = st.tuples(st.integers(0, max(l - 1, 0)), st.integers(0, max(r - 1, 0)))
     edges = draw(st.lists(pairs, max_size=160)) if l and r else []
-    return build_graph(l, r, edges)
+    return BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges])
 
 
 @given(g=_multigraphs(), cap=st.sampled_from([None, 1, 3, 5, 7]))
@@ -228,7 +228,8 @@ def _window_sets(draw):
     pairs = st.tuples(st.integers(0, max(n_left - 1, 0)), st.integers(0, max(n_right - 1, 0)))
     edges = st.lists(pairs, max_size=60) if n_left and n_right else st.just([])
     windows = draw(st.lists(edges, min_size=1, max_size=5))
-    return n_left, n_right, [build_graph(n_left, n_right, e).distinct_keys() for e in windows]
+    graphs = [BipartiteGraph(n_left, n_right, [u for u, _ in e], [v for _, v in e]) for e in windows]
+    return n_left, n_right, [g.distinct_keys() for g in graphs]
 
 
 # In the second phase window 2 finds a free vertex a layer before window 0
@@ -269,8 +270,8 @@ def test_batched_windows_finish_in_different_phases(monkeypatch, cap):
     windows = [
         chain_graph(n).distinct_keys(),
         np.zeros(0, dtype=np.int64),
-        build_graph(n, n, [(4, 2)]).distinct_keys(),
-        build_graph(n, n, [(0, 1), (3, 1), (5, 1)]).distinct_keys(),
+        BipartiteGraph(n, n, [4], [2]).distinct_keys(),
+        BipartiteGraph(n, n, [0, 3, 5], [1, 1, 1]).distinct_keys(),
     ]
     want = _one_list_call_each(monkeypatch, windows, n, n, cap)
     assert [w[3] for w in want] == [2 if cap is None else 1, 0, 1, 1]
@@ -429,7 +430,7 @@ def test_partition_hand_over_keeps_selection_and_scans(monkeypatch, seed, ca, ep
     rng = np.random.default_rng(seed)
     l, r = (int(x) for x in rng.integers(1, 40, size=2))
     m = int(rng.integers(0, 4 * (l + r)))
-    g = build_graph(l, r, list(zip(rng.integers(0, l, m).tolist(), rng.integers(0, r, m).tolist())))
+    g = BipartiteGraph(l, r, rng.integers(0, l, m), rng.integers(0, r, m))
     cfg = SolverConfig(params=ProblemParams(*ca), seed=seed, epsilon=epsilon)
     listed, layered = _on_both_engines(monkeypatch, g, cfg)
     assert listed == layered

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from recsubgraph import (
+    BipartiteGraph,
     ErdosRenyiSpec,
     FixedDegreeSpec,
     OracleSizeError,
     ProblemParams,
     SolverConfig,
-    build_graph,
     exact_opt,
     gen_erdos_renyi,
     gen_fixed_degree,
@@ -30,27 +30,27 @@ from conftest import chain_graph, enumerate_opt, random_simple_graph
 
 
 def test_star_with_budget_two():
-    g = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    g = BipartiteGraph(1, 3, [0, 0, 0], [0, 1, 2])
     assert exact_opt(g, ProblemParams(c=2, a=1)) == 2
 
 
 def test_shared_target_blocks_second():
     # Both sources can finish v=0 together, or one of v=1/v=2 each... with
     # a=2 only targets seen by both sources count, and only v=0 qualifies.
-    g = build_graph(2, 3, [(0, 0), (0, 1), (1, 0), (1, 2)])
+    g = BipartiteGraph(2, 3, [0, 0, 1, 1], [0, 1, 0, 2])
     assert exact_opt(g, ProblemParams(c=1, a=2)) == 1
     assert exact_opt(g, ProblemParams(c=1, a=1)) == 2
     assert exact_opt(g, ProblemParams(c=2, a=1)) == 3
 
 
 def test_edgeless():
-    g = build_graph(3, 3, [])
+    g = BipartiteGraph(3, 3, [], [])
     assert exact_opt(g, ProblemParams(c=2, a=1)) == 0
 
 
 def test_crown_equals_matching():
     # c=1, a=1 is exactly maximum bipartite matching.
-    g = build_graph(3, 3, [(u, v) for u in range(3) for v in range(3) if u != v])
+    g = BipartiteGraph(3, 3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1])
     assert exact_opt(g, ProblemParams(c=1, a=1)) == hopcroft_karp(g).size
 
 
@@ -119,7 +119,7 @@ def test_dominates_heuristics(rng):
 
 
 def test_parallel_edges_do_not_double_count():
-    g = build_graph(1, 1, [(0, 0), (0, 0)])
+    g = BipartiteGraph(1, 1, [0, 0], [0, 0])
     assert exact_opt(g, ProblemParams(c=2, a=2)) == 0
 
 
@@ -187,11 +187,11 @@ def _served_reference(graph, targets, c, a):
 
 
 def test_served_matches_python_split_graph(rng):
-    graphs = [build_graph(0, 3, []), build_graph(3, 0, [])]
+    graphs = [BipartiteGraph(0, 3, [], []), BipartiteGraph(3, 0, [], [])]
     for _ in range(150):
         l, r = (int(x) for x in rng.integers(1, 7, size=2))
         n = int(rng.integers(13))
-        graphs.append(build_graph(l, r, zip(rng.integers(l, size=n), rng.integers(r, size=n))))
+        graphs.append(BipartiteGraph(l, r, rng.integers(l, size=n), rng.integers(r, size=n)))
     assert any(g.has_parallel_edges() for g in graphs)
     for g in graphs:
         c = int(rng.integers(1, 4))
@@ -203,11 +203,11 @@ def test_served_matches_python_split_graph(rng):
 
 
 def test_bmatching_counts_saturated_flow():
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BipartiteGraph(2, 2, [0, 0, 1, 1], [0, 1, 0, 1])
     assert exact_opt(g, ProblemParams(c=1, a=1)) == 2
     # Raising c cannot help once every target already has a partner.
     assert exact_opt(g, ProblemParams(c=2, a=1)) == 2
-    star = build_graph(1, 3, [(0, 0), (0, 1), (0, 2)])
+    star = BipartiteGraph(1, 3, [0, 0, 0], [0, 1, 2])
     assert exact_opt(star, ProblemParams(c=2, a=1)) == 2
     assert exact_opt(star, ProblemParams(c=3, a=1)) == 3
 
@@ -219,7 +219,7 @@ def test_long_augmenting_path_does_not_recurse():
 
 def test_served_at_a_1_matches_targets_straight_to_source_copies(monkeypatch):
     # No split graph: one left vertex per target, c right vertices per source.
-    g = build_graph(3, 4, [(0, 0), (0, 1), (1, 1), (2, 1), (2, 3), (1, 3)])
+    g = BipartiteGraph(3, 4, [0, 0, 1, 2, 2, 1], [0, 1, 1, 1, 3, 3])
     calls = []
 
     def spy(keys, n_left, n_right, *rest):

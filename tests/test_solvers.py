@@ -17,7 +17,6 @@ from recsubgraph import (
     RecSubgraph,
     SolverConfig,
     bounded_matching,
-    build_graph,
     coverage,
     exact_opt,
     gen_erdos_renyi,
@@ -44,13 +43,13 @@ def _cfg(c, a, seed=0, **kw):
 
 
 def test_sampling_keeps_everything_when_budget_covers_degrees():
-    g = build_graph(3, 4, [(0, 0), (0, 1), (1, 2), (2, 3), (2, 0)])
+    g = BipartiteGraph(3, 4, [0, 0, 1, 2, 2], [0, 1, 2, 3, 0])
     sub, _ = sampling_with_stats(g, _cfg(2, 1))
     assert sorted(sub.edge_list()) == sorted(g.edge_list())
 
 
 def test_sampling_single_edge():
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     sub, _ = sampling_with_stats(g, _cfg(1, 1))
     assert sub.edge_list() == [(0, 0)]
     assert coverage(g, sub, 1) == 1
@@ -70,7 +69,7 @@ def test_sampling_respects_cap_and_candidates(rng):
 def test_sampling_picks_uniform_subsets():
     # One source, four candidates, budget two: each of the 6 pairs should
     # appear with frequency 1/6.
-    g = build_graph(1, 4, [(0, v) for v in range(4)])
+    g = BipartiteGraph(1, 4, [0, 0, 0, 0], [0, 1, 2, 3])
     counts = {}
     n = 6000
     for seed in range(n):
@@ -88,8 +87,7 @@ def test_sampling_subsets_pass_chi_square():
     # so that its keys come from the middle of the stream.  All 10 pairs are
     # equally likely: Pearson's statistic over 2000 seeds stays below 27.877,
     # the 0.999 quantile of chi-square with 9 degrees of freedom (p > 0.001).
-    edges = [(0, 0), (0, 1)] + [(1, v) for v in range(5)] + [(2, 3), (2, 4)]
-    g = build_graph(3, 5, edges)
+    g = BipartiteGraph(3, 5, [0, 0, 1, 1, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 3, 4, 3, 4])
     n = 2000
     counts = {pair: 0 for pair in itertools.combinations(range(5), 2)}
     for seed in range(n):
@@ -132,7 +130,7 @@ def test_sampling_sorts_wide_source_ranges(l):
     us = np.concatenate([low, (low + 2**16) % l, rng.integers(0, l, size=600)])
     us = np.repeat(us, rng.integers(1, 6, size=us.size))
     vs = rng.integers(0, 50, size=us.size)
-    g = build_graph(l, 50, zip(us.tolist(), vs.tolist()))
+    g = BipartiteGraph(l, 50, us, vs)
     c = 2
     sub, _ = sampling_with_stats(g, _cfg(c, 1, seed=5))
     # Reference: each source's edges in key order, by one lexsort.
@@ -184,7 +182,7 @@ def test_rank_order_matches_lexsort_on_random_segments():
 
 
 def test_greedy_edgeless():
-    g = build_graph(3, 3, [])
+    g = BipartiteGraph(3, 3, [], [])
     sub, _ = greedy_with_stats(g, _cfg(1, 1))
     assert sub.edge_list() == []
 
@@ -192,7 +190,7 @@ def test_greedy_edgeless():
 def test_greedy_two_sources_one_shared_target():
     # Both sources reach v=0; only one of them also reaches v=1.  With a=2
     # the shared target is completed first and the other stays uncovered.
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 0)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 0])
     sub, _ = greedy_with_stats(g, _cfg(1, 2))
     assert coverage(g, sub, 2) == 1
     assert sorted(sub.edge_list()) == [(0, 0), (1, 0)]
@@ -215,7 +213,7 @@ def test_greedy_covered_targets_get_exactly_a():
 def test_greedy_capacity_tiebreak_prefers_fresh_sources():
     # v=0 first burns capacity of u=0; at v=1 the fresh source u=1 is
     # preferred over the partly used u=0.
-    g = build_graph(2, 2, [(0, 0), (0, 1), (1, 1)])
+    g = BipartiteGraph(2, 2, [0, 0, 1], [0, 1, 1])
     sub, _ = greedy_with_stats(g, _cfg(2, 1))
     assert (1, 1) in sub.edge_list()
     assert (0, 1) not in sub.edge_list()
@@ -289,7 +287,7 @@ def _greedy_case(draw):
 )
 def test_greedy_matches_reference(greedy_engines, case, seed):
     l, r, edges, c, a = case
-    g = build_graph(l, r, edges)
+    g = BipartiteGraph(l, r, [u for u, _ in edges], [v for _, v in edges])
     cfg = _cfg(c, a, seed=seed)  # greedy ignores the seed; the reference has none
     expected = _greedy_reference(l, r, edges, c, a)
     for _ in greedy_engines():
@@ -340,7 +338,7 @@ def _batched(graph, algo, configs):
 def test_batched_greedy_equals_per_cell_greedy(rng, greedy_engines, monkeypatch):
     # Each cell of a batch must come out as it does alone.  On the wave
     # engine a batch is one pass over copies of the graph, one per cell.
-    graphs = [build_graph(4, 5, []), build_graph(0, 5, []), build_graph(3, 0, [])]
+    graphs = [BipartiteGraph(4, 5, [], []), BipartiteGraph(0, 5, [], []), BipartiteGraph(3, 0, [], [])]
     for _ in range(30):
         l, r = (int(x) for x in rng.integers(1, 16, size=2))
         graphs.append(_multigraph(rng, l, r, int(rng.integers(1, 4 * (l + r)))))
@@ -392,19 +390,19 @@ def test_batched_greedy_equals_per_cell_greedy(rng, greedy_engines, monkeypatch)
 
 
 def test_partition_complete_graph():
-    g = build_graph(4, 4, [(u, v) for u in range(4) for v in range(4)])
+    g = BipartiteGraph(4, 4, np.repeat(np.arange(4), 4), np.tile(np.arange(4), 4))
     sub, _ = partition_with_stats(g, _cfg(1, 1))
     assert coverage(g, sub, 1) == 4
 
 
 def test_partition_edgeless():
-    g = build_graph(4, 4, [])
+    g = BipartiteGraph(4, 4, [], [])
     sub, _ = partition_with_stats(g, _cfg(2, 1))
     assert sub.edge_list() == []
 
 
 def test_partition_rejects_a_above_c():
-    g = build_graph(4, 4, [(0, 0)])
+    g = BipartiteGraph(4, 4, [0], [0])
     with pytest.raises(ConfigError):
         partition_with_stats(g, _cfg(1, 2))
 
@@ -412,7 +410,7 @@ def test_partition_rejects_a_above_c():
 def test_partition_refuses_c_times_l_past_int32():
     # Its windows hold c * l sources: at 2**31 the layout alone would need
     # about 16 GB, and the layered engine numbers them in int32.
-    g = build_graph(1, 3, [(0, 0), (0, 2)])
+    g = BipartiteGraph(1, 3, [0, 0], [0, 2])
     with pytest.raises(ConfigError, match=r"c \* l < 2\*\*31"):
         solve(g, "partition", _cfg(2**31, 1))
 
@@ -493,9 +491,9 @@ def test_partition_batches_keep_each_cells_selection_and_scans(monkeypatch, boun
     # c and seeds, must also come out of the runner as they do alone.
     graphs = [
         gen_fixed_degree(FixedDegreeSpec(l=60, r=200, d=6, seed=3)),
-        build_graph(0, 7, []),
-        build_graph(7, 0, []),
-        build_graph(6, 9, []),
+        BipartiteGraph(0, 7, [], []),
+        BipartiteGraph(7, 0, [], []),
+        BipartiteGraph(6, 9, [], []),
     ]
     cells = [(c, a) for c in range(1, 5) for a in range(1, c + 1)]
     runs = [
@@ -530,7 +528,7 @@ def test_batched_cells_report_their_share_of_the_clock(monkeypatch):
     # c = 3 cell that overflows the first batch is charged to its own, and
     # the first batch's cells each get half of two layouts and one step.
     # Sampling: every cell is its own step.
-    g = build_graph(10, 3, [(0, 0), (1, 1), (2, 2), (3, 0)])
+    g = BipartiteGraph(10, 3, [0, 1, 2, 3], [0, 1, 2, 0])
     tick = 2.0**-10  # seconds per read
     reads = itertools.count()
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: next(reads) * tick)
@@ -660,7 +658,7 @@ def test_matchings_pinned(cap, matching_engines):
 
 
 def test_solve_unknown_algo():
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     with pytest.raises(ConfigError):
         solve(g, "newton", _cfg(1, 1))
 
@@ -668,7 +666,7 @@ def test_solve_unknown_algo():
 @pytest.mark.parametrize("algo", [["greedy"], {"greedy": 1}])
 def test_solve_refuses_an_unhashable_algo(algo):
     # Refused like an unknown name, not with a TypeError from hashing it.
-    g = build_graph(1, 1, [(0, 0)])
+    g = BipartiteGraph(1, 1, [0], [0])
     with pytest.raises(ConfigError, match="unknown algorithm"):
         solve(g, algo, _cfg(1, 1))
 
@@ -684,7 +682,7 @@ def test_solve_refuses_an_unhashable_algo(algo):
     ids=["sampling", "greedy-input-order", "partition"],
 )
 def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters, greedy_engines):
-    g = build_graph(l, r, [])
+    g = BipartiteGraph(l, r, [], [])
     cfg = _cfg(2, 1, **kw)
     for _ in greedy_engines():
         sub, stats = runner(g, cfg)
@@ -694,7 +692,7 @@ def test_edgeless_graph_gives_empty_selection(l, r, runner, kw, counters, greedy
 
 
 def test_solve_edgeless_ratio_is_one():
-    g = build_graph(5, 5, [])
+    g = BipartiteGraph(5, 5, [], [])
     sub, report = solve(g, "greedy", _cfg(1, 1))
     assert report.covered == 0
     assert report.upper_bound == 0
@@ -744,6 +742,7 @@ def test_solver_params_must_be_problem_params(params):
 
 
 _BAD_PARAMS = [(1, 1), None, {"c": 1, "a": 1}]
+_BAD_CONFIGS = [*_BAD_PARAMS, ProblemParams(1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -757,13 +756,20 @@ _BAD_PARAMS = [(1, 1), None, {"c": 1, "a": 1}]
         (lambda g, sel, bad: exact_opt(g, bad), ValueError, "params must be a ProblemParams",
          _BAD_PARAMS),
         (lambda g, sel, bad: solve(g, "greedy", bad), ConfigError, "config must be a SolverConfig",
-         [*_BAD_PARAMS, ProblemParams(1, 1)]),
+         _BAD_CONFIGS),
+        (lambda g, sel, bad: sampling_with_stats(g, bad), ConfigError,
+         "config must be a SolverConfig", _BAD_CONFIGS),
+        (lambda g, sel, bad: greedy_with_stats(g, bad), ConfigError,
+         "config must be a SolverConfig", _BAD_CONFIGS),
+        (lambda g, sel, bad: partition_with_stats(g, bad), ConfigError,
+         "config must be a SolverConfig", _BAD_CONFIGS),
     ],
-    ids=["validate", "upper_bound_estimate", "exact_opt", "solve"],
+    ids=["validate", "upper_bound_estimate", "exact_opt", "solve", "sampling_with_stats",
+         "greedy_with_stats", "partition_with_stats"],
 )
 def test_params_and_config_of_the_wrong_type_are_refused(call, error, message, bads):
     # Each of these once died with an AttributeError on the tuple.
-    g = build_graph(2, 2, [(0, 0), (1, 1)])
+    g = BipartiteGraph(2, 2, [0, 1], [0, 1])
     sel = RecSubgraph(2, 2, [0], [0])
     for bad in bads:
         with pytest.raises(error, match=message):
@@ -772,7 +778,7 @@ def test_params_and_config_of_the_wrong_type_are_refused(call, error, message, b
 
 @pytest.mark.parametrize("algo", ["sampling", "greedy", "partition"])
 def test_every_strategy_keeps_the_keys_of_its_picks(algo, rng, greedy_engines, matching_engines):
-    graphs = [build_graph(0, 3, []), build_graph(3, 0, []), build_graph(4, 5, [])]
+    graphs = [BipartiteGraph(0, 3, [], []), BipartiteGraph(3, 0, [], []), BipartiteGraph(4, 5, [], [])]
     graphs += [random_simple_graph(rng, max_l=9, max_r=9, p=0.5) for _ in range(20)]
     for _ in greedy_engines():
         for _ in matching_engines():
@@ -788,7 +794,7 @@ def test_every_strategy_keeps_the_keys_of_its_picks(algo, rng, greedy_engines, m
 def _multigraph(rng, l, r, m):
     """``m`` uniform edges, so parallel ones are likely."""
     us, vs = rng.integers(l, size=m), rng.integers(r, size=m)
-    return build_graph(l, r, zip(us.tolist(), vs.tolist()))
+    return BipartiteGraph(l, r, us, vs)
 
 
 def _fresh(g):
